@@ -73,7 +73,6 @@ from .superintegrability import (
     ScanEntry,
     degeneracy_scan,
     fit_caged_image_of_ttw,
-    identity_bridge,
     identity_check,
     integral_order,
     labeled_collisions,

@@ -3,7 +3,7 @@
 One JSON config per run (reproducibility over flag sprawl); a small set of
 flags (--levels, --grid, --out) override the loaded config.  Exit codes are
 a stable contract: 0 success, 2 config or validation error, 3 numerical
-non-convergence (partial results still written).
+non-convergence (partial results still written), 1 a failed verify check.
 
 Every output file begins with a provenance header (tool version, config
 hash, timestamp); outputs are bit-reproducible for a fixed seed and
@@ -27,7 +27,8 @@ from . import __version__
 from .errors import Few2DError, ConfigError, UnknownCheckId
 from .discretize import assemble, make_grid
 from .eigensolve import detect_degeneracies, lowest_eigs
-from .model import TTW, ThreeBodyTTW, Wolfes, Calogero, spec_from_dict
+from .model import (TTW, Calogero, Rational, ThreeBodyTTW, Wolfes, k_float, k_from_json,
+                    spec_from_dict)
 from .oracles import separated_spectrum
 from .reduction import (
     Box,
@@ -38,7 +39,6 @@ from .reduction import (
     reduce_to_2d,
 )
 from .superintegrability import degeneracy_scan
-from .model import Rational
 
 _COMMANDS = ("solve", "oracle", "map3", "verify", "scan", "converge")
 
@@ -79,7 +79,10 @@ def _check_keys(obj: dict, allowed: set[str], where: str,
 
 def _load_box(obj, where: str) -> Box:
     _check_keys(obj, {"x_max", "y_max"}, where, {"x_max", "y_max"})
-    return Box(float(obj["x_max"]), float(obj["y_max"]))
+    try:
+        return Box(float(obj["x_max"]), float(obj["y_max"]))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -117,7 +120,10 @@ def _load_reduced_problem(config: dict) -> ReducedProblem2D:
     if "reduced_problem" in config:
         src = config["reduced_problem"]
         if isinstance(src, str):
-            payload = json.loads(Path(src).read_text())
+            try:
+                payload = json.loads(Path(src).read_text())
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"cannot read reduced problem {src}: {exc}") from exc
         else:
             payload = src
         if "reduced_problem" in payload:
@@ -134,7 +140,7 @@ def _load_reduced_problem(config: dict) -> ReducedProblem2D:
         return reduce_to_2d(spec, d1=int(red.get("d1", 3)), d2=int(red.get("d2", 3)),
                             L_x=int(red.get("L_x", 0)), L_y=int(red.get("L_y", 0)),
                             box=box)
-    except Few2DError as exc:
+    except (ValueError, TypeError, Few2DError) as exc:
         raise ConfigError(f"reduction failed: {exc}") from exc
 
 
@@ -155,11 +161,14 @@ def _solver_block(config: dict) -> dict:
 def _discretization_block(config: dict) -> dict:
     blk = config.get("discretization", {})
     _check_keys(blk, {"n1", "n2", "offset_rule"}, "discretization block")
-    return {
-        "n1": int(blk.get("n1", 200)),
-        "n2": int(blk.get("n2", 200)),
-        "offset_rule": blk.get("offset_rule", "auto"),
-    }
+    try:
+        return {
+            "n1": int(blk.get("n1", 200)),
+            "n2": int(blk.get("n2", 200)),
+            "offset_rule": blk.get("offset_rule", "auto"),
+        }
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid discretization block: {exc}") from exc
 
 
 def _output_prefix(config: dict, required: bool = True) -> Path | None:
@@ -290,8 +299,11 @@ def run_map3(config: dict) -> int:
     except (ValueError, KeyError, Few2DError) as exc:
         raise ConfigError(f"invalid threebody.potential: {exc}") from exc
     box = _load_box(blk["box"], "threebody.box") if "box" in blk else None
-    problem = map_threebody(spec, d=int(blk["d"]), L1=int(blk.get("L1", 0)),
-                            L2=int(blk.get("L2", 0)), box=box, masses=masses)
+    try:
+        problem = map_threebody(spec, d=int(blk["d"]), L1=int(blk.get("L1", 0)),
+                                L2=int(blk.get("L2", 0)), box=box, masses=masses)
+    except ValueError as exc:
+        raise ConfigError(f"invalid threebody block: {exc}") from exc
     prefix = _output_prefix(config)
     _write_json(prefix.with_suffix(".json"), config,
                 {"reduced_problem": problem.to_dict()})
@@ -413,14 +425,7 @@ def run_scan(config: dict) -> int:
     blk = config.get("scan", {})
     _check_keys(blk, {"k_list", "levels_per_k", "tol", "n_r_max", "j_max"},
                 "scan block", {"k_list"})
-    k_list = []
-    for item in blk["k_list"]:
-        if isinstance(item, dict):
-            k_list.append(Rational(int(item["m"]), int(item["n"])).reduced())
-        elif isinstance(item, int):
-            k_list.append(Rational(item, 1))
-        else:
-            k_list.append(float(item))
+    k_list = [k_from_json(item) for item in blk["k_list"]]
     entries = degeneracy_scan(spec, k_list,
                               levels_per_k=int(blk.get("levels_per_k", 20)),
                               tol=float(blk.get("tol", 1e-8)),
@@ -429,12 +434,11 @@ def run_scan(config: dict) -> int:
     prefix = _output_prefix(config)
     rows = []
     for entry in entries:
-        kf = entry.k.value if isinstance(entry.k, Rational) else entry.k
         mult_of = []
         for _, mult in entry.report.clusters:
             mult_of.extend([mult] * mult)
         for idx, energy in enumerate(entry.levels):
-            rows.append((float(kf), idx, float(energy), mult_of[idx]))
+            rows.append((k_float(entry.k), idx, float(energy), mult_of[idx]))
     _write_csv(prefix.with_suffix(".csv"), _header_lines(config),
                ["k", "level", "energy", "multiplicity"], rows)
     _write_json(prefix.with_suffix(".json"), config,

@@ -1,9 +1,16 @@
-"""Potential catalog: parameter validation and pointwise evaluation.
+"""Potential catalog: one frozen dataclass per potential family.
 
 Units are fixed to hbar = 2m = 1 throughout, so every Hamiltonian reads
 -Laplacian + V and all energies are reported in these units.
 
-Each potential family carries its own natural chart:
+Each family's class is the one place that decides everything about it: its
+JSON name and fields, its parameter bounds (``validated``), one vectorized
+formula on its natural chart (``formula``) and the quadrant view of it
+(``quadrant``), its singular rays, its default truncation box, whether it
+enters the quadrant reduction directly (``radial_refusal``) or through the
+three-body line route (``line_model``), and the separated-variable data the
+oracles build on (``separation``).  The module-level functions dispatch onto
+the family.
 
 ================   =========================================
 family             natural chart of ``eval_potential``
@@ -25,9 +32,9 @@ coordinate) to a singular line are rejected with :class:`SingularPoint`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 import numpy as np
 
@@ -107,168 +114,20 @@ def k_float(k: KValue) -> float:
     return k.value if isinstance(k, Rational) else float(k)
 
 
-# ---------------------------------------------------------------------
-# potential specs
-# ---------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HydrogenPair:
-    """Two attractive Coulomb centers, V = -1/r1 - 1/r2."""
+def k_to_json(k: KValue):
+    """JSON form of k: ``{"m": .., "n": ..}`` for a fraction, else a number."""
+    if isinstance(k, Rational):
+        return {"m": k.m, "n": k.n}
+    return float(k)
 
 
-@dataclass(frozen=True)
-class CagedOscillator:
-    """Anisotropic oscillator with inverse-square walls on the quadrant.
-
-    V = a w^2 x^2 + b w^2 y^2 + A/x^2 + B/y^2.
-    """
-
-    a: float = 1.0
-    b: float = 1.0
-    omega: float = 1.0
-    A: float = 0.0
-    B: float = 0.0
-
-
-@dataclass(frozen=True)
-class TTW:
-    """Oscillator plus angular inverse-square barriers, plain-coupling form.
-
-    V = w^2 rho^2 + [alpha / cos^2(k theta) + beta / sin^2(k theta)] / rho^2.
-    """
-
-    omega: float
-    k: KValue
-    alpha: float = 0.0
-    beta: float = 0.0
-
-
-@dataclass(frozen=True)
-class ThreeBodyTTW:
-    """Same family as :class:`TTW` but with k^2-weighted angular couplings.
-
-    V = w^2 rho^2 + k^2 [alpha / cos^2(k theta) + beta / sin^2(k theta)] / rho^2.
-
-    The two weightings are kept as distinct variants instead of silently
-    rescaling alpha and beta.
-    """
-
-    omega: float
-    k: KValue
-    alpha: float = 0.0
-    beta: float = 0.0
-
-
-@dataclass(frozen=True)
-class PW:
-    """Coulomb analogue of TTW; angular arguments use k/2.
-
-    V = -a/rho + [mu / cos^2(k theta / 2) + nu / sin^2(k theta / 2)] / rho^2.
-    """
-
-    a: float
-    k: KValue
-    mu: float = 0.0
-    nu: float = 0.0
-
-
-@dataclass(frozen=True)
-class Calogero:
-    """Three bodies on a line with pairwise quadratic plus inverse-square terms."""
-
-    omega: float
-    A: float = 0.0
-
-
-@dataclass(frozen=True)
-class Wolfes:
-    """Calogero plus genuinely three-body inverse-square terms.
-
-    The three-body distances are t_k = |x_i + x_j - 2 x_k|, computed from
-    pair distances via t_k^2 = 2 r_ik^2 + 2 r_jk^2 - r_ij^2, which is
-    permutation symmetric and valid in any ordering.
-    """
-
-    omega: float
-    A: float = 0.0
-    B: float = 0.0
-
-
-@dataclass(frozen=True)
-class Custom2D:
-    """Escape hatch: arbitrary W(x, y) on the open quadrant.
-
-    ``func`` must accept numpy arrays. ``depends_on_angles`` marks potentials
-    that are not functions of the two radii alone; the 3-body mapping rejects
-    those.
-    """
-
-    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "custom"
-    depends_on_angles: bool = False
-    expression: str | None = None
-
-
-PotentialSpec = Union[
-    HydrogenPair, CagedOscillator, TTW, ThreeBodyTTW, PW, Calogero, Wolfes, Custom2D
-]
-
-_ANGULAR_FAMILIES = (TTW, ThreeBodyTTW, PW)
-
-
-# ---------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------
-
-def validate(spec: PotentialSpec) -> PotentialSpec:
-    """Certify a spec's invariants; returns the normalized spec.
-
-    Rational k is reduced to lowest terms. Raises ``BoundViolation``,
-    ``ZeroK`` or ``NonPositiveMassOrFrequency`` on invalid parameters.
-    """
-    if isinstance(spec, HydrogenPair):
-        return spec
-    if isinstance(spec, CagedOscillator):
-        if spec.a <= 0 or spec.b <= 0 or spec.omega <= 0:
-            raise NonPositiveMassOrFrequency(
-                f"caged oscillator requires a, b, omega > 0, got "
-                f"a={spec.a}, b={spec.b}, omega={spec.omega}"
-            )
-        if spec.A <= -0.125 or spec.B <= -0.125:
-            raise BoundViolation(
-                f"caged oscillator requires A, B > -1/8, got A={spec.A}, B={spec.B}"
-            )
-        return spec
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        k = validate_k(spec.k)
-        if spec.omega <= 0:
-            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {spec.omega}")
-        bound = -1.0 / (4.0 * k_float(k) ** 2)
-        # strict inequality: alpha, beta > -1/(4 k^2)
-        if spec.alpha <= bound or spec.beta <= bound:
-            raise BoundViolation(
-                f"require alpha, beta > {bound:.9g} for k={k_float(k):g}, "
-                f"got alpha={spec.alpha}, beta={spec.beta}"
-            )
-        return replace(spec, k=k)
-    if isinstance(spec, PW):
-        k = validate_k(spec.k)
-        if spec.a <= 0:
-            raise NonPositiveMassOrFrequency(
-                f"Coulomb strength a must be > 0, got {spec.a}"
-            )
-        return replace(spec, k=k)
-    if isinstance(spec, Calogero):
-        if spec.omega <= 0:
-            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {spec.omega}")
-        return spec
-    if isinstance(spec, Wolfes):
-        if spec.omega <= 0:
-            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {spec.omega}")
-        return spec
-    if isinstance(spec, Custom2D):
-        return spec
-    raise TypeError(f"not a potential spec: {spec!r}")
+def k_from_json(obj) -> KValue:
+    """Inverse of :func:`k_to_json`; a JSON integer is the fraction obj/1."""
+    if isinstance(obj, dict):
+        return validate_k(Rational(int(obj["m"]), int(obj["n"])))
+    if isinstance(obj, int):
+        return validate_k(Rational(obj, 1))
+    return validate_k(float(obj))
 
 
 # ---------------------------------------------------------------------
@@ -317,7 +176,7 @@ def permute_particles(config: ThreeBodyConfig, sigma: tuple[int, int, int]) -> T
     )
 
 
-def _threebody_t_squared(config: ThreeBodyConfig) -> tuple[float, float, float]:
+def _threebody_t_squared(r12, r13, r23) -> tuple:
     """Squares of the three-body distances |x_i + x_j - 2 x_k|.
 
     t_k^2 = 2 r_ik^2 + 2 r_jk^2 - r_ij^2 holds for collinear and planar
@@ -326,11 +185,10 @@ def _threebody_t_squared(config: ThreeBodyConfig) -> tuple[float, float, float]:
     which avoids the cancellation the raw form suffers near collinear
     configurations with k between i and j.
     """
-    def t2(a: float, b: float, c: float) -> float:
+    def t2(a, b, c):
         # a = r_ik, b = r_jk, c = r_ij
         return (a - b) ** 2 + (a + b - c) * (a + b + c)
 
-    r12, r13, r23 = config.r12, config.r13, config.r23
     return (
         t2(r12, r13, r23),  # k = 1
         t2(r12, r23, r13),  # k = 2
@@ -339,16 +197,22 @@ def _threebody_t_squared(config: ThreeBodyConfig) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------
-# evaluation
+# charts and singular lines
 # ---------------------------------------------------------------------
 
-def _angular_rays(kf: float, half_angle: bool = False) -> list[tuple[str, float]]:
-    """Singular rays theta = j pi / (2k) inside the open quadrant.
+def _polar_point(point, rays: list[tuple[str, float]]) -> tuple[float, float]:
+    rho, theta = point
+    if rho < SINGULAR_TOL:
+        raise SingularPoint("rho=0")
+    for which, th in rays:
+        if abs(theta - th) < SINGULAR_TOL:
+            raise SingularPoint(f"{which}(k*theta)=0", f"theta={theta!r} ray={th!r}")
+    return float(rho), float(theta)
 
-    With ``half_angle`` the arguments are k theta / 2, so rays sit at
-    theta = j pi / k.
-    """
-    step = math.pi / kf if half_angle else math.pi / (2.0 * kf)
+
+def _angular_rays(kf: float) -> list[tuple[str, float]]:
+    """Singular rays theta = j pi / (2k) of sin/cos(k theta) in the closed quadrant."""
+    step = math.pi / (2.0 * kf)
     rays = []
     j = 0
     while True:
@@ -361,24 +225,397 @@ def _angular_rays(kf: float, half_angle: bool = False) -> list[tuple[str, float]
     return rays
 
 
+# ---------------------------------------------------------------------
+# potential families
+# ---------------------------------------------------------------------
+
+class _Family:
+    """What a potential family decides; each spec dataclass sets ``family``,
+    its JSON name, and overrides the parts that apply to it.  The defaults
+    describe an oscillator-confined family on the quadrant chart that
+    reduces directly and has no separated oracle.
+    """
+
+    _axes = ("x", "y")          # coordinate names of the quadrant chart
+
+    def validated(self):
+        """Certify the parameter bounds; returns the normalized spec."""
+        return self
+
+    def chart(self, point) -> tuple:
+        """Reject a point near a singular line; returns the scalar
+        coordinates that the vectorized :meth:`formula` takes."""
+        x, y = point
+        for name, value in zip(self._axes, (x, y)):
+            if value < SINGULAR_TOL:
+                raise SingularPoint(f"{name}=0")
+        return float(x), float(y)
+
+    def quadrant(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Vectorized potential on quadrant points (x, y)."""
+        return self.formula(x, y)
+
+    def rays(self) -> list[tuple[str, float]]:
+        """Angular singular lines as (kind, theta)."""
+        return []
+
+    def box_side(self) -> float:
+        """Side of the default truncation box; the Coulomb families use 60."""
+        return 12.0 / math.sqrt(self.omega)
+
+    def radial_refusal(self) -> str | None:
+        """Why ``reduction.reduce_to_2d`` must refuse the spec, or None."""
+        return None
+
+    def line_model(self) -> tuple[float, float, float] | None:
+        """(omega, A, B) of a three-body line model, which enters the
+        quadrant through its fitted TTW(k=3) image; None otherwise."""
+        return None
+
+    def separation(self) -> tuple | None:
+        """Data of ``oracles.separated_spectrum``, or None if not separable.
+
+        ``("cartesian", x_axis, y_axis)`` with each axis a half-line problem
+        ``(kind, coupling, c)``; or ``("polar", (k, A, B, convention),
+        (kind, coupling))``, an angular barrier problem on the sector of k
+        whose levels set the radial problem's inverse-square term.
+        """
+        return None
+
+    @classmethod
+    def json_keys(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(cls))
+
+    def to_json(self) -> dict:
+        doc = {name: getattr(self, name) for name in self.json_keys()}
+        if "k" in doc:
+            doc["k"] = k_to_json(doc["k"])
+        return doc
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(**{
+            f.name: k_from_json(obj[f.name]) if f.name == "k" else float(obj[f.name])
+            for f in fields(cls) if f.name in obj or f.default is MISSING
+        })
+
+
+@dataclass(frozen=True)
+class HydrogenPair(_Family):
+    """Two attractive Coulomb centers, V = -1/r1 - 1/r2."""
+
+    family = "hydrogen_pair"
+    _axes = ("r1", "r2")
+
+    def formula(self, r1, r2):
+        return -1.0 / r1 - 1.0 / r2
+
+    def box_side(self) -> float:
+        return 60.0
+
+    def separation(self):
+        axis = ("coulomb", 1.0, 0.0)
+        return ("cartesian", axis, axis)
+
+
+@dataclass(frozen=True)
+class CagedOscillator(_Family):
+    """Anisotropic oscillator with inverse-square walls on the quadrant.
+
+    V = a w^2 x^2 + b w^2 y^2 + A/x^2 + B/y^2.
+    """
+
+    a: float = 1.0
+    b: float = 1.0
+    omega: float = 1.0
+    A: float = 0.0
+    B: float = 0.0
+
+    family = "caged_oscillator"
+
+    def validated(self):
+        if self.a <= 0 or self.b <= 0 or self.omega <= 0:
+            raise NonPositiveMassOrFrequency(
+                f"caged oscillator requires a, b, omega > 0, got "
+                f"a={self.a}, b={self.b}, omega={self.omega}"
+            )
+        if self.A <= -0.125 or self.B <= -0.125:
+            raise BoundViolation(
+                f"caged oscillator requires A, B > -1/8, got A={self.A}, B={self.B}"
+            )
+        return self
+
+    def formula(self, x, y):
+        w2 = self.omega**2
+        return self.a * w2 * x**2 + self.b * w2 * y**2 + self.A / x**2 + self.B / y**2
+
+    def separation(self):
+        return ("cartesian",
+                ("oscillator", math.sqrt(self.a) * self.omega, self.A),
+                ("oscillator", math.sqrt(self.b) * self.omega, self.B))
+
+
+@dataclass(frozen=True)
+class _TTWForm(_Family):
+    """TTW potential; ``convention`` "k2" weights the angular couplings by k^2.
+
+    The formula takes (rho^2, theta), so the quadrant view keeps x^2 + y^2.
+    """
+
+    omega: float
+    k: KValue
+    alpha: float = 0.0
+    beta: float = 0.0
+
+    def validated(self):
+        k = validate_k(self.k)
+        if self.omega <= 0:
+            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
+        bound = -1.0 / (4.0 * k_float(k) ** 2)
+        # strict inequality: alpha, beta > -1/(4 k^2)
+        if self.alpha <= bound or self.beta <= bound:
+            raise BoundViolation(
+                f"require alpha, beta > {bound:.9g} for k={k_float(k):g}, "
+                f"got alpha={self.alpha}, beta={self.beta}"
+            )
+        return replace(self, k=k)
+
+    def chart(self, point):
+        rho, theta = _polar_point(point, self.rays())
+        return rho * rho, theta
+
+    def formula(self, rho2, theta):
+        kf = k_float(self.k)
+        weight = kf**2 if self.convention == "k2" else 1.0
+        c = np.cos(kf * theta)
+        s = np.sin(kf * theta)
+        return self.omega**2 * rho2 + weight * (self.alpha / c**2 + self.beta / s**2) / rho2
+
+    def quadrant(self, x, y):
+        return self.formula(x**2 + y**2, np.arctan2(y, x))
+
+    def rays(self):
+        return _angular_rays(k_float(self.k))
+
+    def separation(self):
+        return ("polar", (k_float(self.k), self.alpha, self.beta, self.convention),
+                ("oscillator", self.omega))
+
+
+@dataclass(frozen=True)
+class TTW(_TTWForm):
+    """Oscillator plus angular inverse-square barriers, plain-coupling form.
+
+    V = w^2 rho^2 + [alpha / cos^2(k theta) + beta / sin^2(k theta)] / rho^2.
+    """
+
+    family = "ttw"
+    convention = "plain"
+
+
+@dataclass(frozen=True)
+class ThreeBodyTTW(_TTWForm):
+    """Same family as :class:`TTW` but with k^2-weighted angular couplings.
+
+    V = w^2 rho^2 + k^2 [alpha / cos^2(k theta) + beta / sin^2(k theta)] / rho^2.
+
+    The two weightings are kept as distinct variants instead of silently
+    rescaling alpha and beta.
+    """
+
+    family = "three_body_ttw"
+    convention = "k2"
+
+
+@dataclass(frozen=True)
+class PW(_Family):
+    """Coulomb analogue of TTW; angular arguments use k/2.
+
+    V = -a/rho + [mu / cos^2(k theta / 2) + nu / sin^2(k theta / 2)] / rho^2.
+    """
+
+    a: float
+    k: KValue
+    mu: float = 0.0
+    nu: float = 0.0
+
+    family = "pw"
+
+    def validated(self):
+        k = validate_k(self.k)
+        if self.a <= 0:
+            raise NonPositiveMassOrFrequency(
+                f"Coulomb strength a must be > 0, got {self.a}"
+            )
+        return replace(self, k=k)
+
+    def chart(self, point):
+        return _polar_point(point, self.rays())
+
+    def formula(self, rho, theta):
+        kf = k_float(self.k)
+        c = np.cos(kf * theta / 2.0)
+        s = np.sin(kf * theta / 2.0)
+        return -self.a / rho + (self.mu / c**2 + self.nu / s**2) / rho**2
+
+    def quadrant(self, x, y):
+        return self.formula(np.hypot(x, y), np.arctan2(y, x))
+
+    def rays(self):
+        return _angular_rays(k_float(self.k) / 2.0)
+
+    def box_side(self) -> float:
+        return 60.0
+
+    def separation(self):
+        return ("polar", (k_float(self.k) / 2.0, self.mu, self.nu, "plain"),
+                ("coulomb", self.a))
+
+
+@dataclass(frozen=True)
+class _LineModel(_Family):
+    """What Calogero and Wolfes share: the chart of pair distances, the
+    pairwise terms and the route through the TTW(k=3) image."""
+
+    omega: float
+    A: float = 0.0
+
+    def validated(self):
+        if self.omega <= 0:
+            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
+        return self
+
+    def chart(self, point):
+        config = point if isinstance(point, ThreeBodyConfig) else ThreeBodyConfig(*point)
+        for name, r in zip(("r12", "r13", "r23"), config.as_tuple()):
+            if r < SINGULAR_TOL:
+                raise SingularPoint(f"{name}=0")
+        return tuple(float(r) for r in config.as_tuple())
+
+    def formula(self, r12, r13, r23):
+        return (self.omega**2 * (r12**2 + r13**2 + r23**2)
+                + self.A * (1.0 / r12**2 + 1.0 / r13**2 + 1.0 / r23**2))
+
+    def quadrant(self, x, y):
+        raise NotImplementedError(
+            f"{type(self).__name__} has no quadrant chart; use reduction.map_threebody"
+        )
+
+    def radial_refusal(self):
+        return "Calogero/Wolfes live on 3-body configurations; use map_threebody"
+
+    def line_model(self):
+        return (self.omega, self.A, 0.0)
+
+
+@dataclass(frozen=True)
+class Calogero(_LineModel):
+    """Three bodies on a line with pairwise quadratic plus inverse-square terms."""
+
+    family = "calogero"
+
+
+@dataclass(frozen=True)
+class Wolfes(_LineModel):
+    """Calogero plus genuinely three-body inverse-square terms.
+
+    The three-body distances are t_k = |x_i + x_j - 2 x_k|, computed from
+    pair distances via t_k^2 = 2 r_ik^2 + 2 r_jk^2 - r_ij^2, which is
+    permutation symmetric and valid in any ordering.
+    """
+
+    B: float = 0.0
+
+    family = "wolfes"
+
+    def chart(self, point):
+        r = super().chart(point)
+        for idx, t2 in enumerate(_threebody_t_squared(*r), start=1):
+            if t2 < SINGULAR_TOL**2:
+                raise SingularPoint(f"t{idx}=0", "three-body collinear collision")
+        return r
+
+    def formula(self, r12, r13, r23):
+        t1, t2, t3 = _threebody_t_squared(r12, r13, r23)
+        return super().formula(r12, r13, r23) + self.B / t1 + self.B / t2 + self.B / t3
+
+    def line_model(self):
+        return (self.omega, self.A, self.B)
+
+
+@dataclass(frozen=True)
+class Custom2D(_Family):
+    """Escape hatch: arbitrary W(x, y) on the open quadrant.
+
+    ``func`` must accept numpy arrays. ``depends_on_angles`` marks potentials
+    that are not functions of the two radii alone; the 3-body mapping rejects
+    those.
+    """
+
+    func: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    name: str = "custom"
+    depends_on_angles: bool = False
+    expression: str | None = None
+
+    family = "custom2d"
+
+    def formula(self, x, y):
+        xb, yb = np.broadcast_arrays(x, y)
+        return np.asarray(self.func(xb, yb), dtype=float)
+
+    def box_side(self) -> float:
+        raise ValueError("no default box for Custom2D potentials; pass one explicitly")
+
+    def radial_refusal(self):
+        if self.depends_on_angles:
+            return f"custom potential {self.name!r} is marked as depending on angles"
+        return None
+
+    @classmethod
+    def json_keys(cls):
+        return ("expression", "depends_on_angles")
+
+    def to_json(self):
+        if self.expression is None:
+            raise ValueError("only expression-backed Custom2D specs serialize to JSON")
+        return super().to_json()
+
+    @classmethod
+    def from_json(cls, obj):
+        return cls(func=compile_expression(obj["expression"]), name="custom",
+                   expression=obj["expression"],
+                   depends_on_angles=bool(obj.get("depends_on_angles", False)))
+
+
+PotentialSpec = Union[
+    HydrogenPair, CagedOscillator, TTW, ThreeBodyTTW, PW, Calogero, Wolfes, Custom2D
+]
+
+_BY_NAME = {cls.family: cls for cls in get_args(PotentialSpec)}
+
+
+# ---------------------------------------------------------------------
+# validation and evaluation
+# ---------------------------------------------------------------------
+
+def validate(spec: PotentialSpec) -> PotentialSpec:
+    """Certify a spec's invariants; returns the normalized spec.
+
+    Rational k is reduced to lowest terms. Raises ``BoundViolation``,
+    ``ZeroK`` or ``NonPositiveMassOrFrequency`` on invalid parameters.
+    """
+    if not isinstance(spec, _Family):
+        raise TypeError(f"not a potential spec: {spec!r}")
+    return spec.validated()
+
+
 def singular_rays(spec: PotentialSpec) -> list[tuple[str, float]]:
     """Angular singular lines of a polar-family potential, as (kind, theta).
 
     Includes the quadrant boundaries theta = 0 and pi/2 when they are
     singular for the family. Non-angular families return an empty list.
     """
-    spec = validate(spec)
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        return _angular_rays(k_float(spec.k))
-    if isinstance(spec, PW):
-        return _angular_rays(k_float(spec.k), half_angle=True)
-    return []
-
-
-def _check_angle(theta: float, rays: list[tuple[str, float]]) -> None:
-    for which, th in rays:
-        if abs(theta - th) < SINGULAR_TOL:
-            raise SingularPoint(f"{which}(k*theta)=0", f"theta={theta!r} ray={th!r}")
+    return validate(spec).rays()
 
 
 def eval_potential(spec: PotentialSpec, point) -> float:
@@ -403,75 +640,7 @@ def eval_potential(spec: PotentialSpec, point) -> float:
         If the point lies within ``SINGULAR_TOL`` of a singular line.
     """
     spec = validate(spec)
-
-    if isinstance(spec, HydrogenPair):
-        r1, r2 = point
-        if r1 < SINGULAR_TOL:
-            raise SingularPoint("r1=0")
-        if r2 < SINGULAR_TOL:
-            raise SingularPoint("r2=0")
-        return -1.0 / r1 - 1.0 / r2
-
-    if isinstance(spec, CagedOscillator):
-        x, y = point
-        if x < SINGULAR_TOL:
-            raise SingularPoint("x=0")
-        if y < SINGULAR_TOL:
-            raise SingularPoint("y=0")
-        w2 = spec.omega**2
-        return spec.a * w2 * x * x + spec.b * w2 * y * y + spec.A / (x * x) + spec.B / (y * y)
-
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        rho, theta = point
-        if rho < SINGULAR_TOL:
-            raise SingularPoint("rho=0")
-        kf = k_float(spec.k)
-        _check_angle(theta, _angular_rays(kf))
-        weight = kf**2 if isinstance(spec, ThreeBodyTTW) else 1.0
-        c = math.cos(kf * theta)
-        s = math.sin(kf * theta)
-        return (
-            spec.omega**2 * rho * rho
-            + weight * (spec.alpha / (c * c) + spec.beta / (s * s)) / (rho * rho)
-        )
-
-    if isinstance(spec, PW):
-        rho, theta = point
-        if rho < SINGULAR_TOL:
-            raise SingularPoint("rho=0")
-        kf = k_float(spec.k)
-        _check_angle(theta, _angular_rays(kf, half_angle=True))
-        c = math.cos(kf * theta / 2.0)
-        s = math.sin(kf * theta / 2.0)
-        return -spec.a / rho + (spec.mu / (c * c) + spec.nu / (s * s)) / (rho * rho)
-
-    if isinstance(spec, (Calogero, Wolfes)):
-        config = point
-        if not isinstance(config, ThreeBodyConfig):
-            config = ThreeBodyConfig(*config)
-        r12, r13, r23 = config.as_tuple()
-        for name, r in (("r12", r12), ("r13", r13), ("r23", r23)):
-            if r < SINGULAR_TOL:
-                raise SingularPoint(f"{name}=0")
-        w2 = spec.omega**2
-        val = w2 * (r12**2 + r13**2 + r23**2)
-        val += spec.A * (1.0 / r12**2 + 1.0 / r13**2 + 1.0 / r23**2)
-        if isinstance(spec, Wolfes):
-            for idx, t2 in enumerate(_threebody_t_squared(config), start=1):
-                if t2 < SINGULAR_TOL**2:
-                    raise SingularPoint(f"t{idx}=0", "three-body collinear collision")
-                val += spec.B / t2
-        return val
-
-    if isinstance(spec, Custom2D):
-        x, y = point
-        if x < SINGULAR_TOL:
-            raise SingularPoint("x=0")
-        if y < SINGULAR_TOL:
-            raise SingularPoint("y=0")
-        return float(spec.func(np.asarray(x), np.asarray(y)))
-
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return float(spec.formula(*spec.chart(point)))
 
 
 def quadrant_values(spec: PotentialSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -481,93 +650,17 @@ def quadrant_values(spec: PotentialSpec, x: np.ndarray, y: np.ndarray) -> np.nda
     (grids are screened by ``discretize.make_grid``). Calogero/Wolfes have
     no quadrant chart; map them through ``reduction.map_threebody`` first.
     """
-    spec = validate(spec)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    if isinstance(spec, HydrogenPair):
-        return -1.0 / x - 1.0 / y
-    if isinstance(spec, CagedOscillator):
-        w2 = spec.omega**2
-        return spec.a * w2 * x**2 + spec.b * w2 * y**2 + spec.A / x**2 + spec.B / y**2
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        kf = k_float(spec.k)
-        weight = kf**2 if isinstance(spec, ThreeBodyTTW) else 1.0
-        rho2 = x**2 + y**2
-        theta = np.arctan2(y, x)
-        c = np.cos(kf * theta)
-        s = np.sin(kf * theta)
-        return spec.omega**2 * rho2 + weight * (spec.alpha / c**2 + spec.beta / s**2) / rho2
-    if isinstance(spec, PW):
-        kf = k_float(spec.k)
-        rho = np.hypot(x, y)
-        theta = np.arctan2(y, x)
-        c = np.cos(kf * theta / 2.0)
-        s = np.sin(kf * theta / 2.0)
-        return -spec.a / rho + (spec.mu / c**2 + spec.nu / s**2) / rho**2
-    if isinstance(spec, Custom2D):
-        xb, yb = np.broadcast_arrays(x, y)
-        return np.asarray(spec.func(xb, yb), dtype=float)
-    raise NotImplementedError(
-        f"{type(spec).__name__} has no quadrant chart; use reduction.map_threebody"
-    )
+    return validate(spec).quadrant(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------
 
-_FAMILY_NAMES = {
-    HydrogenPair: "hydrogen_pair",
-    CagedOscillator: "caged_oscillator",
-    TTW: "ttw",
-    ThreeBodyTTW: "three_body_ttw",
-    PW: "pw",
-    Calogero: "calogero",
-    Wolfes: "wolfes",
-    Custom2D: "custom2d",
-}
-
-
-def _k_to_json(k: KValue):
-    if isinstance(k, Rational):
-        return {"m": k.m, "n": k.n}
-    return float(k)
-
-
-def _k_from_json(obj) -> KValue:
-    if isinstance(obj, dict):
-        return validate_k(Rational(int(obj["m"]), int(obj["n"])))
-    if isinstance(obj, int):
-        return validate_k(Rational(obj, 1))
-    return validate_k(float(obj))
-
-
 def spec_to_dict(spec: PotentialSpec) -> dict:
     """JSON-ready dictionary; field names are the parameter symbols spelled out."""
     spec = validate(spec)
-    family = _FAMILY_NAMES[type(spec)]
-    if isinstance(spec, HydrogenPair):
-        return {"family": family}
-    if isinstance(spec, CagedOscillator):
-        return {"family": family, "a": spec.a, "b": spec.b, "omega": spec.omega,
-                "A": spec.A, "B": spec.B}
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        return {"family": family, "omega": spec.omega, "k": _k_to_json(spec.k),
-                "alpha": spec.alpha, "beta": spec.beta}
-    if isinstance(spec, PW):
-        return {"family": family, "a": spec.a, "k": _k_to_json(spec.k),
-                "mu": spec.mu, "nu": spec.nu}
-    if isinstance(spec, Calogero):
-        return {"family": family, "omega": spec.omega, "A": spec.A}
-    if isinstance(spec, Wolfes):
-        return {"family": family, "omega": spec.omega, "A": spec.A, "B": spec.B}
-    if isinstance(spec, Custom2D):
-        if spec.expression is None:
-            raise ValueError("only expression-backed Custom2D specs serialize to JSON")
-        return {"family": family, "expression": spec.expression,
-                "depends_on_angles": spec.depends_on_angles}
-    raise TypeError(f"not a potential spec: {spec!r}")
+    return {"family": spec.family, **spec.to_json()}
 
 
 _CUSTOM_NAMESPACE = {
@@ -597,50 +690,10 @@ def spec_from_dict(obj: dict) -> PotentialSpec:
     if "family" not in obj:
         raise ValueError("potential block needs a 'family' key")
     family = obj["family"]
-    known = {
-        "hydrogen_pair": ({"family"}, lambda o: HydrogenPair()),
-        "caged_oscillator": (
-            {"family", "a", "b", "omega", "A", "B"},
-            lambda o: CagedOscillator(a=float(o.get("a", 1.0)), b=float(o.get("b", 1.0)),
-                                      omega=float(o.get("omega", 1.0)),
-                                      A=float(o.get("A", 0.0)), B=float(o.get("B", 0.0))),
-        ),
-        "ttw": (
-            {"family", "omega", "k", "alpha", "beta"},
-            lambda o: TTW(omega=float(o["omega"]), k=_k_from_json(o["k"]),
-                          alpha=float(o.get("alpha", 0.0)), beta=float(o.get("beta", 0.0))),
-        ),
-        "three_body_ttw": (
-            {"family", "omega", "k", "alpha", "beta"},
-            lambda o: ThreeBodyTTW(omega=float(o["omega"]), k=_k_from_json(o["k"]),
-                                   alpha=float(o.get("alpha", 0.0)),
-                                   beta=float(o.get("beta", 0.0))),
-        ),
-        "pw": (
-            {"family", "a", "k", "mu", "nu"},
-            lambda o: PW(a=float(o["a"]), k=_k_from_json(o["k"]),
-                         mu=float(o.get("mu", 0.0)), nu=float(o.get("nu", 0.0))),
-        ),
-        "calogero": (
-            {"family", "omega", "A"},
-            lambda o: Calogero(omega=float(o["omega"]), A=float(o.get("A", 0.0))),
-        ),
-        "wolfes": (
-            {"family", "omega", "A", "B"},
-            lambda o: Wolfes(omega=float(o["omega"]), A=float(o.get("A", 0.0)),
-                             B=float(o.get("B", 0.0))),
-        ),
-        "custom2d": (
-            {"family", "expression", "depends_on_angles"},
-            lambda o: Custom2D(func=compile_expression(o["expression"]),
-                               name="custom", expression=o["expression"],
-                               depends_on_angles=bool(o.get("depends_on_angles", False))),
-        ),
-    }
-    if family not in known:
+    if family not in _BY_NAME:
         raise ValueError(f"unknown potential family {family!r}")
-    allowed, build = known[family]
-    extra = set(obj) - allowed
+    cls = _BY_NAME[family]
+    extra = set(obj) - {"family", *cls.json_keys()}
     if extra:
         raise ValueError(f"unknown keys for family {family!r}: {sorted(extra)}")
-    return validate(build(obj))
+    return validate(cls.from_json(obj))

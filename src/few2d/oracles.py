@@ -33,7 +33,7 @@ backend matches a Wronskian against a series solution at the far end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -42,17 +42,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
-from .model import (
-    CagedOscillator,
-    HydrogenPair,
-    KValue,
-    PW,
-    PotentialSpec,
-    TTW,
-    ThreeBodyTTW,
-    k_float,
-    validate,
-)
+from .model import KValue, PotentialSpec, k_float, validate
 
 _FD_BASE_N = 1500
 _SHOOT_RTOL = 1e-11
@@ -630,61 +620,40 @@ def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
     j <= j_max the gauged radial problem -R'' + [(lambda_j - 1/4)/rho^2 +
     radial term] R is solved for n_r <= n_r_max.  Cartesian families
     (caged oscillator, hydrogen pair): sums of two half-line levels with
-    labels (n_x <= n_r_max, n_y <= j_max).  Levels are merged and sorted.
+    labels (n_x <= n_r_max, n_y <= j_max); two equal axes are solved once.
+    Levels are merged and sorted.
     """
     spec = validate(spec)
     nm, jm = int(n_r_max), int(j_max)
     if nm < 0 or jm < 0:
         raise ValueError("label ranges must be nonnegative")
+    separation = spec.separation()
+    if separation is None:
+        raise NotSeparable(f"{type(spec).__name__} has no separated-variable oracle")
 
-    if isinstance(spec, HydrogenPair):
-        m = max(nm, jm) + 1
-        p = RadialProblem(kind="coulomb", coupling=1.0, c=0.0, cutoff=cutoff,
-                          target=target)
-        e = radial_spectrum(p, m, method=method)
-        pairs = [(e[i] + e[j], (i, j)) for i in range(nm + 1) for j in range(jm + 1)]
-        return OracleSpectrum("hydrogen_pair", _merge_labeled(pairs), {})
-
-    if isinstance(spec, CagedOscillator):
-        px = RadialProblem(kind="oscillator", coupling=math.sqrt(spec.a) * spec.omega,
-                           c=spec.A, cutoff=cutoff, target=target)
-        py = RadialProblem(kind="oscillator", coupling=math.sqrt(spec.b) * spec.omega,
-                           c=spec.B, cutoff=cutoff, target=target)
-        ex = radial_spectrum(px, nm + 1, method=method)
-        ey = radial_spectrum(py, jm + 1, method=method)
+    shape, first, second = separation
+    if shape == "cartesian":
+        px, py = (RadialProblem(kind=kind, coupling=coupling, c=c, cutoff=cutoff,
+                                target=target) for kind, coupling, c in (first, second))
+        if px == py:
+            ex = ey = radial_spectrum(px, max(nm, jm) + 1, method=method)
+        else:
+            ex = radial_spectrum(px, nm + 1, method=method)
+            ey = radial_spectrum(py, jm + 1, method=method)
         pairs = [(ex[i] + ey[j], (i, j)) for i in range(nm + 1) for j in range(jm + 1)]
-        return OracleSpectrum("caged_oscillator", _merge_labeled(pairs),
-                              {"a": spec.a, "b": spec.b, "omega": spec.omega,
-                               "A": spec.A, "B": spec.B})
-
-    if isinstance(spec, (TTW, ThreeBodyTTW)):
-        convention = "k2" if isinstance(spec, ThreeBodyTTW) else "plain"
-        lam = angular_pt_levels(spec.k, spec.alpha, spec.beta, jm + 1,
-                                convention=convention, method=method, target=target)
+    else:
+        k, a_coeff, b_coeff, convention = first
+        kind, coupling = second
+        lam = angular_pt_levels(k, a_coeff, b_coeff, jm + 1, convention=convention,
+                                method=method, target=target)
         pairs = []
         for j in range(jm + 1):
-            p = RadialProblem(kind="oscillator", coupling=spec.omega,
-                              c=lam[j] - 0.25, cutoff=cutoff, target=target)
-            er = radial_spectrum(p, nm + 1, method=method)
-            pairs.extend((er[i], (i, j)) for i in range(nm + 1))
-        family = "three_body_ttw" if isinstance(spec, ThreeBodyTTW) else "ttw"
-        return OracleSpectrum(family, _merge_labeled(pairs),
-                              {"omega": spec.omega, "k": k_float(spec.k),
-                               "alpha": spec.alpha, "beta": spec.beta})
-
-    if isinstance(spec, PW):
-        kf = k_float(spec.k)
-        lam = angular_pt_levels(kf / 2.0, spec.mu, spec.nu, jm + 1,
-                                convention="plain", method=method, target=target)
-        pairs = []
-        for j in range(jm + 1):
-            p = RadialProblem(kind="coulomb", coupling=spec.a, c=lam[j] - 0.25,
+            p = RadialProblem(kind=kind, coupling=coupling, c=lam[j] - 0.25,
                               cutoff=cutoff, target=target)
             er = radial_spectrum(p, nm + 1, method=method)
             pairs.extend((er[i], (i, j)) for i in range(nm + 1))
-        return OracleSpectrum("pw", _merge_labeled(pairs),
-                              {"a": spec.a, "k": kf, "mu": spec.mu, "nu": spec.nu})
 
-    raise NotSeparable(
-        f"{type(spec).__name__} has no separated-variable oracle"
-    )
+    params = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    if "k" in params:
+        params["k"] = k_float(params["k"])
+    return OracleSpectrum(spec.family, _merge_labeled(pairs), params)

@@ -32,14 +32,8 @@ from .errors import (
     PotentialNotJacobiRadial,
 )
 from .model import (
-    Calogero,
-    CagedOscillator,
-    Custom2D,
-    HydrogenPair,
-    PW,
     PotentialSpec,
     Rational,
-    TTW,
     ThreeBodyConfig,
     ThreeBodyTTW,
     Wolfes,
@@ -88,13 +82,8 @@ def default_box(spec: PotentialSpec) -> Box:
     test suite confirm these defaults. Custom potentials need an explicit
     box.
     """
-    spec = validate(spec)
-    if isinstance(spec, (CagedOscillator, TTW, ThreeBodyTTW, Calogero, Wolfes)):
-        side = 12.0 / math.sqrt(spec.omega)
-        return Box(side, side)
-    if isinstance(spec, (HydrogenPair, PW)):
-        return Box(60.0, 60.0)
-    raise ValueError("no default box for Custom2D potentials; pass one explicitly")
+    side = validate(spec).box_side()
+    return Box(side, side)
 
 
 @dataclass(frozen=True)
@@ -169,14 +158,9 @@ def reduce_to_2d(
     carries the centrifugal coefficients of the chosen (L_x, L_y) sector.
     """
     spec = validate(spec)
-    if isinstance(spec, (Calogero, Wolfes)):
-        raise PotentialNotJacobiRadial(
-            "Calogero/Wolfes live on 3-body configurations; use map_threebody"
-        )
-    if isinstance(spec, Custom2D) and spec.depends_on_angles:
-        raise PotentialNotJacobiRadial(
-            f"custom potential {spec.name!r} is marked as depending on angles"
-        )
+    refusal = spec.radial_refusal()
+    if refusal is not None:
+        raise PotentialNotJacobiRadial(refusal)
     if box is None:
         box = default_box(spec)
     return ReducedProblem2D(
@@ -421,11 +405,8 @@ def map_threebody(
     first.
     """
     spec = validate(spec)
-    if isinstance(spec, Custom2D) and spec.depends_on_angles:
-        raise PotentialNotJacobiRadial(
-            f"custom potential {spec.name!r} is marked as depending on angles"
-        )
-    if isinstance(spec, (Calogero, Wolfes)):
+    line = spec.line_model()
+    if line is not None:
         if d != 1:
             raise PotentialNotJacobiRadial(
                 "Calogero/Wolfes reduce through Jacobi distances at d = 1 only"
@@ -434,9 +415,5 @@ def map_threebody(
             raise ValueError(
                 "the line-model image is derived in the equal-mass (m=2) frame"
             )
-        if isinstance(spec, Wolfes):
-            image = wolfes_to_ttw(spec.omega, spec.A, spec.B)
-        else:
-            image = wolfes_to_ttw(spec.omega, spec.A, 0.0)
-        spec = image.as_spec()
+        spec = wolfes_to_ttw(*line).as_spec()
     return reduce_to_2d(spec, d1=d, d2=d, L_x=L1, L_y=L2, box=box)

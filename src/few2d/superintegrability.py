@@ -26,6 +26,7 @@ from .model import (
     ThreeBodyTTW,
     eval_potential,
     k_float,
+    k_to_json,
     validate,
 )
 from .oracles import OracleSpectrum, separated_spectrum
@@ -80,13 +81,6 @@ class Bridge:
     to_a: Callable[[float, float], object]
     to_b: Callable[[float, float], object]
     admissible: Callable[[float, float], bool]
-
-
-def identity_bridge(box=((0.2, 3.0), (0.2, 3.0)),
-                    admissible: Optional[Callable[[float, float], bool]] = None) -> Bridge:
-    ok = admissible if admissible is not None else (lambda u, v: True)
-    return Bridge(sample_box=box, to_a=lambda u, v: (u, v),
-                  to_b=lambda u, v: (u, v), admissible=ok)
 
 
 def ordered_line_to_jacobi_polar_bridge(box=((0.2, 3.0), (0.2, 3.0))) -> Bridge:
@@ -146,7 +140,7 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
             raise BridgeMismatch(
                 "sample box yields too few admissible points; check the bridge"
             )
-        u01, v01 = halton.random(1)[0]
+        u01, v01 = (float(t) for t in halton.random(1)[0])
         u = ulo + (uhi - ulo) * u01
         v = vlo + (vhi - vlo) * v01
         if not bridge.admissible(u, v):
@@ -205,8 +199,7 @@ class ScanEntry:
 
     def to_dict(self) -> dict:
         return {
-            "k": {"m": self.k.m, "n": self.k.n} if isinstance(self.k, Rational)
-                 else float(self.k),
+            "k": k_to_json(self.k),
             "integral_order": self.integral_order,
             "levels": self.levels.tolist(),
             "clusters": self.report.to_dict()["clusters"],

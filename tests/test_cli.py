@@ -247,3 +247,28 @@ def test_converge_caged_observed_order_near_two(tmp_path):
             if not l.startswith("#") and not l.startswith("h,")]
     orders = [float(r[4]) for r in rows if not math.isnan(float(r[4]))]
     assert orders and all(1.8 < p < 2.2 for p in orders)
+
+
+_BAD_INPUTS = {
+    "negative-box": lambda tmp: _solve_config(
+        tmp, reduction={"d1": 3, "d2": 3, "box": {"x_max": -1.0, "y_max": 12.0}}),
+    "non-integer-n1": lambda tmp: _solve_config(
+        tmp, discretization={"n1": "abc", "n2": 60}),
+    "missing-reduced-problem": lambda tmp: {
+        "command": "solve", "reduced_problem": str(tmp / "absent.json"),
+        "output": {"path": str(tmp / "solved")}},
+    "map3-unequal-masses": lambda tmp: {
+        "command": "map3",
+        "threebody": {"masses": [1, 2, 3], "d": 1,
+                      "potential": {"family": "wolfes", "omega": 1.0, "A": 1.0,
+                                    "B": 2.0}},
+        "output": {"path": str(tmp / "reduced")}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
+    cfg = _write_config(tmp_path, "bad.json", _BAD_INPUTS[case](tmp_path))
+    assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -13,6 +13,7 @@ from few2d import (
     HydrogenPair,
     NonPositiveDistance,
     NonPositiveMassOrFrequency,
+    NotSeparable,
     PW,
     Rational,
     SingularPoint,
@@ -22,12 +23,15 @@ from few2d import (
     Wolfes,
     ZeroK,
     coerce_k,
+    default_box,
     eval_potential,
     permute_particles,
+    separated_spectrum,
     spec_from_dict,
     spec_to_dict,
     validate,
 )
+from few2d.model import quadrant_values, singular_rays
 
 
 def test_ttw_reduces_to_isotropic_oscillator():
@@ -235,3 +239,62 @@ def test_custom2d_expression_round_trip():
     assert eval_potential(spec, (1.0, 2.0)) == pytest.approx(9.0)
     doc = spec_to_dict(spec)
     assert doc["expression"] == "x**2 + 2*y**2"
+
+
+# --- family contract --------------------------------------------------
+
+_CHART_POINTS = [(0.7, 0.3), (1.3, 0.8), (2.1, 1.3), (0.4, 0.1)]
+
+
+def _polar_to_xy(rho, theta):
+    return rho * math.cos(theta), rho * math.sin(theta)
+
+
+def _same_xy(u, v):
+    return u, v
+
+
+_CUSTOM = {"family": "custom2d", "expression": "x**2 + 2*y**2 + x*y"}
+
+
+@pytest.mark.parametrize("spec, chart_to_xy, box_side, rays", [
+    (HydrogenPair(), _same_xy, 60.0, []),
+    (CagedOscillator(a=4.0, b=1.0, omega=2.0, A=0.25, B=0.1), _same_xy,
+     12.0 / math.sqrt(2.0), []),
+    (TTW(omega=1.5, k=Rational(3, 2), alpha=0.3, beta=0.7), _polar_to_xy,
+     12.0 / math.sqrt(1.5), [("sin", 0.0), ("cos", math.pi / 3.0)]),
+    (ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=0.2, beta=0.5), _polar_to_xy,
+     12.0, [("sin", 0.0), ("cos", math.pi / 6.0), ("sin", math.pi / 3.0),
+            ("cos", math.pi / 2.0)]),
+    (PW(a=2.0, k=Rational(2, 1), mu=0.3, nu=0.4), _polar_to_xy, 60.0,
+     [("sin", 0.0), ("cos", math.pi / 2.0)]),
+    (Calogero(omega=4.0, A=1.0), None, 6.0, []),
+    (Wolfes(omega=1.0, A=1.0, B=2.0), None, 12.0, []),
+    (spec_from_dict(_CUSTOM), _same_xy, None, []),
+], ids=["hydrogen_pair", "caged_oscillator", "ttw", "three_body_ttw", "pw",
+        "calogero", "wolfes", "custom2d"])
+def test_family_contract(spec, chart_to_xy, box_side, rays):
+    if chart_to_xy is not None:
+        for point in _CHART_POINTS:
+            x, y = chart_to_xy(*point)
+            quad = float(quadrant_values(spec, np.array([x]), np.array([y]))[0])
+            assert eval_potential(spec, point) == pytest.approx(quad, rel=1e-13)
+
+    if box_side is None:
+        with pytest.raises(ValueError):
+            default_box(spec)
+    else:
+        box = default_box(spec)
+        assert (box.x_max, box.y_max) == (box_side, box_side)
+
+    got = singular_rays(spec)
+    assert [kind for kind, _ in got] == [kind for kind, _ in rays]
+    assert [th for _, th in got] == pytest.approx([th for _, th in rays], abs=1e-15)
+
+    if isinstance(spec, Custom2D):
+        back = spec_from_dict(spec_to_dict(spec))
+        assert spec_to_dict(back) == dict(_CUSTOM, depends_on_angles=False)
+        assert eval_potential(back, (1.3, 0.8)) == eval_potential(spec, (1.3, 0.8))
+    if isinstance(spec, (Calogero, Wolfes, Custom2D)):
+        with pytest.raises(NotSeparable):
+            separated_spectrum(spec, 1, 1)
