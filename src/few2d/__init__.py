@@ -19,7 +19,6 @@ from .errors import (
     PotentialNotJacobiRadial,
     SingularNodeUnavoidable,
     SingularPoint,
-    UnknownCheckId,
     ZeroK,
 )
 from .model import (
@@ -68,6 +67,7 @@ from .oracles import (
     separated_spectrum,
 )
 from .superintegrability import (
+    CHECKS,
     Bridge,
     IdentityCheckResult,
     ScanEntry,

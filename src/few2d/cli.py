@@ -1,9 +1,12 @@
 """Configuration-driven command line: solve, oracle, map3, verify, scan, converge.
 
 One JSON config per run (reproducibility over flag sprawl); a small set of
-flags (--levels, --grid, --out) override the loaded config.  Exit codes are
-a stable contract: 0 success, 2 config or validation error, 3 numerical
-non-convergence (partial results still written), 1 a failed verify check.
+flags (--levels, --grid, --out) override the loaded config.  Every config is
+read through one declarative table, ``SCHEMA``: per command its top-level
+keys, per block each key's type, bounds and default.  Exit codes are a
+stable contract: 0 success, 2 config or validation error, 3 numerical
+non-convergence (an eigensolve whose partial results are still written, or
+a 1D oracle that misses its accuracy target), 1 a failed verify check.
 
 Every output file begins with a provenance header (tool version, config
 hash, timestamp); outputs are bit-reproducible for a fixed seed and
@@ -20,69 +23,161 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
+from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import Few2DError, ConfigError, UnknownCheckId
+from .errors import AccuracyNotReached, ConfigError, Few2DError, NotSeparable
 from .discretize import assemble, make_grid
 from .eigensolve import detect_degeneracies, lowest_eigs
-from .model import (TTW, Calogero, Rational, ThreeBodyTTW, Wolfes, k_float, k_from_json,
-                    spec_from_dict)
+from .model import json_number, k_float, k_from_json, spec_from_dict
 from .oracles import separated_spectrum
-from .reduction import (
-    Box,
-    ReducedProblem2D,
-    build_jacobi,
-    kinetic_gram,
-    map_threebody,
-    reduce_to_2d,
-)
-from .superintegrability import degeneracy_scan
-
-_COMMANDS = ("solve", "oracle", "map3", "verify", "scan", "converge")
+from .reduction import Box, ReducedProblem2D, map_threebody, reduce_to_2d
+from .superintegrability import CHECKS, degeneracy_scan
 
 
 # ---------------------------------------------------------------------
-# config loading and validation
+# config schema
 # ---------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+_REQUIRED = object()    # default of a key the config must give
 
 
-def _config_hash(config: dict) -> str:
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+class _Num(NamedTuple):
+    """A finite number >= lo, or > lo if ``strict``; with ``integer`` an
+    integer, which an integral JSON float such as 20.0 also is."""
+
+    integer: bool
+    lo: float
+    strict: bool = False
+
+    def parse(self, value, where: str):
+        try:
+            number = json_number(value, where)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.integer and not number.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        if number < self.lo or self.strict and number == self.lo:
+            raise ConfigError(f"{where} must be {'>' if self.strict else '>='} "
+                              f"{self.lo:g}, got {value!r}")
+        return int(value) if self.integer else number
 
 
-def _provenance(config: dict) -> dict:
-    return {
-        "tool": "few2d",
-        "version": __version__,
-        "config_hash": _config_hash(config),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
+class _Choice(NamedTuple):
+    """One of ``options``; no options admit any non-empty string."""
+
+    options: tuple[str, ...] = ()
+
+    def parse(self, value, where: str) -> str:
+        if not isinstance(value, str) or not value or self.options and value not in self.options:
+            want = f"one of {list(self.options)}" if self.options else "a non-empty string"
+            raise ConfigError(f"{where} must be {want}, got {value!r}")
+        return value
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str,
-                required: set[str] = frozenset()) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown keys in {where}: {sorted(extra)}")
-    missing = required - set(obj)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+class _List(NamedTuple):
+    """A non-empty list of items, of exactly ``length`` items if given."""
+
+    item: object
+    length: int | None = None
+
+    def parse(self, value, where: str) -> list:
+        if not isinstance(value, list) or not value or self.length not in (None, len(value)):
+            want = f"a list of {self.length} items" if self.length else "a non-empty list"
+            raise ConfigError(f"{where} must be {want}, got {value!r}")
+        return [self.item.parse(item, f"{where}[{i}]") for i, item in enumerate(value)]
 
 
-def _load_box(obj, where: str) -> Box:
-    _check_keys(obj, {"x_max", "y_max"}, where, {"x_max", "y_max"})
-    try:
-        return Box(float(obj["x_max"]), float(obj["y_max"]))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+class _Parsed(NamedTuple):
+    """A value one of the library's readers decodes; its errors are config errors."""
+
+    reader: Callable
+
+    def parse(self, value, where: str):
+        try:
+            return self.reader(value)
+        except (ValueError, TypeError, KeyError, OSError, Few2DError) as exc:
+            raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+class _Block(NamedTuple):
+    """A JSON object, key -> (type, default); unknown keys are rejected, and
+    null stands for an absent key whose default is null."""
+
+    keys: dict
+
+    def parse(self, value, where: str) -> dict:
+        name = where or "config"
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        if set(value) - set(self.keys):
+            raise ConfigError(f"unknown keys in {name}: {sorted(set(value) - set(self.keys))}")
+        out = {}
+        for key, (kind, default) in self.keys.items():
+            raw = value.get(key, default)
+            if raw is _REQUIRED:
+                raise ConfigError(f"{name} needs a {key!r} key")
+            out[key] = None if raw is None and default is None else kind.parse(
+                raw, f"{where}.{key}" if where else key)
+        return out
+
+
+def _read_reduced_problem(src) -> ReducedProblem2D:
+    """A ``map3`` output file, or the inline object it holds."""
+    if isinstance(src, str):
+        src = json.loads(Path(src).read_text())
+    if isinstance(src, dict) and "reduced_problem" in src:
+        src = src["reduced_problem"]
+    return ReducedProblem2D.from_dict(src)
+
+
+_INT0, _INT1, _POSITIVE = _Num(True, 0), _Num(True, 1), _Num(False, 0.0, strict=True)
+# spec_from_dict is looked up per call, so wrappers put on the module attribute see it
+_TEXT, _SYSTEM = _Choice(), _Parsed(lambda obj: spec_from_dict(obj))
+_BOX = _Block({"x_max": (_POSITIVE, _REQUIRED), "y_max": (_POSITIVE, _REQUIRED)})
+_REDUCTION = _Block({"d1": (_INT1, 3), "d2": (_INT1, 3), "L_x": (_INT0, 0), "L_y": (_INT0, 0),
+                     "box": (_BOX, None)})
+_DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200),
+                          "offset_rule": (_Choice(("auto", "none")), "auto")})
+_SOLVER = _Block({"levels": (_INT1, 6), "tol": (_POSITIVE, 1e-6), "max_iter": (_INT1, None),
+                  "seed": (_INT0, 0), "ncv": (_INT1, None),
+                  "cluster_tol": (_Num(False, 0.0), 1e-6)})
+_THREEBODY = _Block({"masses": (_List(_POSITIVE, length=3), _REQUIRED),
+                     "d": (_INT1, _REQUIRED), "L1": (_INT0, 0), "L2": (_INT0, 0),
+                     "potential": (_SYSTEM, _REQUIRED), "box": (_BOX, None)})
+_SCAN = _Block({"k_list": (_List(_Parsed(k_from_json)), _REQUIRED),
+                "levels_per_k": (_INT1, 20), "tol": (_POSITIVE, 1e-8),
+                "n_r_max": (_INT0, 14), "j_max": (_INT0, 10)})
+_OUTPUT = _Block({"path": (_TEXT, _REQUIRED)})
+
+
+def _oracle(labels: int) -> _Block:
+    """Keyword arguments of ``separated_spectrum``; both label ranges
+    default to ``labels``."""
+    return _Block({"n_r_max": (_INT0, labels), "j_max": (_INT0, labels),
+                   "method": (_Choice(("fd", "shooting")), "fd"),
+                   "cutoff": (_POSITIVE, None), "target": (_POSITIVE, 1e-8)})
+
+
+def _command(**keys) -> _Block:
+    return _Block({"command": (_TEXT, _REQUIRED), **keys})
+
+
+_GRID = {"system": (_SYSTEM, None), "reduced_problem": (_Parsed(_read_reduced_problem), None),
+         "reduction": (_REDUCTION, {}), "solver": (_SOLVER, {}),
+         "output": (_OUTPUT, _REQUIRED)}
+SCHEMA: dict[str, _Block] = {
+    "solve": _command(**_GRID, discretization=(_DISCRETIZATION, {})),
+    "converge": _command(**_GRID, ladder=(_List(_INT1), _REQUIRED), oracle=(_oracle(10), {})),
+    "oracle": _command(system=(_SYSTEM, _REQUIRED), oracle=(_oracle(8), {}),
+                       output=(_OUTPUT, _REQUIRED)),
+    "map3": _command(threebody=(_THREEBODY, _REQUIRED), output=(_OUTPUT, _REQUIRED)),
+    "verify": _command(checks=(_List(_Choice(tuple(CHECKS))), _REQUIRED),
+                       output=(_OUTPUT, None)),
+    "scan": _command(system=(_SYSTEM, _REQUIRED), scan=(_SCAN, _REQUIRED),
+                     output=(_OUTPUT, _REQUIRED)),
+}
+"""Per command, the config's top-level keys; per block, key -> (type, default)."""
 
 
 def _load_config(path: str) -> dict:
@@ -98,101 +193,39 @@ def _load_config(path: str) -> dict:
         ) from exc
     if not isinstance(config, dict):
         raise ConfigError("top-level config must be a JSON object")
-    if "command" not in config:
-        raise ConfigError("config needs a 'command' key")
-    if config["command"] not in _COMMANDS:
-        raise ConfigError(
-            f"unknown command {config['command']!r}; expected one of {_COMMANDS}"
-        )
+    command = config.get("command")
+    if not isinstance(command, str) or command not in SCHEMA:
+        raise ConfigError(f"config needs a 'command' among {list(SCHEMA)}, got {command!r}")
     return config
 
 
-def _load_spec(config: dict):
-    if "system" not in config:
-        raise ConfigError("config needs a 'system' block")
-    try:
-        return spec_from_dict(config["system"])
-    except (ValueError, KeyError, TypeError, Few2DError) as exc:
-        raise ConfigError(f"invalid system block: {exc}") from exc
+# ---------------------------------------------------------------------
+# outputs
+# ---------------------------------------------------------------------
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
 
 
-def _load_reduced_problem(config: dict) -> ReducedProblem2D:
-    if "reduced_problem" in config:
-        src = config["reduced_problem"]
-        if isinstance(src, str):
-            try:
-                payload = json.loads(Path(src).read_text())
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"cannot read reduced problem {src}: {exc}") from exc
-        else:
-            payload = src
-        if "reduced_problem" in payload:
-            payload = payload["reduced_problem"]
-        try:
-            return ReducedProblem2D.from_dict(payload)
-        except (ValueError, KeyError, Few2DError) as exc:
-            raise ConfigError(f"invalid reduced problem: {exc}") from exc
-    spec = _load_spec(config)
-    red = config.get("reduction", {})
-    _check_keys(red, {"d1", "d2", "L_x", "L_y", "box"}, "reduction block")
-    box = _load_box(red["box"], "reduction.box") if "box" in red else None
-    try:
-        return reduce_to_2d(spec, d1=int(red.get("d1", 3)), d2=int(red.get("d2", 3)),
-                            L_x=int(red.get("L_x", 0)), L_y=int(red.get("L_y", 0)),
-                            box=box)
-    except (ValueError, TypeError, Few2DError) as exc:
-        raise ConfigError(f"reduction failed: {exc}") from exc
+def _provenance(config: dict) -> dict:
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return {"tool": "few2d", "version": __version__,
+            "config_hash": hashlib.sha256(canon.encode()).hexdigest(),
+            "timestamp": datetime.now(timezone.utc).isoformat()}
 
 
-def _solver_block(config: dict) -> dict:
-    blk = config.get("solver", {})
-    _check_keys(blk, {"levels", "tol", "max_iter", "seed", "ncv", "cluster_tol"},
-                "solver block")
-    return {
-        "levels": int(blk.get("levels", 6)),
-        "tol": float(blk.get("tol", 1e-6)),
-        "max_iter": int(blk["max_iter"]) if "max_iter" in blk else None,
-        "seed": int(blk.get("seed", 0)),
-        "ncv": int(blk["ncv"]) if "ncv" in blk else None,
-        "cluster_tol": float(blk.get("cluster_tol", 1e-6)),
-    }
-
-
-def _discretization_block(config: dict) -> dict:
-    blk = config.get("discretization", {})
-    _check_keys(blk, {"n1", "n2", "offset_rule"}, "discretization block")
-    try:
-        return {
-            "n1": int(blk.get("n1", 200)),
-            "n2": int(blk.get("n2", 200)),
-            "offset_rule": blk.get("offset_rule", "auto"),
-        }
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid discretization block: {exc}") from exc
-
-
-def _output_prefix(config: dict, required: bool = True) -> Path | None:
-    blk = config.get("output")
-    if blk is None:
-        if required:
-            raise ConfigError("config needs an 'output' block with a 'path'")
+def _output_prefix(cfg: dict) -> Path | None:
+    if cfg["output"] is None:
         return None
-    _check_keys(blk, {"path", "formats"}, "output block", {"path"})
-    prefix = Path(blk["path"])
+    prefix = Path(cfg["output"]["path"])
     prefix.parent.mkdir(parents=True, exist_ok=True)
     return prefix
 
 
-def _header_lines(config: dict, extra: dict | None = None) -> list[str]:
-    prov = _provenance(config)
-    lines = [
-        f"# tool: few2d {prov['version']}",
-        f"# config_hash: {prov['config_hash']}",
-        f"# timestamp: {prov['timestamp']}",
-    ]
-    for key, val in (extra or {}).items():
-        lines.append(f"# {key}: {val}")
-    return lines
+def _header_lines(prov: dict, extra: dict | None = None) -> list[str]:
+    return [f"# tool: few2d {prov['version']}", f"# config_hash: {prov['config_hash']}",
+            f"# timestamp: {prov['timestamp']}"] + [
+        f"# {key}: {val}" for key, val in (extra or {}).items()]
 
 
 def _write_csv(path: Path, header_lines: list[str], columns: list[str],
@@ -206,21 +239,39 @@ def _write_csv(path: Path, header_lines: list[str], columns: list[str],
                               for v in row) + "\n")
 
 
-def _write_json(path: Path, config: dict, payload: dict) -> None:
-    doc = {"provenance": _provenance(config)}
-    doc.update(payload)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+def _write_json(path: Path, prov: dict, payload: dict) -> None:
+    path.write_text(json.dumps({"provenance": prov, **payload}, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------
 
-def run_solve(config: dict) -> int:
-    problem = _load_reduced_problem(config)
-    disc = _discretization_block(config)
-    solver = _solver_block(config)
-    prefix = _output_prefix(config)
+def _problem(cfg: dict) -> ReducedProblem2D:
+    """The reduced problem of a ``solve`` or ``converge`` config."""
+    if (cfg["system"] is None) == (cfg["reduced_problem"] is None):
+        raise ConfigError("config needs exactly one of 'system' and 'reduced_problem'")
+    if cfg["reduced_problem"] is not None:
+        return cfg["reduced_problem"]
+    red = cfg["reduction"]
+    try:
+        return reduce_to_2d(cfg["system"], d1=red["d1"], d2=red["d2"], L_x=red["L_x"],
+                            L_y=red["L_y"], box=Box(**red["box"]) if red["box"] else None)
+    except ValueError as exc:
+        raise ConfigError(f"invalid reduction {red}: {exc}") from exc
+
+
+def _lowest(op, solver: dict):
+    return lowest_eigs(op, solver["levels"], tol=solver["tol"],
+                       max_iter=solver["max_iter"], ncv=solver["ncv"],
+                       seed=solver["seed"])
+
+
+def run_solve(cfg: dict, prov: dict) -> int:
+    problem = _problem(cfg)
+    disc = cfg["discretization"]
+    solver = cfg["solver"]
+    prefix = _output_prefix(cfg)
 
     if solver["levels"] > disc["n1"] * disc["n2"]:
         raise ConfigError(
@@ -230,13 +281,9 @@ def run_solve(config: dict) -> int:
     grid = make_grid(problem.box, disc["n1"], disc["n2"], spec=problem.potential,
                      offset_rule=disc["offset_rule"])
     op = assemble(problem, grid)
-    result = lowest_eigs(op, solver["levels"], tol=solver["tol"],
-                         max_iter=solver["max_iter"], ncv=solver["ncv"],
-                         seed=solver["seed"])
+    result = _lowest(op, solver)
     report = detect_degeneracies(result.eigenvalues, tol_rel=solver["cluster_tol"])
-    cluster_of = []
-    for cid, (_, mult) in enumerate(report.clusters):
-        cluster_of.extend([cid] * mult)
+    cluster_of = [cid for cid, (_, mult) in enumerate(report.clusters) for _ in range(mult)]
 
     extra = {
         "grid": f"{disc['n1']}x{disc['n2']} h=({_fmt(grid.h_x)},{_fmt(grid.h_y)})",
@@ -245,9 +292,9 @@ def run_solve(config: dict) -> int:
     }
     rows = [(i, float(result.eigenvalues[i]), float(result.residuals[i]), cluster_of[i])
             for i in range(len(result.eigenvalues))]
-    _write_csv(prefix.with_suffix(".csv"), _header_lines(config, extra),
+    _write_csv(prefix.with_suffix(".csv"), _header_lines(prov, extra),
                ["index", "energy", "residual", "cluster"], rows)
-    _write_json(prefix.with_suffix(".json"), config, {
+    _write_json(prefix.with_suffix(".json"), prov, {
         "problem": problem.to_dict(),
         "grid": {"n1": disc["n1"], "n2": disc["n2"],
                  "h_x": grid.h_x, "h_y": grid.h_y,
@@ -260,23 +307,13 @@ def run_solve(config: dict) -> int:
     return 0 if result.converged else 3
 
 
-def run_oracle(config: dict) -> int:
-    spec = _load_spec(config)
-    blk = config.get("oracle", {})
-    _check_keys(blk, {"n_r_max", "j_max", "method", "cutoff", "target"}, "oracle block")
-    spectrum = separated_spectrum(
-        spec,
-        n_r_max=int(blk.get("n_r_max", 8)),
-        j_max=int(blk.get("j_max", 8)),
-        method=blk.get("method", "fd"),
-        cutoff=float(blk["cutoff"]) if blk.get("cutoff") is not None else None,
-        target=float(blk.get("target", 1e-8)),
-    )
-    prefix = _output_prefix(config)
+def run_oracle(cfg: dict, prov: dict) -> int:
+    spectrum = separated_spectrum(cfg["system"], **cfg["oracle"])
+    prefix = _output_prefix(cfg)
     rows = [(l1, l2, float(e)) for (l1, l2, e) in spectrum.rows()]
-    _write_csv(prefix.with_suffix(".csv"), _header_lines(config, {"family": spectrum.family}),
+    _write_csv(prefix.with_suffix(".csv"), _header_lines(prov, {"family": spectrum.family}),
                ["n_r", "j", "energy"], rows)
-    _write_json(prefix.with_suffix(".json"), config, {
+    _write_json(prefix.with_suffix(".json"), prov, {
         "family": spectrum.family,
         "params": spectrum.params,
         "levels": [{"energy": e, "labels": list(lab)} for e, lab in spectrum.levels],
@@ -285,239 +322,108 @@ def run_oracle(config: dict) -> int:
     return 0
 
 
-def run_map3(config: dict) -> int:
-    blk = config.get("threebody")
-    if blk is None:
-        raise ConfigError("map3 needs a 'threebody' block")
-    _check_keys(blk, {"masses", "d", "L1", "L2", "potential", "box"},
-                "threebody block", {"masses", "d", "potential"})
-    masses = tuple(float(x) for x in blk["masses"])
-    if len(masses) != 3:
-        raise ConfigError("threebody.masses must list three masses")
+def run_map3(cfg: dict, prov: dict) -> int:
+    blk = cfg["threebody"]
     try:
-        spec = spec_from_dict(blk["potential"])
-    except (ValueError, KeyError, Few2DError) as exc:
-        raise ConfigError(f"invalid threebody.potential: {exc}") from exc
-    box = _load_box(blk["box"], "threebody.box") if "box" in blk else None
-    try:
-        problem = map_threebody(spec, d=int(blk["d"]), L1=int(blk.get("L1", 0)),
-                                L2=int(blk.get("L2", 0)), box=box, masses=masses)
+        problem = map_threebody(blk["potential"], d=blk["d"], L1=blk["L1"], L2=blk["L2"],
+                                box=Box(**blk["box"]) if blk["box"] else None,
+                                masses=tuple(blk["masses"]))
     except ValueError as exc:
         raise ConfigError(f"invalid threebody block: {exc}") from exc
-    prefix = _output_prefix(config)
-    _write_json(prefix.with_suffix(".json"), config,
-                {"reduced_problem": problem.to_dict()})
+    prefix = _output_prefix(cfg)
+    _write_json(prefix.with_suffix(".json"), prov, {"reduced_problem": problem.to_dict()})
     print(f"wrote {prefix.with_suffix('.json')}")
     return 0
 
 
-# --- verify registry --------------------------------------------------
-
-def _check_wolfes_ttw3() -> tuple[float, float]:
-    from .superintegrability import identity_check, ordered_line_to_jacobi_polar_bridge
-    from .reduction import wolfes_to_ttw
-
-    image = wolfes_to_ttw(1.0, 1.0, 2.0)
-    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0), image.as_spec(),
-                         ordered_line_to_jacobi_polar_bridge(), samples=1000,
-                         tol=1e-12)
-    return res.max_rel_deviation, 1e-12
-
-
-def _check_calogero_b0() -> tuple[float, float]:
-    from .superintegrability import identity_check, ordered_line_to_jacobi_polar_bridge
-
-    bridge = ordered_line_to_jacobi_polar_bridge()
-    from .superintegrability import Bridge
-
-    same = Bridge(sample_box=bridge.sample_box, to_a=bridge.to_a, to_b=bridge.to_a,
-                  admissible=bridge.admissible)
-    res = identity_check(Wolfes(omega=1.3, A=0.8, B=0.0), Calogero(omega=1.3, A=0.8),
-                         same, samples=500, tol=1e-15)
-    return res.max_rel_deviation, 1e-15
-
-
-def _check_gram_identity() -> tuple[float, float]:
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for _ in range(100):
-        masses = tuple(rng.uniform(0.1, 10.0, size=3))
-        gram = kinetic_gram(build_jacobi(masses, d=3))
-        worst = max(worst, float(np.abs(gram - np.eye(3)).max()))
-    return worst, 1e-13
-
-
-def _check_centrifugal(d: int, L: int) -> tuple[float, float]:
-    from .reduction import centrifugal_coefficient
-
-    return abs(centrifugal_coefficient(d, L)), 0.0
-
-
-def _check_ttw1_caged() -> tuple[float, float]:
-    from .superintegrability import (
-        fit_caged_image_of_ttw,
-        identity_check,
-        polar_to_cartesian_bridge,
-    )
-
-    ttw = TTW(omega=1.0, k=Rational(1, 1), alpha=0.3, beta=0.7)
-    caged = fit_caged_image_of_ttw(ttw)
-    res = identity_check(ttw, caged, polar_to_cartesian_bridge(), samples=500,
-                         tol=1e-12)
-    return res.max_rel_deviation, 1e-12
-
-
-def _check_gauge_isospectral() -> tuple[float, float]:
-    from .oracles import RadialProblem, pregauge_radial_levels, radial_spectrum
-    from .reduction import centrifugal_coefficient
-
-    worst = 0.0
-    for d, L in ((2, 0), (5, 1)):
-        pre = pregauge_radial_levels(d, L, cutoff=math.pi, m=5)
-        c = centrifugal_coefficient(d, L)
-        gauged = radial_spectrum(RadialProblem(kind="free", c=c, cutoff=math.pi), 5,
-                                 method="shooting")
-        worst = max(worst, float(np.max(np.abs(pre - gauged) / np.abs(gauged))))
-    return worst, 1e-6
-
-
-_CHECKS = {
-    "wolfes-ttw3": _check_wolfes_ttw3,
-    "calogero-b0": _check_calogero_b0,
-    "gram-identity": _check_gram_identity,
-    "centrifugal-d3L0": lambda: _check_centrifugal(3, 0),
-    "centrifugal-d1L0": lambda: _check_centrifugal(1, 0),
-    "ttw1-caged": _check_ttw1_caged,
-    "gauge-isospectral": _check_gauge_isospectral,
-}
-
-
-def run_verify(config: dict) -> int:
-    ids = config.get("checks")
-    if ids is None and "check" in config:
-        ids = [config["check"]]
-    if ids is None:
-        raise ConfigError("verify needs a 'checks' list (or single 'check')")
+def run_verify(cfg: dict, prov: dict) -> int:
     results = []
-    for cid in ids:
-        if cid not in _CHECKS:
-            raise UnknownCheckId(
-                f"unknown check {cid!r}; known: {sorted(_CHECKS)}"
-            )
-        deviation, tol = _CHECKS[cid]()
+    for cid in cfg["checks"]:
+        deviation, tol = CHECKS[cid]()
         results.append({"id": cid, "deviation": deviation, "tolerance": tol,
                         "passed": deviation <= tol})
     all_passed = all(r["passed"] for r in results)
-    prefix = _output_prefix(config, required=False)
-    payload = {"checks": results, "all_passed": all_passed}
+    prefix = _output_prefix(cfg)
     if prefix is not None:
-        _write_json(prefix.with_suffix(".json"), config, payload)
+        _write_json(prefix.with_suffix(".json"), prov,
+                    {"checks": results, "all_passed": all_passed})
     for r in results:
         print(f"{r['id']}: {'PASS' if r['passed'] else 'FAIL'} "
               f"(deviation {r['deviation']:.3g}, tolerance {r['tolerance']:.3g})")
     return 0 if all_passed else 1
 
 
-def run_scan(config: dict) -> int:
-    spec = _load_spec(config)
-    if not isinstance(spec, (TTW, ThreeBodyTTW)):
-        raise ConfigError("scan needs a TTW-family system template")
-    blk = config.get("scan", {})
-    _check_keys(blk, {"k_list", "levels_per_k", "tol", "n_r_max", "j_max"},
-                "scan block", {"k_list"})
-    k_list = [k_from_json(item) for item in blk["k_list"]]
-    entries = degeneracy_scan(spec, k_list,
-                              levels_per_k=int(blk.get("levels_per_k", 20)),
-                              tol=float(blk.get("tol", 1e-8)),
-                              n_r_max=int(blk.get("n_r_max", 14)),
-                              j_max=int(blk.get("j_max", 10)))
-    prefix = _output_prefix(config)
+def run_scan(cfg: dict, prov: dict) -> int:
+    entries = degeneracy_scan(cfg["system"], **cfg["scan"])
+    prefix = _output_prefix(cfg)
     rows = []
     for entry in entries:
-        mult_of = []
-        for _, mult in entry.report.clusters:
-            mult_of.extend([mult] * mult)
+        mult_of = [mult for _, mult in entry.report.clusters for _ in range(mult)]
         for idx, energy in enumerate(entry.levels):
             rows.append((k_float(entry.k), idx, float(energy), mult_of[idx]))
-    _write_csv(prefix.with_suffix(".csv"), _header_lines(config),
+    _write_csv(prefix.with_suffix(".csv"), _header_lines(prov),
                ["k", "level", "energy", "multiplicity"], rows)
-    _write_json(prefix.with_suffix(".json"), config,
+    _write_json(prefix.with_suffix(".json"), prov,
                 {"entries": [e.to_dict() for e in entries]})
     print(f"wrote {prefix.with_suffix('.csv')} ({len(entries)} k values)")
     return 0
 
 
-def run_converge(config: dict) -> int:
-    problem = _load_reduced_problem(config)
-    solver = _solver_block(config)
-    ladder = config.get("ladder")
-    if not ladder or not isinstance(ladder, list):
-        raise ConfigError("converge needs a 'ladder' list of grid sizes")
-    ladder = [int(n) for n in ladder]
-    prefix = _output_prefix(config)
-
-    oracle_levels = None
+def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
+    """The oracle's lowest ``levels`` energies, or None when the reduced
+    problem has no separated oracle."""
+    if problem.c_x != 0.0 or problem.c_y != 0.0:
+        return None     # the oracles solve the potential without centrifugal terms
     try:
-        blk = config.get("oracle", {})
-        _check_keys(blk, {"n_r_max", "j_max", "method", "cutoff", "target"},
-                    "oracle block")
-        spectrum = separated_spectrum(problem.potential,
-                                      n_r_max=int(blk.get("n_r_max", 10)),
-                                      j_max=int(blk.get("j_max", 10)),
-                                      method=blk.get("method", "fd"))
-        oracle_levels = spectrum.energies()[: solver["levels"]]
-    except Few2DError:
-        oracle_levels = None  # documented fallback: table without error column
+        energies = separated_spectrum(problem.potential, **oracle).energies()
+    except NotSeparable:
+        return None
+    if len(energies) < levels:
+        raise ConfigError(
+            f"the oracle has {len(energies)} levels with oracle.n_r_max = "
+            f"{oracle['n_r_max']} and oracle.j_max = {oracle['j_max']}, fewer than "
+            f"solver.levels = {levels}")
+    return energies[:levels]
+
+
+def run_converge(cfg: dict, prov: dict) -> int:
+    problem = _problem(cfg)
+    solver = cfg["solver"]
+    prefix = _output_prefix(cfg)
+    oracle_levels = _oracle_levels(problem, cfg["oracle"], solver["levels"])
 
     runs = []
-    for n in ladder:
+    for n in cfg["ladder"]:
         grid = make_grid(problem.box, n, n, spec=problem.potential)
-        op = assemble(problem, grid)
-        result = lowest_eigs(op, solver["levels"], tol=solver["tol"],
-                             max_iter=solver["max_iter"], ncv=solver["ncv"],
-                             seed=solver["seed"])
-        runs.append((grid.h_x, result))
+        runs.append((grid.h_x, _lowest(assemble(problem, grid), solver)))
 
     columns = ["h", "level", "energy"]
     if oracle_levels is not None:
         columns += ["error", "observed_order"]
     rows = []
     for ridx, (h, result) in enumerate(runs):
-        for lvl in range(len(result.eigenvalues)):
-            row = [float(h), lvl, float(result.eigenvalues[lvl])]
+        for lvl, energy in enumerate(result.eigenvalues):
+            row = (float(h), lvl, float(energy))
             if oracle_levels is not None:
-                err = abs(result.eigenvalues[lvl] - oracle_levels[lvl])
-                row.append(float(err))
+                err, order = abs(energy - oracle_levels[lvl]), float("nan")
                 if ridx > 0:
                     h_prev, res_prev = runs[ridx - 1]
                     err_prev = abs(res_prev.eigenvalues[lvl] - oracle_levels[lvl])
                     if err > 0 and err_prev > 0:
                         order = math.log(err_prev / err) / math.log(h_prev / h)
-                        row.append(float(order))
-                    else:
-                        row.append(float("nan"))
-                else:
-                    row.append(float("nan"))
-            rows.append(tuple(row))
-    _write_csv(prefix.with_suffix(".csv"), _header_lines(config), columns, rows)
-    print(f"wrote {prefix.with_suffix('.csv')} ({len(ladder)} grids)")
-    if not all(result.converged for _, result in runs):
-        return 3
-    return 0
+                row += (float(err), float(order))
+            rows.append(row)
+    _write_csv(prefix.with_suffix(".csv"), _header_lines(prov), columns, rows)
+    print(f"wrote {prefix.with_suffix('.csv')} ({len(runs)} grids)")
+    return 0 if all(result.converged for _, result in runs) else 3
 
 
 # ---------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------
 
-_RUNNERS = {
-    "solve": run_solve,
-    "oracle": run_oracle,
-    "map3": run_map3,
-    "verify": run_verify,
-    "scan": run_scan,
-    "converge": run_converge,
-}
+_RUNNERS = {"solve": run_solve, "oracle": run_oracle, "map3": run_map3,
+            "verify": run_verify, "scan": run_scan, "converge": run_converge}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -540,20 +446,22 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        if args.levels is not None:
-            config.setdefault("solver", {})["levels"] = args.levels
-        if args.grid is not None:
-            config.setdefault("discretization", {})["n1"] = args.grid
-            config["discretization"]["n2"] = args.grid
-        if args.out is not None:
-            config.setdefault("output", {})["path"] = args.out
-        return _RUNNERS[config["command"]](config)
-    except (ConfigError, UnknownCheckId) as exc:
+        command = config["command"]
+        for flag, block, keys, value in (("--levels", "solver", ("levels",), args.levels),
+                                         ("--grid", "discretization", ("n1", "n2"), args.grid),
+                                         ("--out", "output", ("path",), args.out)):
+            if value is None:
+                continue
+            if block not in SCHEMA[command].keys:
+                raise ConfigError(f"{flag} does not apply to the {command} command")
+            blk = config.setdefault(block, {})
+            if isinstance(blk, dict):   # anything else fails validation below
+                blk.update(dict.fromkeys(keys, value))
+        cfg = SCHEMA[command].parse(config, "")
+        return _RUNNERS[command](cfg, _provenance(config))
+    except (Few2DError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Few2DError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, AccuracyNotReached) else 2
 
 
 if __name__ == "__main__":

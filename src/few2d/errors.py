@@ -69,18 +69,15 @@ class NotRational(Few2DError):
 
 
 class AccuracyNotReached(Few2DError):
-    """1D solver could not certify the requested accuracy."""
+    """1D solver could not certify the requested accuracy; ``detail``, if
+    given, replaces the message with what failed where."""
 
-    def __init__(self, achieved: float, target: float):
+    def __init__(self, achieved: float, target: float, detail: str = ""):
         self.achieved = achieved
         self.target = target
         super().__init__(
-            f"requested relative accuracy {target:g}, achieved estimate {achieved:g}"
+            detail or f"requested relative accuracy {target:g}, achieved estimate {achieved:g}"
         )
-
-
-class UnknownCheckId(Few2DError):
-    """Verification check id not in the built-in registry."""
 
 
 class ConfigError(Few2DError):

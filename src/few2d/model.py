@@ -105,8 +105,8 @@ def validate_k(k: KValue) -> KValue:
         if k.m <= 0 or k.n <= 0:
             raise ZeroK(f"rational k requires positive integers, got {k.m}/{k.n}")
         return k.reduced()
-    if k == 0.0:
-        raise ZeroK("k must be nonzero")
+    if k * k == 0.0:    # k^2 sets the couplings' bound, so it must not underflow either
+        raise ZeroK(f"k must be nonzero, and so must k^2; got {k!r}")
     return float(k)
 
 
@@ -121,13 +121,27 @@ def k_to_json(k: KValue):
     return float(k)
 
 
+def json_number(value, name: str) -> float:
+    """A finite JSON number as a float; bools, strings and non-finite or
+    overflowing values raise ``ValueError``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def k_from_json(obj) -> KValue:
     """Inverse of :func:`k_to_json`; a JSON integer is the fraction obj/1."""
     if isinstance(obj, dict):
-        return validate_k(Rational(int(obj["m"]), int(obj["n"])))
-    if isinstance(obj, int):
+        if set(obj) != {"m", "n"} or not type(obj["m"]) is type(obj["n"]) is int:
+            raise ValueError(f"a rational k is {{\"m\": int, \"n\": int}}, got {obj!r}")
+        return validate_k(Rational(obj["m"], obj["n"]))
+    if type(obj) is int:     # not a bool
         return validate_k(Rational(obj, 1))
-    return validate_k(float(obj))
+    return validate_k(json_number(obj, "k"))
 
 
 # ---------------------------------------------------------------------
@@ -295,7 +309,7 @@ class _Family:
     @classmethod
     def from_json(cls, obj: dict):
         return cls(**{
-            f.name: k_from_json(obj[f.name]) if f.name == "k" else float(obj[f.name])
+            f.name: k_from_json(obj[f.name]) if f.name == "k" else json_number(obj[f.name], f.name)
             for f in fields(cls) if f.name in obj or f.default is MISSING
         })
 
@@ -582,9 +596,11 @@ class Custom2D(_Family):
 
     @classmethod
     def from_json(cls, obj):
+        angles = obj.get("depends_on_angles", False)
+        if not isinstance(angles, bool):
+            raise ValueError(f"depends_on_angles must be true or false, got {angles!r}")
         return cls(func=compile_expression(obj["expression"]), name="custom",
-                   expression=obj["expression"],
-                   depends_on_angles=bool(obj.get("depends_on_angles", False)))
+                   expression=obj["expression"], depends_on_angles=angles)
 
 
 PotentialSpec = Union[
@@ -677,7 +693,10 @@ def compile_expression(expression: str) -> Callable[[np.ndarray, np.ndarray], np
     The expression is evaluated with numpy functions only; configs are
     trusted input, as usual for scientific run files.
     """
-    code = compile(expression, "<custom2d>", "eval")
+    try:
+        code = compile(expression, "<custom2d>", "eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse expression {expression!r}: {exc.msg}") from exc
 
     def func(x, y):
         return eval(code, {"__builtins__": {}}, dict(_CUSTOM_NAMESPACE, x=x, y=y))

@@ -37,9 +37,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
 from .model import KValue, PotentialSpec, k_float, validate
@@ -138,6 +136,9 @@ def _weighted_fd_once(
     if natural_right:
         diag[-1] -= dp[-1] / h**2
     off = -np.exp(lwp[:-1] - 0.5 * (lw[:-1] + lw[1:])) / h**2
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n}-point operator on "
+                                 f"[{a:.12g}, {b:.12g}] overflows; its weight is too steep")
     return _tridiag_lowest(diag, off, m)
 
 
@@ -214,11 +215,14 @@ class _ShootingProblem:
     interval: tuple[float, float]
     left: _SeriesEnd
     right: Optional[_SeriesEnd]          # None for a plain Dirichlet right end
+    label: str                           # the problem and its parameters, for errors
     eps_frac: float = 1e-6
 
 
 def _integrate(problem: _ShootingProblem, lam: float) -> tuple[float, float, int]:
     """Integrate from the left series start; returns (u, u', node count)."""
+    from scipy.integrate import solve_ivp
+
     a, b = problem.interval
     span = b - a
     eps = problem.eps_frac * span
@@ -272,13 +276,19 @@ def _shoot_levels(
     span0: float,
 ) -> np.ndarray:
     """Lowest m eigenvalues via node-count bracketing plus mismatch bisection."""
+    from scipy.optimize import brentq
+
     lam_hi = lam_lo + span0
     for _ in range(60):
-        if _node_count(problem, lam_hi) >= m:
+        nodes = _node_count(problem, lam_hi)
+        if nodes >= m:
             break
         lam_hi = lam_lo + 2.0 * (lam_hi - lam_lo)
     else:
-        raise AccuracyNotReached(achieved=math.inf, target=0.0)
+        raise AccuracyNotReached(
+            math.inf, 0.0,
+            f"shooting backend, {problem.label}: level {nodes} not bracketed; the node "
+            f"count stays {nodes} < {m} on [{lam_lo:.12g}, {lam_hi:.12g}]")
 
     levels = []
     for j in range(m):
@@ -303,7 +313,11 @@ def _shoot_levels(
                     lo, hi, flo, fhi = grid[gg], grid[gg + 1], vals[gg], vals[gg + 1]
                     break
             else:
-                raise AccuracyNotReached(achieved=math.inf, target=0.0)
+                raise AccuracyNotReached(
+                    math.inf, 0.0,
+                    f"shooting backend, {problem.label}: level {j} not found; the "
+                    f"matching mismatch keeps one sign on its node-count bracket "
+                    f"[{lo:.12g}, {hi:.12g}]")
         levels.append(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
     return np.array(levels)
 
@@ -442,6 +456,8 @@ def _radial_shoot(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
         interval=(0.0, cutoff),
         left=_SeriesEnd(s=s, tcoeffs=_radial_tcoeffs(p)),
         right=None,
+        label=f"radial {p.kind} problem (coupling={p.coupling:.12g}, c={p.c:.12g}, "
+              f"cutoff={cutoff:.12g})",
         eps_frac=min(1e-6, 1e-3 / cutoff),
     )
     if p.kind == "oscillator":
@@ -548,7 +564,9 @@ def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarr
                                      2: k**2 * (a_coeff + b_coeff / 15.0)})
     right = _SeriesEnd(s=sa, tcoeffs={0: b_coeff + a_coeff / 3.0,
                                       2: k**2 * (b_coeff + a_coeff / 15.0)})
-    problem = _ShootingProblem(q=q, interval=(0.0, length), left=left, right=right)
+    problem = _ShootingProblem(
+        q=q, interval=(0.0, length), left=left, right=right,
+        label=f"angular barrier problem (k={k:.12g}, A={a_coeff:.12g}, B={b_coeff:.12g})")
     span0 = k**2 * (2.0 * m + sa + sb + 2.0) ** 2
     return _shoot_levels(problem, m, 0.0, span0)
 

@@ -53,12 +53,14 @@ def centrifugal_coefficient(d: int, L: int) -> float:
 
     Gauging -u'' - ((d-1)/x) u' + L(L+d-2)/x^2 by x^((d-1)/2) yields
     -u'' + c/x^2 with c = L(L+d-2) + (d-1)(d-3)/4.  c(1,0) = c(3,0) = 0
-    exactly.
+    exactly.  At d = 1 the "angular momentum" is the parity L in {0, 1}.
     """
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if L < 0:
         raise ValueError(f"angular momentum L must be >= 0, got {L}")
+    if d == 1 and L > 1:
+        raise ValueError(f"at d = 1, L is a parity in {{0, 1}}, got {L}")
     return L * (L + d - 2) + (d - 1) * (d - 3) / 4.0
 
 

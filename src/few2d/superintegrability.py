@@ -14,23 +14,15 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import BridgeMismatch, NotRational, SingularPoint
 from .eigensolve import DegeneracyReport, detect_degeneracies
-from .model import (
-    KValue,
-    PotentialSpec,
-    Rational,
-    TTW,
-    ThreeBodyTTW,
-    eval_potential,
-    k_float,
-    k_to_json,
-    validate,
-)
-from .oracles import OracleSpectrum, separated_spectrum
-from .reduction import equal_mass_frame, jacobi_polar, ordered_line_config
+from .model import (Calogero, KValue, PotentialSpec, Rational, TTW, ThreeBodyTTW, Wolfes,
+                    eval_potential, k_float, k_to_json, validate)
+from .oracles import (OracleSpectrum, RadialProblem, pregauge_radial_levels, radial_spectrum,
+                      separated_spectrum)
+from .reduction import (build_jacobi, centrifugal_coefficient, equal_mass_frame, jacobi_polar,
+                        kinetic_gram, ordered_line_config, wolfes_to_ttw)
 
 _EXCLUSION = 1e-3
 
@@ -127,6 +119,8 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
     box, skipping the singular-line exclusion zones; reports the maximum
     relative deviation over the accepted samples.
     """
+    from scipy.stats import qmc
+
     spec_a = validate(spec_a)
     spec_b = validate(spec_b)
     (ulo, uhi), (vlo, vhi) = bridge.sample_box
@@ -257,3 +251,62 @@ def labeled_collisions(spectrum: OracleSpectrum, count: int,
         if len(set(labels)) != mult:
             raise ValueError("duplicate labels inside a collision group")
     return groups
+
+
+# ---------------------------------------------------------------------
+# built-in verification checks
+# ---------------------------------------------------------------------
+
+def _check_wolfes_ttw3() -> tuple[float, float]:
+    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0),
+                         wolfes_to_ttw(1.0, 1.0, 2.0).as_spec(),
+                         ordered_line_to_jacobi_polar_bridge(), samples=1000, tol=1e-12)
+    return res.max_rel_deviation, 1e-12
+
+
+def _check_calogero_b0() -> tuple[float, float]:
+    bridge = ordered_line_to_jacobi_polar_bridge()
+    res = identity_check(Wolfes(omega=1.3, A=0.8, B=0.0), Calogero(omega=1.3, A=0.8),
+                         replace(bridge, to_b=bridge.to_a), samples=500, tol=1e-15)
+    return res.max_rel_deviation, 1e-15
+
+
+def _check_gram_identity() -> tuple[float, float]:
+    rng = np.random.default_rng(4)
+    worst = 0.0
+    for _ in range(100):
+        masses = tuple(rng.uniform(0.1, 10.0, size=3))
+        gram = kinetic_gram(build_jacobi(masses, d=3))
+        worst = max(worst, float(np.abs(gram - np.eye(3)).max()))
+    return worst, 1e-13
+
+
+def _check_ttw1_caged() -> tuple[float, float]:
+    ttw = TTW(omega=1.0, k=Rational(1, 1), alpha=0.3, beta=0.7)
+    res = identity_check(ttw, fit_caged_image_of_ttw(ttw), polar_to_cartesian_bridge(),
+                         samples=500, tol=1e-12)
+    return res.max_rel_deviation, 1e-12
+
+
+def _check_gauge_isospectral() -> tuple[float, float]:
+    worst = 0.0
+    for d, L in ((2, 0), (5, 1)):
+        pre = pregauge_radial_levels(d, L, cutoff=math.pi, m=5)
+        c = centrifugal_coefficient(d, L)
+        gauged = radial_spectrum(RadialProblem(kind="free", c=c, cutoff=math.pi), 5,
+                                 method="shooting")
+        worst = max(worst, float(np.max(np.abs(pre - gauged) / np.abs(gauged))))
+    return worst, 1e-6
+
+
+CHECKS: dict[str, Callable[[], tuple[float, float]]] = {
+    "wolfes-ttw3": _check_wolfes_ttw3,
+    "calogero-b0": _check_calogero_b0,
+    "gram-identity": _check_gram_identity,
+    "centrifugal-d3L0": lambda: (abs(centrifugal_coefficient(3, 0)), 0.0),
+    "centrifugal-d1L0": lambda: (abs(centrifugal_coefficient(1, 0)), 0.0),
+    "ttw1-caged": _check_ttw1_caged,
+    "gauge-isospectral": _check_gauge_isospectral,
+}
+"""Built-in ``verify`` checks: id -> check returning (deviation, tolerance);
+a check passes when its deviation is at most its tolerance."""

@@ -272,3 +272,153 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, case):
     assert main([cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _converge_config(tmp_path, **overrides):
+    config = {
+        "command": "converge",
+        "system": {"family": "caged_oscillator", "a": 1.0, "b": 1.0, "omega": 1.0,
+                   "A": 0.0, "B": 0.0},
+        "reduction": {"d1": 3, "d2": 3, "box": {"x_max": 12.0, "y_max": 12.0}},
+        "ladder": [20, 40],
+        "solver": {"levels": 2, "tol": 1e-6},
+        "oracle": {"n_r_max": 3, "j_max": 3},
+        "output": {"path": str(tmp_path / "conv")},
+    }
+    config.update(overrides)
+    return config
+
+
+def _scan_config(tmp_path, **scan):
+    return {"command": "scan",
+            "system": {"family": "ttw", "omega": 1.0, "k": 1, "alpha": 0.2, "beta": 0.2},
+            "scan": {"k_list": [1], "levels_per_k": 4, "n_r_max": 2, "j_max": 2, **scan},
+            "output": {"path": str(tmp_path / "scan")}}
+
+
+def _verify_config(tmp_path, **overrides):
+    return {"command": "verify", "checks": ["gram-identity"], **overrides}
+
+
+def _map3_config(tmp_path, **threebody):
+    return {"command": "map3",
+            "threebody": {"masses": [2.0, 2.0, 2.0], "d": 1,
+                          "potential": {"family": "wolfes", "omega": 1.0, "A": 1.0,
+                                        "B": 2.0}, **threebody},
+            "output": {"path": str(tmp_path / "reduced")}}
+
+
+def _oracle_config(tmp_path, **oracle):
+    return {"command": "oracle",
+            "system": {"family": "caged_oscillator", "a": 1.0, "b": 1.0, "omega": 1.0,
+                       "A": 0.0, "B": 0.0},
+            "oracle": {"n_r_max": 1, "j_max": 1, **oracle},
+            "output": {"path": str(tmp_path / "oracle")}}
+
+
+def _solver(**keys):
+    return {"levels": 2, "tol": 1e-6, **keys}
+
+
+# malformed inputs, each with the block and key its error line must name
+_PROBES = {
+    "levels-string": (lambda t: _solve_config(t, solver=_solver(levels="abc")),
+                      "solver.levels"),
+    "levels-zero": (lambda t: _solve_config(t, solver=_solver(levels=0)), "solver.levels"),
+    "levels-negative": (lambda t: _solve_config(t, solver=_solver(levels=-3)),
+                        "solver.levels"),
+    "levels-bool": (lambda t: _solve_config(t, solver=_solver(levels=True)), "solver.levels"),
+    "levels-fraction": (lambda t: _solve_config(t, solver=_solver(levels=2.7)),
+                        "solver.levels"),
+    "tol-string": (lambda t: _solve_config(t, solver=_solver(tol="x")), "solver.tol"),
+    "n1-fraction": (lambda t: _solve_config(t, discretization={"n1": 20.9, "n2": 20}),
+                    "discretization.n1"),
+    "offset-rule": (lambda t: _solve_config(
+        t, discretization={"n1": 20, "n2": 20, "offset_rule": "bogus"}),
+        "discretization.offset_rule"),
+    "output-path-number": (lambda t: _solve_config(t, output={"path": 5}), "output.path"),
+    "output-formats": (lambda t: _solve_config(
+        t, output={"path": str(t / "out"), "formats": ["csv"]}), "formats"),
+    "top-level-typo": (lambda t: _solve_config(t, solvr={"levels": 2}), "solvr"),
+    "checks-nested": (lambda t: _verify_config(t, checks=[[1]]), "checks[0]"),
+    "checks-string": (lambda t: _verify_config(t, checks="gram-identity"), "checks"),
+    "check-alias": (lambda t: {"command": "verify", "check": "gram-identity"}, "check"),
+    "verify-extra-key": (lambda t: _verify_config(t, extra=1), "extra"),
+    "k-list-string": (lambda t: _scan_config(t, k_list=["abc"]), "scan.k_list[0]"),
+    "levels-per-k-string": (lambda t: _scan_config(t, levels_per_k="x"),
+                            "scan.levels_per_k"),
+    "mass-string": (lambda t: _map3_config(t, masses=["a", 2, 2]), "threebody.masses[0]"),
+    "oracle-method": (lambda t: _oracle_config(t, method="bogus"), "oracle.method"),
+    "converge-oracle-method": (lambda t: _converge_config(
+        t, oracle={"n_r_max": 3, "j_max": 3, "method": "bogus"}), "oracle.method"),
+    "oracle-n-r-max-string": (lambda t: _oracle_config(t, n_r_max="x"), "oracle.n_r_max"),
+    "ladder-string": (lambda t: _converge_config(t, ladder=["a"]), "ladder[0]"),
+    "d1-parity": (lambda t: _solve_config(
+        t, reduction={"d1": 1, "d2": 3, "L_x": 2, "box": {"x_max": 12.0, "y_max": 12.0}}),
+        "'L_x': 2"),
+    "system-and-reduced-problem": (lambda t: _solve_config(
+        t, reduced_problem=str(t / "reduced.json")), "reduced_problem"),
+    "converge-oracle-too-few-levels": (lambda t: _converge_config(
+        t, solver={"levels": 6}, oracle={"n_r_max": 1, "j_max": 1}), "oracle.n_r_max"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PROBES))
+def test_probe_exits_2_naming_the_key(tmp_path, capsys, case):
+    make, key = _PROBES[case]
+    cfg = _write_config(tmp_path, "bad.json", make(tmp_path))
+    assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert key in err
+
+
+def test_converge_with_centrifugal_term_has_no_error_column(tmp_path):
+    # the oracle solves the bare potential, so with L_x = 1 (c_x = 2) its
+    # levels are not the reduced problem's and no error column may be written
+    config = _converge_config(tmp_path, reduction={
+        "d1": 3, "d2": 3, "L_x": 1, "box": {"x_max": 12.0, "y_max": 12.0}})
+    cfg = _write_config(tmp_path, "conv.json", config)
+    assert main([cfg]) == 0
+    csv = [l for l in (tmp_path / "conv.csv").read_text().splitlines()
+           if not l.startswith("#")]
+    assert csv[0] == "h,level,energy"
+
+
+def test_converge_oracle_accuracy_failure_exits_3(tmp_path, capsys):
+    config = _converge_config(tmp_path, oracle={"n_r_max": 3, "j_max": 3,
+                                                "target": 1e-15})
+    cfg = _write_config(tmp_path, "conv.json", config)
+    assert main([cfg]) == 3
+    assert capsys.readouterr().err.startswith("error: requested relative accuracy")
+
+
+def test_converge_honours_oracle_cutoff(tmp_path):
+    def errors(oracle, name):
+        config = _converge_config(tmp_path, oracle=oracle,
+                                  output={"path": str(tmp_path / name)})
+        assert main([_write_config(tmp_path, f"{name}.json", config)]) == 0
+        rows = [l.split(",") for l in (tmp_path / f"{name}.csv").read_text().splitlines()
+                if l[:1].isdigit()]
+        return [float(r[3]) for r in rows]
+
+    default = errors({"n_r_max": 3, "j_max": 3}, "default")
+    # a 2.5 cutoff walls in the oscillator's ground state and lifts it visibly
+    walled = errors({"n_r_max": 3, "j_max": 3, "cutoff": 2.5}, "walled")
+    assert min(abs(a - b) for a, b in zip(default, walled)) > 1e-3
+
+
+def test_importing_cli_leaves_out_unused_scipy_subpackages():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import few2d
+
+    code = ("import sys, few2d.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.stats', 'scipy.integrate', 'scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(few2d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "[]"

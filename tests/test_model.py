@@ -233,6 +233,19 @@ def test_spec_from_dict_rejects_unknown_keys():
         spec_from_dict({"family": "nonexistent"})
 
 
+@pytest.mark.parametrize("system", [
+    {"family": "ttw", "omega": True, "k": 1},
+    {"family": "ttw", "omega": "1.0", "k": 1},
+    {"family": "ttw", "omega": 1.0, "k": True},
+    {"family": "ttw", "omega": 1.0, "k": 1e-190},      # k^2 underflows to 0
+    {"family": "custom2d", "expression": "x**"},
+    {"family": "custom2d", "expression": "x", "depends_on_angles": "no"},
+])
+def test_spec_from_dict_rejects_malformed_values(system):
+    with pytest.raises((ValueError, ZeroK)):
+        spec_from_dict(system)
+
+
 def test_custom2d_expression_round_trip():
     spec = spec_from_dict({"family": "custom2d", "expression": "x**2 + 2*y**2"})
     assert isinstance(spec, Custom2D)

@@ -68,6 +68,21 @@ def test_accuracy_not_reached_reports_estimate():
     assert err.value.achieved > err.value.target
 
 
+def test_shooting_failure_names_backend_level_bracket_and_problem():
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.0, beta=0.0)
+    with pytest.raises(AccuracyNotReached) as err:
+        separated_spectrum(spec, 0, 0, method="shooting")
+    msg = str(err.value)
+    assert "shooting" in msg and "level 0" in msg
+    assert "k=2, A=0, B=0" in msg and "[16." in msg
+
+
+def test_fd_operator_overflow_is_an_accuracy_failure():
+    # at k = 1e9 the radial weight x^(2s), s ~ 1e9, overflows the fd operator
+    with pytest.raises(AccuracyNotReached, match="fd backend"):
+        separated_spectrum(TTW(omega=1.0, k=1e9, alpha=0.1875, beta=0.1875), 1, 1)
+
+
 # --- angular problems --------------------------------------------------
 
 def test_angular_free_box_values():

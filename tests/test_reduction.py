@@ -47,6 +47,16 @@ def test_centrifugal_known_values(d, L, expected):
     assert centrifugal_coefficient(d, L) == pytest.approx(expected, abs=1e-15)
 
 
+def test_d1_angular_momentum_is_a_parity():
+    assert centrifugal_coefficient(1, 1) == 0.0
+    with pytest.raises(ValueError):
+        centrifugal_coefficient(1, 2)
+    with pytest.raises(ValueError):
+        reduce_to_2d(CagedOscillator(a=1.0, b=1.0, omega=1.0, A=0.0, B=0.0), 1, 3, L_x=2)
+    with pytest.raises(ValueError):
+        map_threebody(Wolfes(omega=1.0, A=1.0, B=2.0), d=1, L2=2)
+
+
 @pytest.mark.parametrize("d,L", [(2, 0), (2, 1), (3, 1), (3, 2), (5, 0), (5, 2)])
 def test_centrifugal_certified_by_isospectrality(d, L):
     # pre-gauge route: weighted x^(d-1) scheme with the explicit angular
