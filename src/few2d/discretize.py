@@ -16,7 +16,7 @@ textbook (2/h^2, -1/h^2) stencil exactly.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from .model import PotentialSpec, singular_rays, validate
 from .reduction import Box, ReducedProblem2D
 
 _MIN_NODES = 8
+_MIN_COARSE_NODES = 32   # coarser grids place the eigensolver's slice badly
 _ANGLE_GUARD = 1e-9
 
 
@@ -113,14 +114,37 @@ def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None,
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Symmetric 5-point discretization of a reduced 2D problem, CSR layout."""
+    """Symmetric 5-point discretization of a reduced 2D problem, CSR layout.
+
+    ``w`` holds the node values W(x_i, y_j), shape ``grid.shape``, when the
+    operator was assembled from a problem.
+    """
 
     matrix: sp.csr_matrix
     grid: Grid
+    w: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    def coarsened(self) -> Optional["SparseOperator"]:
+        """The operator on every other node per axis, for estimates only.
+
+        Keeps the fine nodes ``[1::2]`` of each axis with their W values and
+        the plain stencil at twice the step, so no potential is evaluated
+        again.  None without node values or when a coarse axis would have
+        fewer than 32 nodes.
+        """
+        if self.w is None:
+            return None
+        g = self.grid
+        nodes_x, nodes_y = g.nodes_x[1::2], g.nodes_y[1::2]
+        if min(len(nodes_x), len(nodes_y)) < _MIN_COARSE_NODES:
+            return None
+        coarse = Grid(box=g.box, nodes_x=nodes_x, nodes_y=nodes_y,
+                      h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
+        return _operator(coarse, self.w[1::2, 1::2])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -166,19 +190,24 @@ def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
     rays = singular_rays(problem.potential)
     if _collides(grid.nodes_x, grid.nodes_y, rays):
         raise SingularPoint("angular ray", "grid node on a singular line")
+    w = problem.effective_values(grid.nodes_x[:, None], grid.nodes_y[None, :])
+    w = np.asarray(w, dtype=float).reshape(grid.shape)
+    if not np.all(np.isfinite(w)):
+        raise SingularPoint("potential", "non-finite value at a grid node")
+    return _operator(grid, w)
+
+
+def _operator(grid: Grid, w: np.ndarray) -> SparseOperator:
+    """Stencils of the grid's axes plus diag(W) for node values ``w``."""
     n1, n2 = grid.shape
     tx = _axis_stencil(n1, grid.h_x, grid.staggered_x)
     ty = _axis_stencil(n2, grid.h_y, grid.staggered_y)
     lap = sp.kron(tx, sp.identity(n2), format="csr") + sp.kron(
         sp.identity(n1), ty, format="csr"
     )
-    w = problem.effective_values(grid.nodes_x[:, None], grid.nodes_y[None, :])
-    w = np.asarray(w, dtype=float).ravel()
-    if not np.all(np.isfinite(w)):
-        raise SingularPoint("potential", "non-finite value at a grid node")
-    matrix = (lap + sp.diags(w)).tocsr()
+    matrix = (lap + sp.diags(w.ravel())).tocsr()
     matrix.sum_duplicates()
-    return SparseOperator(matrix=matrix, grid=grid)
+    return SparseOperator(matrix=matrix, grid=grid, w=w)
 
 
 def matvec(op: SparseOperator, v: np.ndarray) -> np.ndarray:

@@ -1,22 +1,35 @@
 """Lowest eigenpairs by shift-invert Lanczos, certified by an inertia count;
 degeneracy clustering.
 
-``lowest_eigs`` factors H - sigma0 I (SuperLU with a symmetric minimum-degree
-ordering), where sigma0 lies strictly below a Gershgorin bound of the whole
-spectrum, and hands the solves to ARPACK's implicitly restarted
-Lanczos in shift-invert mode (the spectral transformation of Ericsson & Ruhe
-1980): the lowest levels of H are the dominant ones of (H - sigma0 I)^-1.
+``lowest_eigs`` hands the solves with a SuperLU factorization (symmetric
+minimum-degree ordering) of a shifted H to ARPACK's implicitly restarted
+Lanczos in shift-invert mode, the spectral transformation of Ericsson & Ruhe
+1980.  A Krylov space can miss one copy of an exactly degenerate level, so
+the set is certified by Sylvester's law of inertia: factored with diagonal
+pivots only, H - tau I has as many negative pivots as H has eigenvalues
+below tau (spectrum slicing, Parlett, *The Symmetric Eigenvalue Problem*).
 
-A Krylov space can miss one copy of an exactly degenerate level, so the set
-is not taken on trust.  H - tau I, with tau in the first clear gap above the
-m-th level, is factored with diagonal pivots only; by Sylvester's law of
-inertia its negative pivots count the eigenvalues below tau (spectrum
-slicing, Parlett, *The Symmetric Eigenvalue Problem*).  A count above the
-number of computed levels below tau means copies were missed; they are
-sought in the orthogonal complement of the pairs already found, a bounded
-number of times.  A set the count does not confirm is reported with
-``converged=False``.  The start vectors come from a seeded generator, so a
-fixed seed gives the same pairs and counts on a given platform.
+On an operator that can be coarsened, one such factorization does both jobs
+(Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).  The lowest m + 3
+levels are first estimated on the half-resolution grid, and tau is put in
+the widest of their gaps above the m-th.  The c negative pivots of H - tau I
+count the levels below tau, and ARPACK seeks the c algebraically smallest
+values of (H - tau I)^-1: exactly the levels below tau.  A value returned
+above tau means a copy was missed; it is sought again in the orthogonal
+complement of the pairs found, with the same factorization.  The count
+comes first because with fewer than m levels below tau the solve falls back
+at once, rather than ARPACK hunting the top of the spectrum for the rest.
+
+Plain matrices and grids too small to coarsen take the Gershgorin path, as
+does a slice that cannot be factored, counts fewer than m levels or far more
+than estimated, or is not completed while budget remains.  That path shifts
+to sigma0 strictly below a Gershgorin bound of the whole spectrum, where the
+lowest levels are the dominant ones of (H - sigma0 I)^-1, and counts at tau
+in the first clear gap above the m-th level found.  A count above the levels
+found below tau hands that factorization to the same completion as above.
+A set the count does not confirm is reported with ``converged=False``.  The
+start vectors come from a seeded generator, so a fixed seed gives the same
+pairs and counts on a given platform.
 """
 
 from __future__ import annotations
@@ -30,7 +43,10 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 from .errors import DimensionMismatch
 
 _ORDERING = "MMD_AT_PLUS_A"   # symmetric ordering; about half the fill of COLAMD on 5-point grids
-_ATTEMPTS = 4                 # ARPACK runs per call: the first plus retries for missed copies
+_ATTEMPTS = 4                 # ARPACK runs per stage: the first plus retries for missed copies
+_EXTRA_LEVELS = 3             # coarse levels estimated beyond m, to offer gaps for tau
+_ESTIMATE_TOL = 1e-3          # residual tolerance of the coarse estimate
+_OVERCOUNT = 2                # a slice counting more than twice the estimate falls back
 _EPS = np.finfo(float).eps
 
 
@@ -42,6 +58,8 @@ class EigenResult:
     point tau, from the inertia of H - tau I (read off the full spectrum on
     the dense path), or None when no count was made.  It exceeds the number
     of returned levels only when the m-th level's multiplet continues past m.
+    ``factorizations`` counts the sparse factorizations of shifted copies of
+    H (0 on the dense path); those of the coarse estimate are not included.
     """
 
     eigenvalues: np.ndarray
@@ -52,6 +70,7 @@ class EigenResult:
     breakdown: bool
     tol: float
     count_below: int | None
+    factorizations: int
 
     def to_dict(self) -> dict:
         return {
@@ -62,6 +81,7 @@ class EigenResult:
             "breakdown": self.breakdown,
             "tol": self.tol,
             "count_below": self.count_below,
+            "factorizations": self.factorizations,
         }
 
 
@@ -87,8 +107,8 @@ def _slice_index(vals: np.ndarray, m: int, spread: float) -> int | None:
     return m + int(gaps[0]) if gaps.size else None
 
 
-def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
-    """Eigenvalues of H below tau, from the inertia of H - tau I.
+def _factor_at(H: sp.csc_matrix, tau: float):
+    """A factorization of H - tau I whose pivots give its inertia, or None.
 
     SuperLU with diagonal pivots only factors P (H - tau I) P^T = L U with
     U = D L^T, a congruence, so the negative entries of diag(U) count the
@@ -100,53 +120,195 @@ def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     except RuntimeError:   # a zero pivot: tau is an eigenvalue to working precision
         return None
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None
+    return lu if np.array_equal(lu.perm_r, lu.perm_c) else None
+
+
+def _negative_pivots(lu) -> int:
+    """Eigenvalues below tau, for ``lu`` from ``_factor_at(H, tau)``.
+
+    Reading U makes ``lu`` keep copies of L and U, about as large as the
+    factorization itself, for as long as it lives.
+    """
     return int(np.count_nonzero(lu.U.diagonal() < 0))
 
 
-def _shift_invert_lanczos(H: sp.csc_matrix, sigma: float, k: int, found: np.ndarray,
-                          v0: np.ndarray, ncv: int | None, tol: float, budget: int):
-    """Lowest k pairs of H in the orthogonal complement of ``found``'s columns.
+def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
+    """Eigenvalues of H below tau, from the inertia of H - tau I, or None."""
+    lu = _factor_at(H, tau)
+    return None if lu is None else _negative_pivots(lu)
 
-    ARPACK in shift-invert mode about sigma (below the spectrum) with at most
-    ``budget`` solves.  Returns ``(vals, vecs, solves, complete, breakdown)``;
-    when ``complete`` is False the pairs are those converged before the
-    budget ran out.  The factorization is freed on return, so it never
-    coexists with the one of the inertia count.
+
+class _Solve:
+    """One sparse call of ``lowest_eigs``: operator, start vectors, budget, counters."""
+
+    def __init__(self, H: sp.csc_matrix, tol: float, max_iter: int, ncv: int | None,
+                 seed: int):
+        self.H, self.n = H, H.shape[0]
+        self.lower, self.upper = _gershgorin(H)
+        # strictly below the spectrum, so H - sigma0 I is positive definite
+        self.sigma0 = (self.lower - 1e-6 * (self.upper - self.lower)
+                       - 1e-3 * abs(self.lower))
+        # rounding allowance of a factorization of H - tau I
+        self.slack = 1e3 * _EPS * (self.upper - self.sigma0)
+        self.tol, self.max_iter, self.ncv = tol, max_iter, ncv
+        self.rng = np.random.default_rng(seed)
+        self.start = self.rng.standard_normal(self.n)
+        self.solves = self.factorizations = 0
+        self.breakdown = False
+
+    def empty(self):
+        return np.zeros(0), np.zeros((self.n, 0))
+
+    def factor(self, tau: float):
+        self.factorizations += 1
+        return _factor_at(self.H, tau)
+
+    def spread(self, vals: np.ndarray, vecs: np.ndarray) -> float:
+        """Smallest gap that the inertia count can tell from rounding."""
+        res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
+        return 2.0 * float(np.linalg.norm(res)) + self.slack
+
+    def arpack(self, sigma: float, which: str, k: int, found: np.ndarray, v0: np.ndarray,
+               lu=None):
+        """k pairs of H about sigma in the orthogonal complement of ``found``'s columns.
+
+        ARPACK in shift-invert mode with solves by ``lu``, a factorization of
+        H - sigma I; without one, H - sigma I is factored here and freed on
+        return, so it never coexists with the factorization of a count.  At
+        most the rest of the budget is spent.  Returns ``(vals, vecs,
+        complete)``; when ``complete`` is False the pairs are those converged
+        before the budget ran out (none on a breakdown).
+        """
+        n = self.n
+        k = min(k, n - 2 - found.shape[1])
+        budget = self.max_iter - self.solves
+        basis = max(2 * k + 1, 20) if self.ncv is None else self.ncv
+        # the first pass takes `basis` solves and each restart at most basis - k,
+        # and ARPACK makes at least one restart: keep both inside the budget
+        basis = min(n, max(basis, k + 1), (budget + k) // 2)
+        self.breakdown = False
+        if k < 1 or basis <= k:
+            return *self.empty(), False
+        if lu is None:
+            lu = splu(self.H - sigma * sp.identity(n, format="csc"), permc_spec=_ORDERING,
+                      options={"SymmetricMode": True})
+            self.factorizations += 1
+
+        def solve(x):
+            self.solves += 1
+            if found.shape[1]:
+                x = x - found @ (found.T @ x)
+            y = lu.solve(x)
+            if found.shape[1]:
+                y -= found @ (found.T @ y)
+            return y
+
+        if found.shape[1]:
+            v0 = v0 - found @ (found.T @ v0)
+        # ARPACK stops at ||OP x - nu x|| <= arpack_tol * |nu| for OP = (H - sigma I)^-1,
+        # which bounds ||H x - lambda x|| by ||H - sigma I|| * arpack_tol
+        norm = max(self.upper - sigma, sigma - self.lower)
+        try:
+            vals, vecs = eigsh(self.H, k, sigma=sigma, which=which, v0=v0, ncv=basis,
+                               tol=max(self.tol / norm, _EPS),
+                               maxiter=(budget - basis) // (basis - k),
+                               OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
+        except ArpackNoConvergence as exc:
+            return exc.eigenvalues, exc.eigenvectors, False
+        except ArpackError:
+            self.breakdown = True
+            return *self.empty(), False
+        return vals, vecs, True
+
+    def complete_below(self, lu, count: int, tau: float, vals: np.ndarray,
+                       vecs: np.ndarray, v0: np.ndarray):
+        """Extend levels found below tau to all ``count`` of them.
+
+        The missing ones are the algebraically smallest values of
+        (H - tau I)^-1 in the complement of those found; a value returned
+        above tau is dropped and sought again.  Returns ``(vals, vecs,
+        certified)``, sorted, all below tau.
+        """
+        for _ in range(_ATTEMPTS):
+            if len(vals) == count:
+                break
+            new_vals, new_vecs, complete = self.arpack(tau, "SA", count - len(vals), vecs,
+                                                       v0, lu)
+            below = new_vals < tau
+            vals = np.concatenate([vals, new_vals[below]])
+            vecs = np.hstack([vecs, new_vecs[:, below]])
+            if not complete:
+                break
+            v0 = self.rng.standard_normal(self.n)
+        order = np.argsort(vals, kind="stable")
+        return vals[order], vecs[:, order], len(vals) == count
+
+    def sliced(self, m: int, estimate: np.ndarray):
+        """Levels below tau in the widest estimated gap at index >= m.
+
+        Returns ``(vals, vecs, count, certified)``, or None to fall back:
+        when H - tau I cannot be counted, the count is below m or above
+        ``_OVERCOUNT`` times j, or, while budget remains, the slice is not
+        completed or misses ``tol`` (the diagonal pivots of an indefinite
+        H - tau I may lose accuracy).
+        """
+        j = m + int(np.argmax(np.diff(estimate)[m - 1:]))
+        tau = 0.5 * (estimate[j - 1] + estimate[j])
+        lu = self.factor(tau)
+        count = None if lu is None else _negative_pivots(lu)
+        if count is None or not m <= count <= _OVERCOUNT * j:
+            return None
+        vals, vecs, certified = self.complete_below(lu, count, tau, *self.empty(),
+                                                    self.start)
+        res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
+        if not (certified and np.all(res <= self.tol)) and self.solves < self.max_iter:
+            return None
+        return vals, vecs, count, certified
+
+    def shifted(self, m: int):
+        """Levels below sigma0's first clear gap above the m-th, certified by a count.
+
+        Returns ``(vals, vecs, count, certified)``.
+        """
+        vals, vecs = self.empty()
+        v0, want = self.start, m + 2
+        for _ in range(_ATTEMPTS):
+            new_vals, new_vecs, complete = self.arpack(self.sigma0, "LM", want, vecs, v0)
+            vals = np.concatenate([vals, new_vals])
+            vecs = np.hstack([vecs, new_vecs])
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], vecs[:, order]
+            if not complete:
+                break
+            v0 = self.rng.standard_normal(self.n)
+            j = _slice_index(vals, m, self.spread(vals, vecs))
+            if j is None:
+                want = len(vals)      # the m-th multiplet runs past what was found
+                continue
+            tau = 0.5 * (vals[j - 1] + vals[j])
+            lu = self.factor(tau)
+            count = None if lu is None else _negative_pivots(lu)
+            if count is None or count < j:
+                return vals, vecs, count, False
+            # count > j: the missed copies are sought about tau
+            vals, vecs, certified = self.complete_below(lu, count, tau, vals[:j],
+                                                        vecs[:, :j], v0)
+            return vals, vecs, count, certified
+        return vals, vecs, None, False
+
+
+def _coarse_estimate(op, m: int, seed: int) -> np.ndarray | None:
+    """The lowest m + 3 levels of ``op.coarsened()``, to a loose tolerance.
+
+    None when the operator does not coarsen, the coarse grid is too small,
+    or the estimate offers no gap above its m-th level.
     """
-    n = H.shape[0]
-    basis = max(2 * k + 1, 20) if ncv is None else ncv
-    # the first pass takes `basis` solves and each restart at most basis - k,
-    # and ARPACK makes at least one restart: keep both inside the budget
-    basis = min(n, max(basis, k + 1), (budget + k) // 2)
-    if k < 1 or basis <= k:
-        return np.zeros(0), np.zeros((n, 0)), 0, False, False
-    lu = splu(H - sigma * sp.identity(n, format="csc"), permc_spec=_ORDERING,
-              options={"SymmetricMode": True})
-    solves = 0
-
-    def solve(x):
-        nonlocal solves
-        solves += 1
-        if found.shape[1]:
-            x = x - found @ (found.T @ x)
-        y = lu.solve(x)
-        if found.shape[1]:
-            y -= found @ (found.T @ y)
-        return y
-
-    if found.shape[1]:
-        v0 = v0 - found @ (found.T @ v0)
-    try:
-        vals, vecs = eigsh(H, k, sigma=sigma, which="LM", v0=v0, ncv=basis, tol=tol,
-                           maxiter=(budget - basis) // (basis - k),
-                           OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
-    except ArpackNoConvergence as exc:
-        return exc.eigenvalues, exc.eigenvectors, solves, False, False
-    except ArpackError:
-        return np.zeros(0), np.zeros((n, 0)), solves, False, True
-    return vals, vecs, solves, True, False
+    coarsened = getattr(op, "coarsened", None)
+    coarse = coarsened() if coarsened is not None else None
+    if coarse is None or m + _EXTRA_LEVELS > coarse.dim:
+        return None
+    levels = lowest_eigs(coarse, m + _EXTRA_LEVELS, tol=_ESTIMATE_TOL, seed=seed).eigenvalues
+    return levels if len(levels) > m else None
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
@@ -156,19 +318,20 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     Parameters
     ----------
     op : SparseOperator, scipy sparse matrix or ndarray
-        Symmetric operator.
+        Symmetric operator.  A ``SparseOperator`` whose ``coarsened()``
+        gives an operator is solved by the slice about an estimated gap.
     m : int
         Number of requested pairs (small operators, or m above half the
         dimension, fall back to a dense solve).
     tol : float
         Absolute residual tolerance ||H v - lambda v|| per pair.
     max_iter : int, optional
-        Budget of operator applications, i.e. solves with H - sigma0 I
-        (default max(20000, 400 m)).  On exhaustion the pairs converged so
-        far are returned with ``converged=False``.
+        Budget of operator applications, i.e. solves with a factored
+        shifted H (default max(20000, 400 m)).  On exhaustion the pairs
+        converged so far are returned with ``converged=False``.
     ncv : int, optional
         ARPACK's Lanczos basis size (default max(2k + 1, 20) for k computed
-        pairs, k = m + 2 on the first run).
+        pairs).
     seed : int
         Seed for the start vectors.
 
@@ -176,12 +339,13 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     -------
     EigenResult
         The lowest pairs found, at most m, sorted, with recomputed true
-        residuals and the number of ``iterations`` (operator applications)
-        spent.  ``converged`` holds only when m pairs meet ``tol`` and the
-        inertia count confirms that no eigenvalue below them was missed.
-        ``breakdown`` is set when ARPACK could not extend its Krylov basis.
-        Should nothing converge within the budget, the Rayleigh quotient of
-        the first start vector stands in as the one (unconverged) pair.
+        residuals, the number of ``iterations`` (operator applications) and
+        of ``factorizations`` spent on the operator.  ``converged`` holds
+        only when m pairs meet ``tol`` and the inertia count confirms that
+        no eigenvalue below them was missed.  ``breakdown`` is set when
+        ARPACK could not extend its Krylov basis.  Should nothing converge
+        within the budget, the Rayleigh quotient of the first start vector
+        stands in as the one (unconverged) pair.
     """
     H = _as_matrix(op)
     n = H.shape[0]
@@ -197,62 +361,27 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         count = _slice_index(vals, m, slack) or n
         return EigenResult(vals[:m], vecs[:, :m], res, iterations=0,
                            converged=bool(np.all(res <= tol)), breakdown=False,
-                           tol=tol, count_below=count)
+                           tol=tol, count_below=count, factorizations=0)
 
     if max_iter is None:
         max_iter = max(20000, 400 * m)
-    H = sp.csc_matrix(H, dtype=float)
-    lower, upper = _gershgorin(H)
-    # strictly below the spectrum, so H - sigma I is positive definite
-    sigma = lower - 1e-6 * (upper - lower) - 1e-3 * abs(lower)
-    # ARPACK stops at ||OP x - nu x|| <= arpack_tol * nu for OP = (H - sigma I)^-1,
-    # which bounds ||H x - lambda x|| by ||H - sigma I|| * arpack_tol
-    arpack_tol = max(tol / (upper - sigma), _EPS)
-    # rounding allowance of a factorization of H - tau I
-    slack = 1e3 * _EPS * (upper - sigma)
-
-    rng = np.random.default_rng(seed)
-    start = v0 = rng.standard_normal(n)
-    applied = 0
-    vals = np.zeros(0)
-    vecs = np.zeros((n, 0))
-    count = None
-    certified = breakdown = False
-    want = m + 2
-    for _ in range(_ATTEMPTS):
-        new_vals, new_vecs, solves, complete, breakdown = _shift_invert_lanczos(
-            H, sigma, min(want, n - 2 - vecs.shape[1]), vecs, v0, ncv, arpack_tol,
-            max_iter - applied)
-        applied += solves
-        vals = np.concatenate([vals, new_vals])
-        vecs = np.hstack([vecs, new_vecs])
-        order = np.argsort(vals, kind="stable")
-        vals, vecs = vals[order], vecs[:, order]
-        if not complete:
-            break
-        res = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
-        j = _slice_index(vals, m, 2.0 * float(np.linalg.norm(res)) + slack)
-        v0 = rng.standard_normal(n)
-        if j is None:
-            want = len(vals)      # the m-th multiplet runs past what was found
-            continue
-        count = _count_below(H, 0.5 * (vals[j - 1] + vals[j]))
-        if count == j:
-            certified = True
-            break
-        if count is None or count < j:
-            break
-        want = count - j + 2      # missed copies below tau, plus a level above
+    estimate = _coarse_estimate(op, m, seed)
+    run = _Solve(sp.csc_matrix(H, dtype=float), tol, max_iter, ncv, seed)
+    found = None if estimate is None else run.sliced(m, estimate)
+    vals, vecs, count, certified = found or run.shifted(m)
+    if certified:
+        # every level below tau is found, so a clear gap among them counts too
+        count = _slice_index(vals, m, run.spread(vals, vecs)) or count
 
     if len(vals) == 0:
-        vecs = (start / np.linalg.norm(start))[:, None]
-        vals = vecs[:, 0] @ (H @ vecs)
+        vecs = (run.start / np.linalg.norm(run.start))[:, None]
+        vals = vecs[:, 0] @ (run.H @ vecs)
     vals, vecs = vals[:m], vecs[:, :m]
-    res = np.linalg.norm(H @ vecs - vecs * vals, axis=0)
+    res = np.linalg.norm(run.H @ vecs - vecs * vals, axis=0)
     converged = certified and len(vals) == m and bool(np.all(res <= tol))
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=res,
-                       iterations=applied, converged=converged, breakdown=breakdown,
-                       tol=tol, count_below=count)
+                       iterations=run.solves, converged=converged, breakdown=run.breakdown,
+                       tol=tol, count_below=count, factorizations=run.factorizations)
 
 
 # ---------------------------------------------------------------------

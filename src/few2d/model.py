@@ -575,7 +575,7 @@ class Custom2D(_Family):
 
     def formula(self, x, y):
         xb, yb = np.broadcast_arrays(x, y)
-        return np.asarray(self.func(xb, yb), dtype=float)
+        return np.broadcast_to(np.asarray(self.func(xb, yb), dtype=float), xb.shape)
 
     def box_side(self) -> float:
         raise ValueError("no default box for Custom2D potentials; pass one explicitly")
@@ -701,6 +701,16 @@ def compile_expression(expression: str) -> Callable[[np.ndarray, np.ndarray], np
     def func(x, y):
         return eval(code, {"__builtins__": {}}, dict(_CUSTOM_NAMESPACE, x=x, y=y))
 
+    # evaluate once now, so an expression that parses but cannot be evaluated
+    # (an unknown name, a wrong type, a result of the wrong shape) is refused
+    # at load time rather than at the first grid
+    probe = np.array([0.5, 1.0, 2.0])
+    try:
+        with np.errstate(all="ignore"):
+            np.broadcast_to(np.asarray(func(probe, probe[::-1]), dtype=float), probe.shape)
+    except Exception as exc:   # any error of the user's expression
+        raise ValueError(f"cannot evaluate expression {expression!r}: "
+                         f"{type(exc).__name__}: {exc}") from exc
     return func
 
 

@@ -128,14 +128,16 @@ def _weighted_fd_once(
     lw = log_weight(x)
     lwm = log_weight(a + h * (i - 0.5))
     lwp = log_weight(a + h * (i + 0.5))
-    dm = np.exp(lwm - lw)
-    dp = np.exp(lwp - lw)
-    diag = (dm + dp) / h**2 + potential(x)
-    if natural_left:
-        diag[0] -= dm[0] / h**2
-    if natural_right:
-        diag[-1] -= dp[-1] / h**2
-    off = -np.exp(lwp[:-1] - 0.5 * (lw[:-1] + lw[1:])) / h**2
+    v = potential(x)
+    with np.errstate(over="ignore"):   # an overflow is reported just below
+        dm = np.exp(lwm - lw)
+        dp = np.exp(lwp - lw)
+        diag = (dm + dp) / h**2 + v
+        if natural_left:
+            diag[0] -= dm[0] / h**2
+        if natural_right:
+            diag[-1] -= dp[-1] / h**2
+        off = -np.exp(lwp[:-1] - 0.5 * (lw[:-1] + lw[1:])) / h**2
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n}-point operator on "
                                  f"[{a:.12g}, {b:.12g}] overflows; its weight is too steep")

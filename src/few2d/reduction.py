@@ -37,6 +37,7 @@ from .model import (
     ThreeBodyConfig,
     ThreeBodyTTW,
     Wolfes,
+    json_number,
     quadrant_values,
     spec_from_dict,
     spec_to_dict,
@@ -130,19 +131,34 @@ class ReducedProblem2D:
 
     @staticmethod
     def from_dict(obj: dict) -> "ReducedProblem2D":
+        """Inverse of :meth:`to_dict`.
+
+        d and L must be integers (bools refused), and the stored c_x, c_y
+        must be the centrifugal coefficients of their (d, L).
+        """
         allowed = {"potential", "d1", "d2", "L_x", "L_y", "c_x", "c_y", "box"}
         extra = set(obj) - allowed
         if extra:
             raise ValueError(f"unknown keys in reduced problem: {sorted(extra)}")
+        fields = {}
+        for key in ("d1", "d2", "L_x", "L_y"):
+            value = json_number(obj[key], key)
+            if not value.is_integer():
+                raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
+            fields[key] = int(value)
+        for key, d, L in (("c_x", "d1", "L_x"), ("c_y", "d2", "L_y")):
+            fields[key] = json_number(obj[key], key)
+            expected = centrifugal_coefficient(fields[d], fields[L])
+            if not math.isclose(fields[key], expected, rel_tol=1e-12, abs_tol=1e-12):
+                raise ValueError(f"{key} = {fields[key]!r} disagrees with {expected!r}, the "
+                                 f"centrifugal coefficient of {d} = {fields[d]}, "
+                                 f"{L} = {fields[L]}")
+        box = obj["box"]
         return ReducedProblem2D(
             potential=spec_from_dict(obj["potential"]),
-            d1=int(obj["d1"]),
-            d2=int(obj["d2"]),
-            L_x=int(obj["L_x"]),
-            L_y=int(obj["L_y"]),
-            c_x=float(obj["c_x"]),
-            c_y=float(obj["c_y"]),
-            box=Box(float(obj["box"]["x_max"]), float(obj["box"]["y_max"])),
+            box=Box(json_number(box["x_max"], "box.x_max"),
+                    json_number(box["y_max"], "box.y_max")),
+            **fields,
         )
 
 

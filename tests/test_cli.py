@@ -113,10 +113,32 @@ def test_solve_json_reports_inertia_count(tmp_path):
 def test_unmatched_inertia_count_exits_3(tmp_path, monkeypatch):
     import few2d.eigensolve as eigensolve
 
-    count = eigensolve._count_below
-    monkeypatch.setattr(eigensolve, "_count_below", lambda H, tau: count(H, tau) + 1)
+    count = eigensolve._negative_pivots
+    monkeypatch.setattr(eigensolve, "_negative_pivots", lambda lu: count(lu) + 1)
     cfg = _write_config(tmp_path, "solve.json", _solve_config(tmp_path))
     assert main([cfg]) == 3
+    doc = json.loads((tmp_path / "out" / "caged.json").read_text())
+    assert doc["result"]["converged"] is False
+    assert len(doc["result"]["eigenvalues"]) == 4
+
+
+def test_unmatched_inertia_count_on_the_slice_path_exits_3(tmp_path, monkeypatch):
+    # 64x64 coarsens to 32x32: the slice at the estimated gap meets the
+    # miscount first, then the Gershgorin fallback meets it again
+    import few2d.eigensolve as eigensolve
+
+    count = eigensolve._negative_pivots
+    dims = []
+
+    def miscounted(lu):
+        dims.append(lu.shape[0])
+        return count(lu) + 1
+
+    monkeypatch.setattr(eigensolve, "_negative_pivots", miscounted)
+    cfg = _write_config(tmp_path, "solve.json",
+                        _solve_config(tmp_path, discretization={"n1": 64, "n2": 64}))
+    assert main([cfg]) == 3
+    assert dims[0] == 32 * 32 and dims[1] == 64 * 64   # coarse count, then the slice
     doc = json.loads((tmp_path / "out" / "caged.json").read_text())
     assert doc["result"]["converged"] is False
     assert len(doc["result"]["eigenvalues"]) == 4
@@ -257,6 +279,8 @@ _BAD_INPUTS = {
     "missing-reduced-problem": lambda tmp: {
         "command": "solve", "reduced_problem": str(tmp / "absent.json"),
         "output": {"path": str(tmp / "solved")}},
+    "custom2d-unknown-name": lambda tmp: _solve_config(
+        tmp, system={"family": "custom2d", "expression": "foo + x"}),
     "map3-unequal-masses": lambda tmp: {
         "command": "map3",
         "threebody": {"masses": [1, 2, 3], "d": 1,
@@ -360,7 +384,27 @@ _PROBES = {
         t, reduced_problem=str(t / "reduced.json")), "reduced_problem"),
     "converge-oracle-too-few-levels": (lambda t: _converge_config(
         t, solver={"levels": 6}, oracle={"n_r_max": 1, "j_max": 1}), "oracle.n_r_max"),
+    "reduced-d1-fraction": (lambda t: _inline_reduced_config(t, d1=2.7), "d1"),
+    "reduced-L-x-bool": (lambda t: _inline_reduced_config(t, L_x=True), "L_x"),
+    "reduced-c-x-mismatch": (lambda t: _inline_reduced_config(t, c_x=-0.25), "c_x"),
 }
+
+
+def _inline_reduced_config(tmp_path, **fields):
+    problem = {"potential": {"family": "caged_oscillator"}, "d1": 3, "d2": 3,
+               "L_x": 0, "L_y": 0, "c_x": 0.0, "c_y": 0.0,
+               "box": {"x_max": 12.0, "y_max": 12.0}, **fields}
+    config = _solve_config(tmp_path, reduced_problem=problem)
+    del config["system"], config["reduction"]
+    return config
+
+
+def test_inline_reduced_problem_solves(tmp_path):
+    cfg = _write_config(tmp_path, "solve.json", _inline_reduced_config(tmp_path, L_x=1,
+                                                                       c_x=2.0))
+    assert main([cfg]) == 0
+    doc = json.loads((tmp_path / "out" / "caged.json").read_text())
+    assert doc["problem"]["L_x"] == 1 and doc["problem"]["c_x"] == 2.0
 
 
 @pytest.mark.parametrize("case", sorted(_PROBES))

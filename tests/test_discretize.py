@@ -14,6 +14,7 @@ from few2d import (
     GridTooCoarse,
     Rational,
     SingularNodeUnavoidable,
+    SparseOperator,
     TTW,
     assemble,
     lowest_eigs,
@@ -195,3 +196,33 @@ def test_staggered_grid_solves_ttw_k2():
     assert grid.staggered_y
     res = lowest_eigs(assemble(prob, grid), 1, tol=1e-8)
     assert abs(res.eigenvalues[0] - oracle) / oracle < 0.005
+
+
+def test_coarsened_operator_is_the_half_resolution_grid():
+    # on an odd plain grid every other node is exactly the grid of (n-1)/2
+    # nodes at twice the step, so the coarse operator is that grid's
+    spec = CagedOscillator(a=1.0, b=1.5, omega=1.0, A=0.2, B=0.1)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(12.0, 12.0))
+    fine = assemble(prob, make_grid(prob.box, 81, 65))
+    coarse = fine.coarsened()
+    assert coarse.grid.shape == (40, 32)
+    assert np.array_equal(coarse.grid.nodes_x, fine.grid.nodes_x[1::2])
+    assert np.array_equal(coarse.w, fine.w[1::2, 1::2])
+    direct = assemble(prob, make_grid(prob.box, 40, 32))
+    assert abs(coarse.matrix - direct.matrix).max() < 1e-9 * abs(direct.matrix).max()
+    assert coarse.coarsened() is None                        # 20 x 16 nodes
+    assert assemble(prob, make_grid(prob.box, 81, 63)).coarsened() is None
+    assert SparseOperator(matrix=fine.matrix, grid=fine.grid).coarsened() is None
+
+
+def test_coarsened_staggered_grid_reuses_finite_node_values():
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.4)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
+    fine = assemble(prob, make_grid(prob.box, 98, 98, spec=spec))
+    assert fine.grid.staggered_y
+    coarse = fine.coarsened()
+    assert coarse.grid.shape == (49, 49)
+    assert np.all(np.isfinite(coarse.matrix.data))
+    # the plain stencil at twice the step, plus the fine nodes' W values
+    assert np.allclose(coarse.matrix.diagonal(), 2.0 / coarse.grid.h_x**2
+                       + 2.0 / coarse.grid.h_y**2 + coarse.w.ravel(), rtol=1e-14, atol=0)

@@ -11,7 +11,9 @@ from scipy.sparse.linalg import eigsh
 from few2d import (
     Box,
     CagedOscillator,
+    HydrogenPair,
     Rational,
+    SparseOperator,
     TTW,
     assemble,
     detect_degeneracies,
@@ -148,6 +150,96 @@ def test_ttw_k2_staggered_multiplicities_match_inertia_counts():
     H = op.matrix.tocsc()
     for lo, hi, count in zip(energies, energies[1:], below):
         assert _count_below(H, 0.5 * (lo + hi)) == count
+
+
+# --- the slice about an estimated gap, and its fallback -----------------
+
+# (system, n, levels): n below 64 leaves a coarse axis under 32 nodes, so
+# those grids take the Gershgorin fallback and the others the slice
+_SWEEP = [("caged-iso", n, 6) for n in (48, 63, 64, 101, 160)] + [
+    ("caged-aniso", n, 7) for n in (49, 72, 117, 150)] + [
+    ("hydrogen", n, 4) for n in (50, 81, 128, 160)]
+
+
+def _sweep_problem(system, seed):
+    rng = np.random.default_rng(seed)
+    if system == "hydrogen":
+        return reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
+    a = rng.uniform(0.9, 1.1)
+    b = a if system == "caged-iso" else rng.uniform(1.5, 2.0)
+    big_a = rng.uniform(0.0, 0.3)
+    big_b = big_a if system == "caged-iso" else rng.uniform(0.0, 0.3)
+    spec = CagedOscillator(a=a, b=b, omega=rng.uniform(0.9, 1.1), A=big_a, B=big_b)
+    return reduce_to_2d(spec, 3, 3, box=Box(12.0, 12.0))
+
+
+@pytest.mark.parametrize("case", range(len(_SWEEP)),
+                         ids=[f"{s}-{n}" for s, n, _ in _SWEEP])
+def test_sweep_against_kronecker_sum(case):
+    system, n, m = _SWEEP[case]
+    prob = _sweep_problem(system, seed=1000 + case)
+    grid = make_grid(prob.box, n, n)
+    op = assemble(prob, grid)
+    result = lowest_eigs(op, m, tol=1e-6, seed=case)
+    exact = _kronecker_levels(prob, grid, m + 12)
+    assert result.converged
+    assert np.allclose(result.eigenvalues, exact[:m], rtol=0, atol=1e-9)
+    assert (detect_degeneracies(result.eigenvalues).multiplicities()
+            == detect_degeneracies(exact[:m]).multiplicities())
+    assert result.count_below == m + int(np.flatnonzero(np.diff(exact)[m - 1:] > 1e-8)[0])
+    # one factorization both solves and certifies on the slice path
+    assert (result.factorizations == 1) == (op.coarsened() is not None)
+
+
+def test_hydrogen_pair_160_takes_one_factorization():
+    prob = reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
+    result = lowest_eigs(assemble(prob, make_grid(prob.box, 160, 160)), 2, tol=1e-6)
+    assert result.converged
+    assert result.count_below == 3
+    assert result.factorizations == 1
+
+
+def test_ttw_k2_staggered_slice_matches_inertia_counts():
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.4)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
+    grid = make_grid(prob.box, 98, 98, spec=spec)
+    assert grid.staggered_y
+    op = assemble(prob, grid)
+    assert op.coarsened() is not None
+    result = lowest_eigs(op, 6, tol=1e-7, seed=5)
+    assert result.converged and result.factorizations == 1
+    report = detect_degeneracies(result.eigenvalues)
+    H = op.matrix.tocsc()
+    energies = [e for e, _ in report.clusters]
+    for lo, hi, count in zip(energies, energies[1:], np.cumsum(report.multiplicities())):
+        assert _count_below(H, 0.5 * (lo + hi)) == count
+
+
+def test_slice_counting_fewer_than_m_levels_falls_back_before_solving():
+    # the 40x40 estimate of this 80x80 grid lies about 3 % low, so tau lands
+    # just below the 12th level; the count (11) must send the solve to the
+    # Gershgorin path before any solve with H - tau I, since ARPACK would
+    # then be hunting the top of the spectrum for a 12th value below tau
+    spec = CagedOscillator(a=0.900875, b=1.745229, omega=1.036175, A=0.126033, B=0.245487)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(12.0, 12.0))
+    grid = make_grid(prob.box, 80, 80)
+    result = lowest_eigs(assemble(prob, grid), 12, tol=1e-6, seed=1)
+    assert result.converged
+    assert result.factorizations == 3      # the slice, then sigma0 and the count
+    assert result.iterations < 200
+    assert np.allclose(result.eigenvalues, _kronecker_levels(prob, grid, 12), rtol=0, atol=1e-9)
+
+
+def test_forced_fallback_agrees_with_the_slice(monkeypatch):
+    prob = _sweep_problem("caged-iso", seed=7)
+    op = assemble(prob, make_grid(prob.box, 90, 90))
+    sliced = lowest_eigs(op, 6, tol=1e-8, seed=2)
+    monkeypatch.setattr(SparseOperator, "coarsened", lambda self: None)
+    fallback = lowest_eigs(op, 6, tol=1e-8, seed=2)
+    assert sliced.converged and fallback.converged
+    assert sliced.factorizations == 1 and fallback.factorizations >= 2
+    assert np.allclose(sliced.eigenvalues, fallback.eigenvalues, rtol=0, atol=1e-9)
+    assert sliced.count_below == fallback.count_below
 
 
 # --- degeneracy clustering ---------------------------------------------

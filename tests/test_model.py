@@ -254,6 +254,21 @@ def test_custom2d_expression_round_trip():
     assert doc["expression"] == "x**2 + 2*y**2"
 
 
+@pytest.mark.parametrize("expression", ["foo + x", "x + 'a'", "x[:2]"])
+def test_custom2d_expression_failing_at_evaluation_is_refused_at_load(expression):
+    with pytest.raises(ValueError, match="cannot evaluate expression"):
+        spec_from_dict({"family": "custom2d", "expression": expression})
+
+
+def test_custom2d_constant_expression_fills_the_grid():
+    from few2d import Box, assemble, make_grid, reduce_to_2d
+
+    spec = spec_from_dict({"family": "custom2d", "expression": "1.5"})
+    grid = make_grid(Box(1.0, 1.0), 9, 9)
+    op = assemble(reduce_to_2d(spec, 3, 3, box=Box(1.0, 1.0)), grid)
+    assert np.allclose(op.matrix.diagonal() - 4.0 / grid.h_x**2, 1.5)
+
+
 # --- family contract --------------------------------------------------
 
 _CHART_POINTS = [(0.7, 0.3), (1.3, 0.8), (2.1, 1.3), (0.4, 0.1)]
