@@ -56,7 +56,7 @@ from .reduction import (
     reduce_to_2d,
     wolfes_to_ttw,
 )
-from .discretize import Grid, SparseOperator, assemble, make_grid, matvec
+from .discretize import Grid, SparseOperator, assemble, make_grid
 from .eigensolve import DegeneracyReport, EigenResult, detect_degeneracies, lowest_eigs
 from .oracles import (
     OracleSpectrum,

@@ -140,7 +140,7 @@ _REDUCTION = _Block({"d1": (_INT1, 3), "d2": (_INT1, 3), "L_x": (_INT0, 0), "L_y
 _DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200),
                           "offset_rule": (_Choice(("auto", "none")), "auto")})
 _SOLVER = _Block({"levels": (_INT1, 6), "tol": (_POSITIVE, 1e-6), "max_iter": (_INT1, None),
-                  "seed": (_INT0, 0), "ncv": (_INT1, None),
+                  "seed": (_INT0, 0),
                   "cluster_tol": (_Num(False, 0.0), 1e-6)})
 _THREEBODY = _Block({"masses": (_List(_POSITIVE, length=3), _REQUIRED),
                      "d": (_INT1, _REQUIRED), "L1": (_INT0, 0), "L2": (_INT0, 0),
@@ -263,8 +263,7 @@ def _problem(cfg: dict) -> ReducedProblem2D:
 
 def _lowest(op, solver: dict):
     return lowest_eigs(op, solver["levels"], tol=solver["tol"],
-                       max_iter=solver["max_iter"], ncv=solver["ncv"],
-                       seed=solver["seed"])
+                       max_iter=solver["max_iter"], seed=solver["seed"])
 
 
 def run_solve(cfg: dict, prov: dict) -> int:

@@ -147,6 +147,7 @@ class SparseOperator:
         return _operator(coarse, self.w[1::2, 1::2])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Exact sparse product with deterministic (row-sequential) summation."""
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise DimensionMismatch(
@@ -208,8 +209,3 @@ def _operator(grid: Grid, w: np.ndarray) -> SparseOperator:
     matrix = (lap + sp.diags(w.ravel())).tocsr()
     matrix.sum_duplicates()
     return SparseOperator(matrix=matrix, grid=grid, w=w)
-
-
-def matvec(op: SparseOperator, v: np.ndarray) -> np.ndarray:
-    """Exact sparse product with deterministic (row-sequential) summation."""
-    return op.matvec(v)

@@ -141,8 +141,7 @@ def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
 class _Solve:
     """One sparse call of ``lowest_eigs``: operator, start vectors, budget, counters."""
 
-    def __init__(self, H: sp.csc_matrix, tol: float, max_iter: int, ncv: int | None,
-                 seed: int):
+    def __init__(self, H: sp.csc_matrix, tol: float, max_iter: int, seed: int):
         self.H, self.n = H, H.shape[0]
         self.lower, self.upper = _gershgorin(H)
         # strictly below the spectrum, so H - sigma0 I is positive definite
@@ -150,7 +149,7 @@ class _Solve:
                        - 1e-3 * abs(self.lower))
         # rounding allowance of a factorization of H - tau I
         self.slack = 1e3 * _EPS * (self.upper - self.sigma0)
-        self.tol, self.max_iter, self.ncv = tol, max_iter, ncv
+        self.tol, self.max_iter = tol, max_iter
         self.rng = np.random.default_rng(seed)
         self.start = self.rng.standard_normal(self.n)
         self.solves = self.factorizations = 0
@@ -182,10 +181,9 @@ class _Solve:
         n = self.n
         k = min(k, n - 2 - found.shape[1])
         budget = self.max_iter - self.solves
-        basis = max(2 * k + 1, 20) if self.ncv is None else self.ncv
         # the first pass takes `basis` solves and each restart at most basis - k,
         # and ARPACK makes at least one restart: keep both inside the budget
-        basis = min(n, max(basis, k + 1), (budget + k) // 2)
+        basis = min(n, max(2 * k + 1, 20), (budget + k) // 2)
         self.breakdown = False
         if k < 1 or basis <= k:
             return *self.empty(), False
@@ -312,7 +310,7 @@ def _coarse_estimate(op, m: int, seed: int) -> np.ndarray | None:
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
-                ncv: int | None = None, seed: int = 0) -> EigenResult:
+                seed: int = 0) -> EigenResult:
     """Lowest m eigenpairs of a symmetric operator, certified by an inertia count.
 
     Parameters
@@ -329,9 +327,6 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         Budget of operator applications, i.e. solves with a factored
         shifted H (default max(20000, 400 m)).  On exhaustion the pairs
         converged so far are returned with ``converged=False``.
-    ncv : int, optional
-        ARPACK's Lanczos basis size (default max(2k + 1, 20) for k computed
-        pairs).
     seed : int
         Seed for the start vectors.
 
@@ -366,7 +361,7 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     if max_iter is None:
         max_iter = max(20000, 400 * m)
     estimate = _coarse_estimate(op, m, seed)
-    run = _Solve(sp.csc_matrix(H, dtype=float), tol, max_iter, ncv, seed)
+    run = _Solve(sp.csc_matrix(H, dtype=float), tol, max_iter, seed)
     found = None if estimate is None else run.sliced(m, estimate)
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:

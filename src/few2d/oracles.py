@@ -13,7 +13,8 @@ solved here by two unrelated backends:
     -(x^{-2s}) (x^{2s} w')' + V(x) w.  The scheme is assembled in log-space
     ratios (stable for large s), reduced to a symmetric tridiagonal problem,
     and Richardson-extrapolated over grids (n, 2n, 4n); the extrapolation
-    residual provides the accuracy estimate.
+    residual provides the accuracy estimate.  Coulomb problems with c != 0
+    use a logarithmically mapped grid instead, equally tridiagonal.
 
 ``shooting``
     Adaptive integration of the original singular equation from a series
@@ -50,59 +51,10 @@ _SHOOT_RTOL = 1e-11
 # backend 1: weighted conservative finite differences + Richardson
 # =====================================================================
 
-def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int) -> np.ndarray:
+def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int,
+                    tol: float = 0.0) -> np.ndarray:
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
-                            eigvals_only=True)
-
-
-def _sturm_count(diag_k: np.ndarray, off_k: np.ndarray, diag_m: np.ndarray,
-                 lam: float) -> int:
-    """Number of pencil eigenvalues of (K, M) below lam, via LDL^T pivots."""
-    d = diag_k - lam * diag_m
-    count = 0
-    prev = d[0]
-    if prev == 0.0:
-        prev = 1e-300
-    if prev < 0:
-        count += 1
-    for i in range(1, len(d)):
-        cur = d[i] - off_k[i - 1] ** 2 / prev
-        if cur == 0.0:
-            cur = 1e-300
-        if cur < 0:
-            count += 1
-        prev = cur
-    return count
-
-
-def _generalized_tridiag_lowest(diag_k: np.ndarray, off_k: np.ndarray,
-                                diag_m: np.ndarray, m: int) -> np.ndarray:
-    """Lowest m eigenvalues of K v = lam M v, K tridiagonal, M positive diagonal.
-
-    Bisection on the Sturm count keeps full accuracy when M spans many
-    orders of magnitude (where scaling to standard form would drown the
-    spectrum in roundoff of the huge entries).
-    """
-    radii = np.zeros_like(diag_k)
-    radii[:-1] += np.abs(off_k)
-    radii[1:] += np.abs(off_k)
-    lam_lo = float(np.min((diag_k - radii) / diag_m))
-    lam_hi = float(np.max((diag_k + radii) / diag_m))
-    out = []
-    for j in range(m):
-        lo, hi = lam_lo, lam_hi
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if _sturm_count(diag_k, off_k, diag_m, mid) <= j:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, abs(lo), abs(hi)):
-                break
-        out.append(0.5 * (lo + hi))
-    return np.array(out)
+                            eigvals_only=True, tol=tol)
 
 
 def _weighted_fd_once(
@@ -144,14 +96,10 @@ def _weighted_fd_once(
     return _tridiag_lowest(diag, off, m)
 
 
-def _richardson_levels(
-    solve_n: Callable[[int], np.ndarray],
-    n0: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage Richardson extrapolation in h^2; returns (levels, rel error)."""
-    e1 = solve_n(n0)
-    e2 = solve_n(2 * n0)
-    e3 = solve_n(4 * n0)
+def _richardson(e1: np.ndarray, e2: np.ndarray,
+                e3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-stage Richardson extrapolation in h^2 over grids (n, 2n, 4n);
+    returns (levels, rel error)."""
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     rr = (16.0 * r2 - r1) / 15.0
@@ -164,10 +112,12 @@ def _fd_levels_certified(
     target: float,
     n0: int = _FD_BASE_N,
 ) -> np.ndarray:
-    levels, err = _richardson_levels(solve_n, n0)
-    if err.max() <= target:
-        return levels
-    levels, err = _richardson_levels(solve_n, 2 * n0)
+    """Richardson over (n0, 2n0, 4n0), then over (2n0, 4n0, 8n0) on a miss."""
+    solves = [solve_n(n0), solve_n(2 * n0), solve_n(4 * n0)]
+    levels, err = _richardson(*solves)
+    if err.max() > target:
+        solves.append(solve_n(8 * n0))
+        levels, err = _richardson(*solves[1:])
     if err.max() <= target:
         return levels
     raise AccuracyNotReached(achieved=float(err.max()), target=target)
@@ -395,21 +345,30 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
     pot = _radial_potential(p)
     if p.kind == "coulomb" and p.c != 0.0:
         # logarithmically mapped grid: u = e^{t/2} v(t), x = e^t turns the
-        # problem into (-d^2/dt^2 + c + 1/4 - Z e^t) v = lambda e^{2t} v;
-        # the pencil is solved by Sturm bisection since M = e^{2t} spans
-        # many orders of magnitude
+        # problem into the pencil K v = lambda e^{2t} v, K = -d^2/dt^2 + c + 1/4
+        # - Z e^t, solved as the symmetric tridiagonal e^{t_min} e^{-t} K e^{-t}
+        # (the factor e^{t_min} centres its squared entries in the double range).
+        # The entries span many orders of magnitude, so LAPACK bisection gets a
+        # tiny absolute tolerance and keeps its relative stopping rule.
         z = p.coupling
-        # inner wall where the x^s tail contributes below the target
-        t_min = max(-41.0, -10.0 * math.log(10.0) / max(2.0 * s - 1.0, 0.5))
+        # inner wall where the x^s tail shifts the levels by about 1e-2 * target;
+        # below t = -200 the bisection's pivot floor, safemin * max off^2, would
+        # reach the levels' ulp
+        t_min = math.log(1e-2 * p.target) / (2.0 * s - 1.0) if s > 0.5 else -math.inf
+        if t_min < -200.0:
+            raise AccuracyNotReached(math.inf, p.target, (
+                f"fd backend, radial coulomb problem (coupling={z:.12g}, c={p.c:.12g}): "
+                f"the log grid needs an inner wall at x = e^{t_min:.4g}, below its "
+                f"floor e^-200, to reach relative accuracy {p.target:g}"))
         t_max = math.log(cutoff)
 
         def solve_n(n: int) -> np.ndarray:
             h = (t_max - t_min) / (n + 1)
             t = t_min + h * np.arange(1, n + 1)
-            et = np.exp(t)
-            diag_k = 2.0 / h**2 + (p.c + 0.25) - z * et
-            off_k = np.full(n - 1, -1.0 / h**2)
-            return _generalized_tridiag_lowest(diag_k, off_k, et**2, m)
+            w = np.exp(0.5 * t_min - t)
+            diag = (2.0 / h**2 + (p.c + 0.25) - z * np.exp(t)) * w**2
+            lam = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m, tol=np.finfo(float).tiny)
+            return lam / math.exp(t_min)
 
         n_log = max(3000, int((t_max - t_min) * (40.0 * m + 60.0)))
         return _fd_levels_certified(solve_n, p.target, n0=n_log)

@@ -216,29 +216,6 @@ class JacobiFrame:
     jacobi_rows: np.ndarray
     d: int
 
-    def to_dict(self) -> dict:
-        return {
-            "masses": list(self.masses),
-            "total_mass": self.total_mass,
-            "cms_row": self.cms_row.tolist(),
-            "jacobi_rows": self.jacobi_rows.tolist(),
-            "d": self.d,
-        }
-
-    @staticmethod
-    def from_dict(obj: dict) -> "JacobiFrame":
-        allowed = {"masses", "total_mass", "cms_row", "jacobi_rows", "d"}
-        extra = set(obj) - allowed
-        if extra:
-            raise ValueError(f"unknown keys in Jacobi frame: {sorted(extra)}")
-        return JacobiFrame(
-            masses=tuple(float(m) for m in obj["masses"]),
-            total_mass=float(obj["total_mass"]),
-            cms_row=np.asarray(obj["cms_row"], dtype=float),
-            jacobi_rows=np.asarray(obj["jacobi_rows"], dtype=float),
-            d=int(obj["d"]),
-        )
-
 
 def build_jacobi(masses: tuple[float, float, float], d: int = 3) -> JacobiFrame:
     """Construct the CMS row and the two Jacobi rows for given masses."""
@@ -274,18 +251,12 @@ def kinetic_gram(frame: JacobiFrame) -> np.ndarray:
     return (rows * inv_m) @ rows.T
 
 
-def jacobi_vectors(frame: JacobiFrame, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the Jacobi rows to stacked particle positions of shape (3, d)."""
+def jacobi_distances(frame: JacobiFrame, positions: np.ndarray) -> tuple[float, float]:
+    """Lengths of the two Jacobi vectors of stacked positions of shape (3, d)."""
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if positions.shape[0] != 3:
         raise ValueError(f"positions must be shaped (3, d), got {positions.shape}")
-    r1 = frame.jacobi_rows[0] @ positions
-    r2 = frame.jacobi_rows[1] @ positions
-    return r1, r2
-
-
-def jacobi_distances(frame: JacobiFrame, positions: np.ndarray) -> tuple[float, float]:
-    r1, r2 = jacobi_vectors(frame, positions)
+    r1, r2 = (row @ positions for row in frame.jacobi_rows)
     return float(np.linalg.norm(r1)), float(np.linalg.norm(r2))
 
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from few2d.cli import main
+from few2d.cli import SCHEMA, _Block, main
 
 
 def _write_config(tmp_path, name, config):
@@ -168,6 +170,29 @@ def test_oracle_command_writes_labeled_levels(tmp_path):
              if l[:1].isdigit()]
     assert lines[0].split(",")[:2] == ["0", "0"]
     assert float(lines[0].split(",")[2]) == pytest.approx(6.0, rel=1e-8)
+
+
+def _pw_oracle_config(tmp_path, k):
+    return _write_config(tmp_path, "pw.json", {
+        "command": "oracle",
+        "system": {"family": "pw", "a": 1.0, "k": k, "mu": 0.0, "nu": 0.0},
+        "oracle": {"n_r_max": 0, "j_max": 0},
+        "output": {"path": str(tmp_path / "pw")},
+    })
+
+
+def test_pw_oracle_near_the_friedrichs_borderline_is_exact(tmp_path):
+    # k = 0.1 puts the ground sector at c = -0.24, s = 0.6: E = -1/(4 s^2)
+    assert main([_pw_oracle_config(tmp_path, 0.1)]) == 0
+    row = [l for l in (tmp_path / "pw.csv").read_text().splitlines() if l[:1].isdigit()][0]
+    assert float(row.split(",")[2]) == pytest.approx(-1.0 / 1.44, rel=1e-8)
+
+
+def test_pw_oracle_too_close_to_the_borderline_exits_3(tmp_path, capsys):
+    # k = 0.01 gives c = -0.2499: the inner wall 1e-8 needs lies below the floor
+    assert main([_pw_oracle_config(tmp_path, 0.01)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: fd backend, radial coulomb problem") and "c=-0.2499" in err
 
 
 def test_map3_output_feeds_solve(tmp_path):
@@ -466,3 +491,25 @@ def test_importing_cli_leaves_out_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_config_table_matches_the_schema():
+    # a bare key in a row belongs to the block named before it in that row;
+    # with none before it, it is a top-level key such as `ladder`
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = readme.split("| block.key", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    documented, top_level = set(), set()
+    for row in rows:
+        block = None
+        for token in re.findall(r"`([\w.]+)`", row.split("|")[1]):
+            if "." in token:
+                block, token = token.split(".")
+            if block is None:
+                top_level.add(token)
+            else:
+                documented.add(f"{block}.{token}")
+    schema = {f"{name}.{key}" for command in SCHEMA.values()
+              for name, (kind, _) in command.keys.items() if isinstance(kind, _Block)
+              for key in kind.keys}
+    assert documented == schema
+    assert top_level <= {key for command in SCHEMA.values() for key in command.keys}

@@ -19,7 +19,6 @@ from few2d import (
     assemble,
     lowest_eigs,
     make_grid,
-    matvec,
     reduce_to_2d,
 )
 
@@ -109,7 +108,7 @@ def test_matvec_basis_vector_returns_column():
     op = assemble(prob, make_grid(prob.box, 10, 10))
     e = np.zeros(op.dim)
     e[17] = 1.0
-    assert np.allclose(matvec(op, e), op.matrix.toarray()[:, 17])
+    assert np.allclose(op.matvec(e), op.matrix.toarray()[:, 17])
 
 
 def test_matvec_symmetry_bilinear_form():
@@ -122,8 +121,8 @@ def test_matvec_symmetry_bilinear_form():
         v = rng.standard_normal(op.dim)
         u /= np.linalg.norm(u)
         v /= np.linalg.norm(v)
-        left = u @ matvec(op, v)
-        right = matvec(op, u) @ v
+        left = u @ op.matvec(v)
+        right = op.matvec(u) @ v
         assert abs(left - right) <= 1e-13 * max(1.0, abs(left))
 
 
@@ -131,9 +130,9 @@ def test_matvec_zero_and_dimension_mismatch():
     spec = CagedOscillator()
     prob = reduce_to_2d(spec, 3, 3, box=Box(6.0, 6.0))
     op = assemble(prob, make_grid(prob.box, 10, 10))
-    assert np.all(matvec(op, np.zeros(op.dim)) == 0.0)
+    assert np.all(op.matvec(np.zeros(op.dim)) == 0.0)
     with pytest.raises(DimensionMismatch):
-        matvec(op, np.zeros(op.dim + 1))
+        op.matvec(np.zeros(op.dim + 1))
 
 
 def test_box_enlargement_below_discretization_error():

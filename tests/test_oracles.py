@@ -1,5 +1,7 @@
 """Dual-backend 1D solvers and separated labeled spectra."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,65 @@ def test_fd_operator_overflow_is_an_accuracy_failure():
     # at k = 1e9 the radial weight x^(2s), s ~ 1e9, overflows the fd operator
     with pytest.raises(AccuracyNotReached, match="fd backend"):
         separated_spectrum(TTW(omega=1.0, k=1e9, alpha=0.1875, beta=0.1875), 1, 1)
+
+
+# --- closed-form sweep ----------------------------------------------------
+
+def _gauge(c):
+    return 0.5 + math.sqrt(0.25 + c)
+
+
+def _oscillator_level(w, c, n):
+    return w * (4 * n + 2 * _gauge(c) + 1)
+
+
+def _coulomb_level(z, c, n):
+    return -z * z / (4.0 * (n + _gauge(c)) ** 2)
+
+
+def _pt_level(k, a_coeff, b_coeff, j):
+    return k * k * (2 * j + _gauge(a_coeff / k**2) + _gauge(b_coeff / k**2)) ** 2
+
+
+def _sweep_points():
+    """Seeded draws inside the validated bounds.  Distances from a borderline
+    are log-uniform, so the steep-gauge edges are sampled too; c = -0.245 is
+    the last Coulomb sector the log grid must still solve."""
+    rng = np.random.default_rng(20261018)
+    edge = lambda hi: 10.0 ** rng.uniform(-4.0, math.log10(hi))
+    points = [("coulomb", (1.0, -0.245), 2)]
+    for _ in range(12):
+        z, c, m = rng.uniform(0.5, 3.0), -0.25 + edge(50.25), int(rng.integers(1, 4))
+        points.append(("coulomb", (z, c), m))
+    for _ in range(10):
+        w, c, m = rng.uniform(0.5, 3.0), rng.uniform(-0.2, 300.0), int(rng.integers(1, 4))
+        points.append(("oscillator", (w, c), m))
+    for _ in range(10):
+        k = rng.uniform(0.3, 6.0)
+        a_coeff, b_coeff = k * k * (edge(5.25) - 0.25), k * k * (edge(5.25) - 0.25)
+        points.append(("pt", (k, a_coeff, b_coeff), int(rng.integers(1, 4))))
+    return [pytest.param(*point, id=f"{point[0]}{i}") for i, point in enumerate(points)]
+
+
+@pytest.mark.parametrize("kind, params, m", _sweep_points())
+def test_fd_matches_closed_forms_across_the_validated_range(kind, params, m):
+    target = 1e-8
+    if kind == "pt":
+        k, a_coeff, b_coeff = params
+        levels = angular_pt_levels(k, a_coeff, b_coeff, m, target=target)
+        exact = [_pt_level(k, a_coeff, b_coeff, j) for j in range(m)]
+    else:
+        coupling, c = params
+        level = _coulomb_level if kind == "coulomb" else _oscillator_level
+        try:
+            levels = radial_spectrum(RadialProblem(kind=kind, coupling=coupling, c=c,
+                                                   target=target), m)
+        except AccuracyNotReached:
+            # only the log grid's inner wall may give up, and only near c = -1/4
+            assert kind == "coulomb" and c < -0.245
+            return
+        exact = [level(coupling, c, n) for n in range(m)]
+    assert np.max(np.abs(levels - exact) / np.abs(exact)) <= target
 
 
 # --- angular problems --------------------------------------------------

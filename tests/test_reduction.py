@@ -294,14 +294,3 @@ def test_reduced_problem_json_round_trip():
     assert back == prob
     with pytest.raises(ValueError):
         ReducedProblem2D.from_dict({**doc, "mystery": 1})
-
-
-def test_jacobi_frame_json_round_trip():
-    from few2d import JacobiFrame
-
-    frame = build_jacobi((1.0, 2.5, 0.7), d=2)
-    back = JacobiFrame.from_dict(frame.to_dict())
-    assert back.masses == frame.masses
-    assert np.array_equal(back.cms_row, frame.cms_row)
-    assert np.array_equal(back.jacobi_rows, frame.jacobi_rows)
-    assert np.abs(kinetic_gram(back) - np.eye(3)).max() < 1e-13
