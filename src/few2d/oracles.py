@@ -13,8 +13,12 @@ solved here by two unrelated backends:
     -(x^{-2s}) (x^{2s} w')' + V(x) w.  The scheme is assembled in log-space
     ratios (stable for large s), reduced to a symmetric tridiagonal problem,
     and Richardson-extrapolated over grids (n, 2n, 4n); the extrapolation
-    residual provides the accuracy estimate.  Coulomb problems with c != 0
-    use a logarithmically mapped grid instead, equally tridiagonal.
+    residual provides the accuracy estimate.  The first grid is solved by
+    LAPACK bisection; each finer grid refines the levels predicted from the
+    coarser ones by inverse iteration and keeps them only when a Sturm count
+    and their residuals certify them, else it is bisected too.  Coulomb
+    problems with c != 0 use a logarithmically mapped grid instead, equally
+    tridiagonal and always bisected.
 
 ``shooting``
     Adaptive integration of the original singular equation from a series
@@ -39,34 +43,117 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
 from .model import KValue, PotentialSpec, k_float, validate
 
 _FD_BASE_N = 1500
 _SHOOT_RTOL = 1e-11
+_ULP = np.finfo(float).eps
+_LOG_MAX = math.log(np.finfo(float).max)
+_INVERSE_STEPS = 5     # at most, per predicted level
 
 
 # =====================================================================
 # backend 1: weighted conservative finite differences + Richardson
 # =====================================================================
 
-def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int,
-                    tol: float = 0.0) -> np.ndarray:
+def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int, tol: float = 0.0,
+                    guess: Optional[np.ndarray] = None) -> np.ndarray:
+    """Lowest m eigenvalues of the symmetric tridiagonal matrix (diag, off).
+
+    Without ``guess`` they are bisected by LAPACK ``dstebz`` from the
+    Gershgorin bounds to the absolute tolerance ``tol`` (<= 0: ulp * ||T||).
+    With a prediction ``guess`` of all m levels, ``_refined_levels`` tries
+    to refine and certify them first; a failed certificate falls back to
+    the bisection.
+    """
+    if guess is not None:
+        levels = _refined_levels(diag, off, guess)
+        if levels is not None:
+            return levels
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
                             eigvals_only=True, tol=tol)
 
 
-def _weighted_fd_once(
+def _refined_levels(diag: np.ndarray, off: np.ndarray,
+                    guess: np.ndarray) -> Optional[np.ndarray]:
+    """Levels 0..m-1 refined from a prediction, or None if not certified.
+
+    Each predicted level is refined by shifted inverse iteration (LAPACK
+    ``dgtsv``) from a fixed start vector, ending in a Rayleigh quotient
+    lam_j with residual r_j; then T has an eigenvalue in each interval
+    [lam_j - r_j, lam_j + r_j].  The levels are accepted only if
+
+    * the intervals, widened by 8 ulp * ||T|| for rounding, are pairwise
+      disjoint and ordered,
+    * one Sturm count (``dstebz`` over a range with no bisection) finds
+      exactly m eigenvalues up to the top of the last interval, so the
+      intervals hold levels 0..m-1 and nothing else lies below that top,
+    * the Kato-Temple bound r_j^2 / gap_j, with gap_j the distance from
+      lam_j to the nearest other eigenvalue, is at most ulp * ||T||: the
+      absolute accuracy class of the bisection.
+
+    The top of the last interval is raised to lam + 2 r^2 / (ulp * ||T||)
+    so that the count also bounds the gap above the highest level.
+    """
+    m = len(guess)
+    a = np.abs(off)
+    norm = float(np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0)))
+    tol_abs = _ULP * norm
+    # stop iterating once r_j^2 is well below tol_abs times the predicted gap
+    spacing = np.abs(np.diff(guess))
+    gap_guess = (np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
+                 if m > 1 else np.abs(guess))
+    start = np.random.default_rng(0).standard_normal(diag.size)
+    lam, res = np.empty(m), np.empty(m)
+    for j in range(m):
+        x = start
+        for _ in range(_INVERSE_STEPS):
+            *_, y, info = dgtsv(off, diag - guess[j], off, x)
+            if info != 0:
+                return None
+            x = y / np.linalg.norm(y)
+            tx = diag * x
+            tx[:-1] += off * x[1:]
+            tx[1:] += off * x[:-1]
+            lam[j] = x @ tx
+            res[j] = np.linalg.norm(tx - lam[j] * x)
+            if res[j] ** 2 <= 0.1 * tol_abs * gap_guess[j]:
+                break
+
+    # each check is written so that a NaN fails it
+    slack = 8.0 * tol_abs
+    lo, hi = lam - res - slack, lam + res + slack
+    if not (lo[1:] > hi[:-1]).all():
+        return None
+    top = max(hi[-1], lam[-1] + 2.0 * res[-1] ** 2 / tol_abs)
+    vl = -2.0 * norm   # below the whole spectrum
+    count = dstebz(diag, off, 1, vl, top, 0, 0, top - vl, b"E")[0]
+    if count != m:
+        return None
+    gap = np.minimum(np.append(lo[1:], top) - lam, np.insert(lam[1:] - hi[:-1], 0, np.inf))
+    if not (res**2 <= tol_abs * gap).all():
+        return None
+    return lam
+
+
+def _steep_weight(n: int, a: float, b: float) -> AccuracyNotReached:
+    return AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n}-point operator on "
+                              f"[{a:.12g}, {b:.12g}] overflows; its weight is too steep")
+
+
+def _weighted_fd_operator(
     log_weight: Callable[[np.ndarray], np.ndarray],
     potential: Callable[[np.ndarray], np.ndarray],
     interval: tuple[float, float],
-    m: int,
     n: int,
     natural_left: bool,
     natural_right: bool,
-) -> np.ndarray:
-    """Lowest m eigenvalues of -(1/rho)(rho u')' + V u on a uniform grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric tridiagonal (diag, off) of -(1/rho)(rho u')' + V u on a
+    uniform n-point grid.
 
     ``log_weight`` returns log rho; the assembled matrix uses only ratios
     rho_{i+1/2} / rho_i so arbitrarily steep weights stay in range.  A
@@ -91,9 +178,25 @@ def _weighted_fd_once(
             diag[-1] -= dp[-1] / h**2
         off = -np.exp(lwp[:-1] - 0.5 * (lw[:-1] + lw[1:])) / h**2
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n}-point operator on "
-                                 f"[{a:.12g}, {b:.12g}] overflows; its weight is too steep")
-    return _tridiag_lowest(diag, off, m)
+        raise _steep_weight(n, a, b)
+    return diag, off
+
+
+def _weighted_fd_once(
+    log_weight: Callable[[np.ndarray], np.ndarray],
+    potential: Callable[[np.ndarray], np.ndarray],
+    interval: tuple[float, float],
+    m: int,
+    n: int,
+    natural_left: bool,
+    natural_right: bool,
+    guess: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Lowest m eigenvalues of the weighted scheme on n points; ``guess``
+    predicts them (see ``_tridiag_lowest``)."""
+    diag, off = _weighted_fd_operator(log_weight, potential, interval, n,
+                                      natural_left, natural_right)
+    return _tridiag_lowest(diag, off, m, guess=guess)
 
 
 def _richardson(e1: np.ndarray, e2: np.ndarray,
@@ -108,19 +211,35 @@ def _richardson(e1: np.ndarray, e2: np.ndarray,
 
 
 def _fd_levels_certified(
-    solve_n: Callable[[int], np.ndarray],
+    solve_n: Callable[[int, Optional[np.ndarray]], np.ndarray],
     target: float,
+    label: str,
     n0: int = _FD_BASE_N,
 ) -> np.ndarray:
-    """Richardson over (n0, 2n0, 4n0), then over (2n0, 4n0, 8n0) on a miss."""
-    solves = [solve_n(n0), solve_n(2 * n0), solve_n(4 * n0)]
-    levels, err = _richardson(*solves)
+    """Richardson over (n0, 2n0, 4n0), then over (2n0, 4n0, 8n0) on a miss.
+
+    ``solve_n(n, guess)`` returns the lowest levels on n points.  The first
+    grid gets no guess: its cold bisection anchors the level indices.  Each
+    finer grid gets a prediction of its levels: the n0 levels for 2n0, the
+    h^2 step e_2n + (e_2n - e_n) / 4 for the grids after it.  ``label``
+    names the problem in the error raised on a miss.
+    """
+    e1 = solve_n(n0, None)
+    e2 = solve_n(2 * n0, e1)
+    e3 = solve_n(4 * n0, e2 + (e2 - e1) / 4.0)
+    grids = [n0, 2 * n0, 4 * n0]
+    levels, err = _richardson(e1, e2, e3)
     if err.max() > target:
-        solves.append(solve_n(8 * n0))
-        levels, err = _richardson(*solves[1:])
+        e4 = solve_n(8 * n0, e3 + (e3 - e2) / 4.0)
+        grids.append(8 * n0)
+        levels, err = _richardson(e2, e3, e4)
     if err.max() <= target:
         return levels
-    raise AccuracyNotReached(achieved=float(err.max()), target=target)
+    worst = int(np.argmax(err))
+    raise AccuracyNotReached(achieved=float(err[worst]), target=target, detail=(
+        f"requested relative accuracy {target:g}, achieved estimate {err[worst]:g} "
+        f"(fd backend, {label}: worst level {worst}, Richardson grids of "
+        f"{', '.join(map(str, grids))} points)"))
 
 
 # =====================================================================
@@ -340,8 +459,14 @@ def _radial_tcoeffs(p: RadialProblem) -> dict[int, float]:
     return {}
 
 
+def _radial_label(p: RadialProblem, cutoff: float) -> str:
+    return (f"radial {p.kind} problem (coupling={p.coupling:.12g}, c={p.c:.12g}, "
+            f"cutoff={cutoff:.12g})")
+
+
 def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
     s = _gauge_exponent(p.c)
+    label = _radial_label(p, cutoff)
     pot = _radial_potential(p)
     if p.kind == "coulomb" and p.c != 0.0:
         # logarithmically mapped grid: u = e^{t/2} v(t), x = e^t turns the
@@ -362,7 +487,10 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
                 f"floor e^-200, to reach relative accuracy {p.target:g}"))
         t_max = math.log(cutoff)
 
-        def solve_n(n: int) -> np.ndarray:
+        # the graded pencil is always bisected cold (``guess`` unused): a
+        # residual certificate bounds absolute errors, which give no relative
+        # accuracy for levels many orders below the matrix norm
+        def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
             h = (t_max - t_min) / (n + 1)
             t = t_min + h * np.arange(1, n + 1)
             w = np.exp(0.5 * t_min - t)
@@ -371,7 +499,7 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
             return lam / math.exp(t_min)
 
         n_log = max(3000, int((t_max - t_min) * (40.0 * m + 60.0)))
-        return _fd_levels_certified(solve_n, p.target, n0=n_log)
+        return _fd_levels_certified(solve_n, p.target, label, n0=n_log)
 
     # with no inverse-square term the plain Dirichlet scheme has the cleaner
     # h^2 expansion (the weighted form loses it when u has odd powers at 0,
@@ -395,13 +523,18 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
         return 2.0 * s_eff * np.log(x) if s_eff else np.zeros_like(x)
 
     n_base = max(_FD_BASE_N, int(12.0 * cutoff))
+    # the largest weight ratio, (1 + h / (2 x))^(2 s) at the first node, peaks
+    # on the coarsest grid; refuse it before allocating any grid
+    h_base = (cutoff - x_lo) / (n_base + 1)
+    if x_lo > 0.0 and 2.0 * s_eff * math.log1p(h_base / (2.0 * x_lo)) > _LOG_MAX:
+        raise _steep_weight(n_base, x_lo, cutoff)
 
-    def solve_n(n: int) -> np.ndarray:
+    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
         return _weighted_fd_once(log_weight, pot, (x_lo, cutoff), m, n,
                                  natural_left=s_eff > 0.0 and x_lo == 0.0,
-                                 natural_right=False)
+                                 natural_right=False, guess=guess)
 
-    return _fd_levels_certified(solve_n, p.target, n0=n_base)
+    return _fd_levels_certified(solve_n, p.target, label, n0=n_base)
 
 
 def _radial_shoot(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
@@ -417,8 +550,7 @@ def _radial_shoot(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
         interval=(0.0, cutoff),
         left=_SeriesEnd(s=s, tcoeffs=_radial_tcoeffs(p)),
         right=None,
-        label=f"radial {p.kind} problem (coupling={p.coupling:.12g}, c={p.c:.12g}, "
-              f"cutoff={cutoff:.12g})",
+        label=_radial_label(p, cutoff),
         eps_frac=min(1e-6, 1e-3 / cutoff),
     )
     if p.kind == "oscillator":
@@ -472,11 +604,13 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
     def log_weight(x: np.ndarray) -> np.ndarray:
         return (d - 1.0) * np.log(x)
 
-    def solve_n(n: int) -> np.ndarray:
+    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
         return _weighted_fd_once(log_weight, pot, (0.0, cutoff), m, n,
-                                 natural_left=d > 1, natural_right=False)
+                                 natural_left=d > 1, natural_right=False, guess=guess)
 
-    return _fd_levels_certified(solve_n, target, n0=max(_FD_BASE_N, int(12.0 * cutoff)))
+    return _fd_levels_certified(solve_n, target,
+                                f"pre-gauge radial problem (d={d}, L={L}, cutoff={cutoff:.12g})",
+                                n0=max(_FD_BASE_N, int(12.0 * cutoff)))
 
 
 # =====================================================================
@@ -494,6 +628,10 @@ def _pt_exponents(k: float, a_coeff: float, b_coeff: float) -> tuple[float, floa
     return 0.5 + math.sqrt(qa), 0.5 + math.sqrt(qb)
 
 
+def _angular_label(k: float, a_coeff: float, b_coeff: float) -> str:
+    return f"angular barrier problem (k={k:.12g}, A={a_coeff:.12g}, B={b_coeff:.12g})"
+
+
 def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
                 target: float) -> np.ndarray:
     at, bt = _pt_exponents(k, a_coeff, b_coeff)
@@ -503,13 +641,14 @@ def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
     def log_weight(th: np.ndarray) -> np.ndarray:
         return 2.0 * bt * np.log(np.sin(k * th)) + 2.0 * at * np.log(np.cos(k * th))
 
-    def solve_n(n: int) -> np.ndarray:
+    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
         mu = _weighted_fd_once(log_weight, lambda th: np.zeros_like(th),
                                (0.0, length), m, n,
-                               natural_left=True, natural_right=True)
+                               natural_left=True, natural_right=True,
+                               guess=None if guess is None else guess - shift)
         return mu + shift
 
-    return _fd_levels_certified(solve_n, target, n0=1200)
+    return _fd_levels_certified(solve_n, target, _angular_label(k, a_coeff, b_coeff), n0=1200)
 
 
 def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarray:
@@ -527,7 +666,7 @@ def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarr
                                       2: k**2 * (b_coeff + a_coeff / 15.0)})
     problem = _ShootingProblem(
         q=q, interval=(0.0, length), left=left, right=right,
-        label=f"angular barrier problem (k={k:.12g}, A={a_coeff:.12g}, B={b_coeff:.12g})")
+        label=_angular_label(k, a_coeff, b_coeff))
     span0 = k**2 * (2.0 * m + sa + sb + 2.0) ** 2
     return _shoot_levels(problem, m, 0.0, span0)
 

@@ -21,6 +21,7 @@ from few2d import (
     radial_spectrum,
     separated_spectrum,
 )
+from few2d import oracles
 
 
 # --- radial problems ---------------------------------------------------
@@ -85,6 +86,98 @@ def test_fd_operator_overflow_is_an_accuracy_failure():
         separated_spectrum(TTW(omega=1.0, k=1e9, alpha=0.1875, beta=0.1875), 1, 1)
 
 
+def test_fd_overflow_is_refused_before_any_grid_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the operator was assembled")
+
+    monkeypatch.setattr(oracles, "_weighted_fd_once", unreachable)
+    with pytest.raises(AccuracyNotReached, match="fd backend: the .*overflows"):
+        radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=1e18), 2)
+
+
+@pytest.mark.parametrize("solve, names", [
+    (lambda: radial_spectrum(RadialProblem(kind="oscillator", coupling=1.5, c=2.0,
+                                           target=1e-15), 3),
+     ["radial oscillator problem", "coupling=1.5", "c=2", "cutoff="]),
+    (lambda: angular_pt_levels(Rational(2, 1), 0.5, 1.5, 2, target=1e-15),
+     ["angular barrier problem", "k=2", "A=0.5", "B=1.5"]),
+    (lambda: oracles.pregauge_radial_levels(3, 1, 6.0, 2, target=1e-15),
+     ["pre-gauge radial problem", "d=3", "L=1", "cutoff=6"]),
+], ids=["radial", "angular", "pregauge"])
+def test_fd_richardson_miss_names_backend_level_grids_and_problem(solve, names):
+    with pytest.raises(AccuracyNotReached) as err:
+        solve()
+    msg = str(err.value)
+    assert "fd backend" in msg and "level " in msg and "grids of " in msg
+    for name in names:
+        assert name in msg
+    assert err.value.achieved > err.value.target == 1e-15
+
+
+# --- warm refinement of the finer Richardson grids ----------------------
+
+def _assembled(kind):
+    if kind == "radial":
+        s = 0.5 + math.sqrt(2.25)
+        return oracles._weighted_fd_operator(lambda x: 2.0 * s * np.log(x), lambda x: x**2,
+                                             (0.0, 12.0), 3000, True, False)
+    k, at, bt = 2.0, 1.5, 2.0
+    return oracles._weighted_fd_operator(
+        lambda th: 2.0 * bt * np.log(np.sin(k * th)) + 2.0 * at * np.log(np.cos(k * th)),
+        np.zeros_like, (0.0, math.pi / (2.0 * k)), 2400, True, True)
+
+
+def _ulp_norm(diag, off):
+    a = np.abs(off)
+    return np.finfo(float).eps * np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0))
+
+
+@pytest.fixture
+def bisections(monkeypatch):
+    calls = []
+    cold = oracles.eigh_tridiagonal
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("select_range"))
+        return cold(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "eigh_tridiagonal", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["radial", "angular"])
+def test_refined_levels_match_bisection_without_bisecting(kind, bisections):
+    diag, off = _assembled(kind)
+    cold = oracles._tridiag_lowest(diag, off, 5)
+    bisections.clear()
+    for rel in (1e-4, 1e-8):
+        warm = oracles._tridiag_lowest(diag, off, 5, guess=cold * (1.0 + rel))
+        assert np.max(np.abs(warm - cold)) <= 2.0 * _ulp_norm(diag, off)
+    assert bisections == []
+
+
+@pytest.mark.parametrize("kind", ["radial", "angular"])
+@pytest.mark.parametrize("wrong", ["shifted", "duplicated"])
+def test_wrong_guess_fails_the_certificate_and_bisects(kind, wrong, bisections):
+    diag, off = _assembled(kind)
+    m = 4
+    cold = oracles._tridiag_lowest(diag, off, m + 1)
+    guess = cold[1:] if wrong == "shifted" else np.concatenate([cold[:1], cold[:m - 1]])
+    bisections.clear()
+    levels = oracles._tridiag_lowest(diag, off, m, guess=guess)
+    assert bisections == [(0, m - 1)]
+    assert np.array_equal(levels, oracles._tridiag_lowest(diag, off, m))
+
+
+def test_log_grid_coulomb_is_only_bisected(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("dgtsv was called on the log grid")
+
+    monkeypatch.setattr(oracles, "dgtsv", unreachable)
+    levels = radial_spectrum(RadialProblem(kind="coulomb", coupling=1.0, c=2.0), 2)
+    assert np.allclose(levels, [-1.0 / 16.0, -1.0 / 36.0], rtol=1e-8)
+
+
 # --- closed-form sweep ----------------------------------------------------
 
 def _gauge(c):
@@ -142,6 +235,36 @@ def test_fd_matches_closed_forms_across_the_validated_range(kind, params, m):
             return
         exact = [level(coupling, c, n) for n in range(m)]
     assert np.max(np.abs(levels - exact) / np.abs(exact)) <= target
+
+
+@pytest.mark.parametrize("kind, params, m", _sweep_points())
+def test_every_sweep_grid_is_within_ulp_of_a_tight_bisection(kind, params, m, monkeypatch):
+    # each grid, refined or bisected, must carry the absolute accuracy class
+    # ulp * ||T|| of the bisection; the log grid is never refined
+    grids = []
+    solve = oracles._tridiag_lowest
+
+    def recorded(diag, off, count, tol=0.0, guess=None):
+        levels = solve(diag, off, count, tol=tol, guess=guess)
+        grids.append((diag, off, guess, levels))
+        return levels
+
+    monkeypatch.setattr(oracles, "_tridiag_lowest", recorded)
+    try:
+        if kind == "pt":
+            angular_pt_levels(*params, m)
+        else:
+            radial_spectrum(RadialProblem(kind, *params), m)
+    except AccuracyNotReached:
+        assert kind == "coulomb"
+    for diag, off, guess, levels in grids:
+        if kind == "coulomb":
+            assert guess is None
+            continue
+        tight = oracles.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
+                                         eigvals_only=True, tol=np.finfo(float).tiny)
+        assert np.max(np.abs(levels - tight)) <= _ulp_norm(diag, off)
+    assert not grids or grids[0][2] is None   # the first grid anchors the indices
 
 
 # --- angular problems --------------------------------------------------
