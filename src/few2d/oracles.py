@@ -21,9 +21,12 @@ solved here by two unrelated backends:
     tridiagonal and always bisected.
 
 ``shooting``
-    Adaptive integration of the original singular equation from a series
-    start u ~ x^s (1 + a_1 x + ...), with eigenvalues bracketed by Sturm
-    node counting and polished by bisection on the boundary mismatch.
+    Adaptive integration (LSODA) of the scaled Prufer angle theta of the
+    original singular equation, u = r sin(theta), u' = S r cos(theta), from
+    a series start u ~ x^s (1 + a_1 x + ...).  The angle grows by pi across
+    each zero of u, so F(lambda) = theta(b) - pi at a Dirichlet end is
+    continuous and increasing, and level j is the root of F = j pi: one
+    bracket and one ``brentq`` per level give both its index and its value.
 
 The gauge factor absorbed by the ``fd`` backend picks the Friedrichs
 solution x^s at the origin, which is also the branch the shooting series
@@ -32,7 +35,8 @@ starts on; this is the self-adjoint extension used throughout the package.
 Angular factors (inverse-square barriers in cos^2 k\theta and sin^2 k\theta
 on the sector between two adjacent singular rays) are doubly singular; the
 ``fd`` backend gauges by the nodeless ground factor and the ``shooting``
-backend matches a Wronskian against a series solution at the far end.
+backend starts a second angle on the far end's series, carries it back to
+the midpoint and takes F = theta_L - theta_R - pi there.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .errors import AccuracyNotReached, BoundViolation, NotSeparable
 from .model import KValue, PotentialSpec, k_float, validate
 
 _FD_BASE_N = 1500
-_SHOOT_RTOL = 1e-11
+_SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
 _ULP = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
 _INVERSE_STEPS = 5     # at most, per predicted level
@@ -243,7 +247,7 @@ def _fd_levels_certified(
 
 
 # =====================================================================
-# backend 2: shooting with series starts and node counting
+# backend 2: Prufer-angle shooting from series starts
 # =====================================================================
 
 @dataclass(frozen=True)
@@ -258,26 +262,17 @@ class _SeriesEnd:
     s: float
     tcoeffs: dict[int, float]
 
-    def series(self, lam: float, order: int = 8) -> list[float]:
+    def value(self, xi: float, lam: float, order: int = 8) -> tuple[float, float]:
+        """(u, du/dxi) at xi, both divided by xi^(s-1) so no power underflows."""
         a = [1.0]
         for n in range(1, order + 1):
-            acc = -lam * (a[n - 2] if n - 2 >= 0 else 0.0)
+            acc = -lam * (a[n - 2] if n >= 2 else 0.0)
             for j, tj in self.tcoeffs.items():
-                idx = n - 2 - j
-                if 0 <= idx < len(a):
-                    acc += tj * a[idx]
+                if n - 2 - j >= 0:
+                    acc += tj * a[n - 2 - j]
             a.append(acc / (n * (2.0 * self.s + n - 1.0)))
-        return a[1:]
-
-    def value(self, xi: float, lam: float) -> tuple[float, float]:
-        coeffs = self.series(lam)
-        acc, dacc = 1.0, 0.0
-        for n, an in enumerate(coeffs, start=1):
-            acc += an * xi**n
-            dacc += n * an * xi ** (n - 1)
-        u = xi**self.s * acc
-        du = xi**self.s * (self.s / xi * acc + dacc)
-        return u, du
+        return (xi * sum(an * xi**n for n, an in enumerate(a)),
+                sum((self.s + n) * an * xi**n for n, an in enumerate(a)))
 
 
 @dataclass(frozen=True)
@@ -290,106 +285,88 @@ class _ShootingProblem:
     eps_frac: float = 1e-6
 
 
-def _integrate(problem: _ShootingProblem, lam: float) -> tuple[float, float, int]:
-    """Integrate from the left series start; returns (u, u', node count)."""
+def _prufer_angle(problem: _ShootingProblem, lam: float, scale: float,
+                  x_from: float, x_to: float, theta: float) -> float:
+    """Carry the scaled Prufer angle theta from x_from to x_to.
+
+    With u = r sin(theta), u' = scale r cos(theta), the equation
+    u'' = (q - lam) u becomes theta' = scale cos^2 + (lam - q) / scale sin^2;
+    theta grows by pi across each zero of u.  The forbidden region makes it
+    stiff, hence LSODA.
+    """
     from scipy.integrate import solve_ivp
 
+    def rhs(x, th):
+        sn, cs = math.sin(th[0]), math.cos(th[0])
+        return [scale * cs * cs + (lam - problem.q(x)) / scale * sn * sn]
+
+    # absolute tolerance at the start's relative one: the start angle is
+    # small, and near a singular end an error in it is hardly damped
+    sol = solve_ivp(rhs, (x_from, x_to), [theta], method="LSODA",
+                    rtol=_SHOOT_RTOL, atol=_SHOOT_RTOL * abs(theta))
+    if not sol.success:
+        raise AccuracyNotReached(math.inf, 0.0, (
+            f"shooting backend, {problem.label}: the Prufer angle integration "
+            f"failed at lambda={lam:.12g} ({sol.message})"))
+    return float(sol.y[0, -1])
+
+
+def _angle_difference(problem: _ShootingProblem, lam: float) -> float:
+    """F(lam) = theta_L(mid) - theta_R(mid) - pi, continuous and increasing.
+
+    theta_L starts on the left series.  theta_R is 0 at a Dirichlet right
+    end, which is then mid; else it starts on the right series in
+    (-pi/2, 0), not near pi, so the relative tolerance resolves it, and runs
+    back to the midpoint.  Level j is the root of F = j pi.
+    """
     a, b = problem.interval
-    span = b - a
-    eps = problem.eps_frac * span
-    x0 = a + eps
-    x1 = b - (problem.eps_frac * span if problem.right is not None else 0.0)
+    eps = problem.eps_frac * (b - a)
+    scale = math.sqrt(max(abs(lam), 1.0))
+    mid = b if problem.right is None else 0.5 * (a + b)
     u, du = problem.left.value(eps, lam)
-    y = np.array([u, du])
-    scale = max(abs(u), abs(du), 1e-300)
-    y /= scale
-
-    def rhs(x, yy):
-        return [yy[1], (problem.q(x) - lam) * yy[0]]
-
-    nodes = 0
-    nseg = 6
-    edges = np.linspace(x0, x1, nseg + 1)
-    for iseg in range(nseg):
-        ts = np.linspace(edges[iseg], edges[iseg + 1], 48)
-        sol = solve_ivp(rhs, (edges[iseg], edges[iseg + 1]), y, t_eval=ts,
-                        method="DOP853", rtol=_SHOOT_RTOL, atol=1e-300)
-        uu = sol.y[0]
-        prod = uu[1:] * uu[:-1]
-        nodes += int(np.count_nonzero(prod < 0.0))
-        y = sol.y[:, -1].copy()
-        m = max(abs(y[0]), abs(y[1]))
-        if m > 0:
-            y /= m
-    return y[0], y[1], nodes
+    theta_l = _prufer_angle(problem, lam, scale, a + eps, mid, math.atan2(scale * u, du))
+    theta_r = 0.0
+    if problem.right is not None:
+        # xi runs against x at the right end
+        u, du = problem.right.value(eps, lam)
+        theta_r = _prufer_angle(problem, lam, scale, b - eps, mid, math.atan2(-scale * u, du))
+    return theta_l - theta_r - math.pi
 
 
-def _mismatch(problem: _ShootingProblem, lam: float) -> float:
-    u, du, _ = _integrate(problem, lam)
-    if problem.right is None:
-        return u
-    span = problem.interval[1] - problem.interval[0]
-    xi = problem.eps_frac * span
-    phi, dphi_dxi = problem.right.value(xi, lam)
-    # xi runs against x at the right end
-    dphi = -dphi_dxi
-    return u * dphi - du * phi
+def _prufer_levels(problem: _ShootingProblem, m: int, lam_lo: float,
+                   span0: float) -> np.ndarray:
+    """Lowest m eigenvalues, lam_lo lying below the lowest.
 
-
-def _node_count(problem: _ShootingProblem, lam: float) -> int:
-    return _integrate(problem, lam)[2]
-
-
-def _shoot_levels(
-    problem: _ShootingProblem,
-    m: int,
-    lam_lo: float,
-    span0: float,
-) -> np.ndarray:
-    """Lowest m eigenvalues via node-count bracketing plus mismatch bisection."""
+    The bracket's top doubles until F exceeds (m - 1) pi; each level is then
+    a ``brentq`` root of F = j pi between the closest values of F seen on
+    either side of it.
+    """
     from scipy.optimize import brentq
 
+    seen: dict[float, float] = {}
+
+    def f(lam: float) -> float:
+        if lam not in seen:
+            seen[lam] = _angle_difference(problem, lam)
+        return seen[lam]
+
+    f(lam_lo)
     lam_hi = lam_lo + span0
     for _ in range(60):
-        nodes = _node_count(problem, lam_hi)
-        if nodes >= m:
+        if f(lam_hi) > (m - 1) * math.pi:
             break
         lam_hi = lam_lo + 2.0 * (lam_hi - lam_lo)
-    else:
-        raise AccuracyNotReached(
-            math.inf, 0.0,
-            f"shooting backend, {problem.label}: level {nodes} not bracketed; the node "
-            f"count stays {nodes} < {m} on [{lam_lo:.12g}, {lam_hi:.12g}]")
-
     levels = []
     for j in range(m):
-        lo, hi = lam_lo, lam_hi
-        while hi - lo > 1e-6 * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            if _node_count(problem, mid) <= j:
-                lo = mid
-            else:
-                hi = mid
-        f = lambda lam: _mismatch(problem, lam)
-        flo, fhi = f(lo), f(hi)
-        if flo == 0.0:
-            levels.append(lo)
-            continue
-        if flo * fhi > 0:
-            # bracket ends share a sign; scan inside for the crossing
-            grid = np.linspace(lo, hi, 24)
-            vals = [f(g) for g in grid]
-            for gg in range(len(grid) - 1):
-                if vals[gg] * vals[gg + 1] <= 0:
-                    lo, hi, flo, fhi = grid[gg], grid[gg + 1], vals[gg], vals[gg + 1]
-                    break
-            else:
-                raise AccuracyNotReached(
-                    math.inf, 0.0,
-                    f"shooting backend, {problem.label}: level {j} not found; the "
-                    f"matching mismatch keeps one sign on its node-count bracket "
-                    f"[{lo:.12g}, {hi:.12g}]")
-        levels.append(brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16))
+        below = [lam for lam, v in seen.items() if v < j * math.pi]
+        above = [lam for lam, v in seen.items() if v > j * math.pi]
+        if not below or not above:
+            raise AccuracyNotReached(
+                math.inf, 0.0,
+                f"shooting backend, {problem.label}: level {j} not bracketed; the Prufer "
+                f"angle difference stays on one side of {j} pi on [{lam_lo:.12g}, {lam_hi:.12g}]")
+        levels.append(brentq(lambda lam: f(lam) - j * math.pi, max(below), min(above),
+                             xtol=1e-13, rtol=8.9e-16))
     return np.array(levels)
 
 
@@ -449,14 +426,6 @@ def _radial_potential(p: RadialProblem) -> Callable[[np.ndarray], np.ndarray]:
         z = p.coupling
         return lambda x: -z / x
     return lambda x: np.zeros_like(x)
-
-
-def _radial_tcoeffs(p: RadialProblem) -> dict[int, float]:
-    if p.kind == "oscillator":
-        return {2: p.coupling**2}
-    if p.kind == "coulomb":
-        return {-1: -p.coupling}
-    return {}
 
 
 def _radial_label(p: RadialProblem, cutoff: float) -> str:
@@ -538,28 +507,22 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
 
 
 def _radial_shoot(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
-    s = _gauge_exponent(p.c)
+    s, c, z = _gauge_exponent(p.c), p.c, p.coupling
     pot = _radial_potential(p)
-    c = p.c
-
-    def q(x: float) -> float:
-        return float(pot(np.asarray(x))) + (c / (x * x) if c != 0.0 else 0.0)
-
+    tcoeffs = {"oscillator": {2: z * z}, "coulomb": {-1: -z}, "free": {}}[p.kind]
     problem = _ShootingProblem(
-        q=q,
-        interval=(0.0, cutoff),
-        left=_SeriesEnd(s=s, tcoeffs=_radial_tcoeffs(p)),
-        right=None,
-        label=_radial_label(p, cutoff),
-        eps_frac=min(1e-6, 1e-3 / cutoff),
-    )
+        q=lambda x: float(pot(x)) + c / (x * x), interval=(0.0, cutoff),
+        left=_SeriesEnd(s=s, tcoeffs=tcoeffs), right=None,
+        label=_radial_label(p, cutoff), eps_frac=min(1e-6, 1e-3 / cutoff))
+    # a lower bound of the spectrum (the Coulomb ground level is -Z^2 at
+    # c = -1/4), and a first guess of the span of m levels
     if p.kind == "oscillator":
-        lam_lo, span0 = 0.0, p.coupling * (4.0 * m + 2.0 * s + 6.0)
+        lam_lo, span0 = 0.0, z * (4.0 * m + 2.0 * s + 6.0)
     elif p.kind == "coulomb":
-        lam_lo, span0 = -p.coupling**2, p.coupling**2
+        lam_lo, span0 = -2.0 * z * z, 2.0 * z * z
     else:
         lam_lo, span0 = 0.0, (math.pi * (m + 3) / cutoff) ** 2 * (1.0 + 2.0 * s)
-    return _shoot_levels(problem, m, lam_lo, span0)
+    return _prufer_levels(problem, m, lam_lo, span0)
 
 
 def radial_spectrum(p: RadialProblem, m: int, method: str = "fd") -> np.ndarray:
@@ -654,10 +617,6 @@ def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
 def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarray:
     length = math.pi / (2.0 * k)
     sa, sb = _pt_exponents(k, a_coeff, b_coeff)
-
-    def q(th: float) -> float:
-        return a_coeff / math.cos(k * th) ** 2 + b_coeff / math.sin(k * th) ** 2
-
     # series data: near theta=0 the regular part of q is B/3 + A + O(theta^2);
     # mirrored at theta=pi/(2k) with the roles of A and B exchanged
     left = _SeriesEnd(s=sb, tcoeffs={0: a_coeff + b_coeff / 3.0,
@@ -665,10 +624,10 @@ def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarr
     right = _SeriesEnd(s=sa, tcoeffs={0: b_coeff + a_coeff / 3.0,
                                       2: k**2 * (b_coeff + a_coeff / 15.0)})
     problem = _ShootingProblem(
-        q=q, interval=(0.0, length), left=left, right=right,
+        q=lambda th: a_coeff / math.cos(k * th) ** 2 + b_coeff / math.sin(k * th) ** 2,
+        interval=(0.0, length), left=left, right=right,
         label=_angular_label(k, a_coeff, b_coeff))
-    span0 = k**2 * (2.0 * m + sa + sb + 2.0) ** 2
-    return _shoot_levels(problem, m, 0.0, span0)
+    return _prufer_levels(problem, m, 0.0, k**2 * (2.0 * m + sa + sb + 2.0) ** 2)
 
 
 def angular_pt_levels(k: KValue, alpha: float, beta: float, m: int,

@@ -236,20 +236,14 @@ def labeled_collisions(spectrum: OracleSpectrum, count: int,
     must reproduce for an exactly solvable family.
     """
     head = spectrum.levels[:count]
-    groups: list[tuple[float, int, list[tuple[int, int]]]] = []
-    cur_energies: list[float] = []
-    cur_labels: list[tuple[int, int]] = []
-    for energy, label in head:
-        if cur_energies and energy - cur_energies[-1] > tol_rel * max(1.0, abs(cur_energies[-1])):
-            groups.append((float(np.mean(cur_energies)), len(cur_energies), cur_labels))
-            cur_energies, cur_labels = [], []
-        cur_energies.append(energy)
-        cur_labels.append(label)
-    if cur_energies:
-        groups.append((float(np.mean(cur_energies)), len(cur_energies), cur_labels))
-    for _, mult, labels in groups:
+    report = detect_degeneracies([energy for energy, _ in head], tol_rel=tol_rel)
+    groups, start = [], 0
+    for energy, mult in report.clusters:
+        labels = [label for _, label in head[start:start + mult]]
         if len(set(labels)) != mult:
             raise ValueError("duplicate labels inside a collision group")
+        groups.append((energy, mult, labels))
+        start += mult
     return groups
 
 

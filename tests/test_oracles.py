@@ -1,6 +1,7 @@
 """Dual-backend 1D solvers and separated labeled spectra."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -71,13 +72,39 @@ def test_accuracy_not_reached_reports_estimate():
     assert err.value.achieved > err.value.target
 
 
-def test_shooting_failure_names_backend_level_bracket_and_problem():
+@pytest.mark.parametrize("a_coeff, b_coeff", [(0.0, 0.0), (0.1, 0.1), (0.1875, 0.1875),
+                                              (1.0, 2.0)])
+def test_angular_shooting_matches_closed_form(a_coeff, b_coeff):
+    # the angular factors of TTW k = 2, from the free sector up
+    levels = angular_pt_levels(Rational(2, 1), a_coeff, b_coeff, 3, method="shooting")
+    exact = [_pt_level(2.0, a_coeff, b_coeff, j) for j in range(3)]
+    assert np.max(np.abs(levels - exact) / exact) <= 1e-8
+
+
+def test_shooting_without_bracket_names_backend_level_bracket_and_problem(monkeypatch):
+    monkeypatch.setattr(oracles, "_prufer_angle", lambda *args: 1.0)
     spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.0, beta=0.0)
     with pytest.raises(AccuracyNotReached) as err:
         separated_spectrum(spec, 0, 0, method="shooting")
     msg = str(err.value)
     assert "shooting" in msg and "level 0" in msg
-    assert "k=2, A=0, B=0" in msg and "[16." in msg
+    assert "k=2, A=0, B=0" in msg and "on [0, " in msg
+
+
+def test_failed_integration_names_backend_problem_and_lambda(monkeypatch):
+    import scipy.integrate
+
+    def failed(fun, t_span, y0, **kwargs):
+        return SimpleNamespace(t=np.array(t_span[:1]), y=np.array([y0]).T, success=False,
+                               status=-1, message="Integration step failed.")
+
+    monkeypatch.setattr(scipy.integrate, "solve_ivp", failed)
+    with pytest.raises(AccuracyNotReached) as err:
+        radial_spectrum(RadialProblem(kind="oscillator", coupling=1.5, c=2.0), 2,
+                        method="shooting")
+    msg = str(err.value)
+    assert "shooting backend" in msg and "lambda=0" in msg
+    assert "radial oscillator problem (coupling=1.5, c=2" in msg
 
 
 def test_fd_operator_overflow_is_an_accuracy_failure():
@@ -216,12 +243,20 @@ def _sweep_points():
     return [pytest.param(*point, id=f"{point[0]}{i}") for i, point in enumerate(points)]
 
 
-@pytest.mark.parametrize("kind, params, m", _sweep_points())
-def test_fd_matches_closed_forms_across_the_validated_range(kind, params, m):
+def _closed_form_cases():
+    """Every sweep point on ``fd``; the Poschl-Teller ones on shooting too."""
+    points = _sweep_points()
+    return ([pytest.param(*p.values, "fd", id=p.id) for p in points]
+            + [pytest.param(*p.values, "shooting", id=f"{p.id}-shooting")
+               for p in points if p.values[0] == "pt"])
+
+
+@pytest.mark.parametrize("kind, params, m, method", _closed_form_cases())
+def test_fd_matches_closed_forms_across_the_validated_range(kind, params, m, method):
     target = 1e-8
     if kind == "pt":
         k, a_coeff, b_coeff = params
-        levels = angular_pt_levels(k, a_coeff, b_coeff, m, target=target)
+        levels = angular_pt_levels(k, a_coeff, b_coeff, m, method=method, target=target)
         exact = [_pt_level(k, a_coeff, b_coeff, j) for j in range(m)]
     else:
         coupling, c = params
