@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch, GridTooCoarse, SingularNodeUnavoidable, SingularPoint
-from .model import PotentialSpec, singular_rays, validate
+from .model import PotentialSpec, singular_rays
 from .reduction import Box, ReducedProblem2D
 
 _MIN_NODES = 8
@@ -96,7 +96,7 @@ def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None,
     if offset_rule not in ("auto", "none"):
         raise ValueError(f"unknown offset rule {offset_rule!r}")
 
-    rays = singular_rays(validate(spec)) if spec is not None else []
+    rays = singular_rays(spec) if spec is not None else []
     for sx, sy in ((False, False), (False, True), (True, True)):
         nx, hx = _axis_nodes(box.x_max, n1, sx)
         ny, hy = _axis_nodes(box.y_max, n2, sy)

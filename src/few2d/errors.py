@@ -21,7 +21,7 @@ class BoundViolation(Few2DError):
 
 
 class ZeroK(Few2DError):
-    """k = 0 is excluded for angular-family potentials."""
+    """k is not a positive rational or a finite positive real (``model.coerce_k``)."""
 
 
 class NonPositiveMassOrFrequency(Few2DError):

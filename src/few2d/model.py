@@ -4,13 +4,14 @@ Units are fixed to hbar = 2m = 1 throughout, so every Hamiltonian reads
 -Laplacian + V and all energies are reported in these units.
 
 Each family's class is the one place that decides everything about it: its
-JSON name and fields, its parameter bounds (``validated``), one vectorized
-formula on its natural chart (``formula``) and the quadrant view of it
-(``quadrant``), its singular rays, its default truncation box, whether it
-enters the quadrant reduction directly (``radial_refusal``) or through the
-three-body line route (``line_model``), and the separated-variable data the
-oracles build on (``separation``).  The module-level functions dispatch onto
-the family.
+JSON name and fields, its parameter bounds (checked by ``__post_init__``, so
+a spec is valid once built and ``dataclasses.replace`` checks it again; k
+goes through :func:`coerce_k`), one vectorized formula on its natural chart
+(``formula``) and the quadrant view of it (``quadrant``), its singular rays,
+its default truncation box, whether it enters the quadrant reduction directly
+(``radial_refusal``) or through the three-body line route (``line_model``),
+and the separated-variable data the oracles build on (``separation``).  The
+module-level functions dispatch onto the family.
 
 ================   =========================================
 family             natural chart of ``eval_potential``
@@ -32,7 +33,8 @@ coordinate) to a singular line are rejected with :class:`SingularPoint`.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, fields, replace
+import numbers
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Union, get_args
 
@@ -60,10 +62,6 @@ class Rational:
     m: int
     n: int
 
-    def reduced(self) -> "Rational":
-        g = math.gcd(self.m, self.n)
-        return Rational(self.m // g, self.n // g)
-
     @property
     def value(self) -> float:
         return self.m / self.n
@@ -72,42 +70,36 @@ class Rational:
 KValue = Union[Rational, float]
 
 
-def coerce_k(k) -> KValue:
-    """Normalize user input into a :class:`Rational` or a plain real.
+def _integer(t) -> bool:
+    return isinstance(t, numbers.Integral) and not isinstance(t, bool)
 
-    Integers, integer pairs and :class:`fractions.Fraction` become reduced
-    fractions; floats stay real with no rational approximation (degeneracy
-    scans need genuinely irrational k as a control).
+
+def coerce_k(k) -> KValue:
+    """The one rule for what a k value is; every spec and reader goes through it.
+
+    An integer, an integer pair ``(m, n)``, a :class:`fractions.Fraction` or a
+    :class:`Rational` becomes a reduced :class:`Rational` with positive terms.
+    A float stays real with no rational approximation (degeneracy scans need
+    genuinely irrational k as a control); it must be finite and positive, and
+    k^2 must not underflow, since k^2 sets the couplings' bound.  Anything
+    else, a bool included, raises :class:`ZeroK`.
     """
     if isinstance(k, Rational):
-        return k.reduced()
-    if isinstance(k, bool):
-        raise ZeroK("k must be a number, not a bool")
-    if isinstance(k, int):
-        if k <= 0:
-            raise ZeroK(f"rational k must be positive, got {k}")
-        return Rational(k, 1)
-    if isinstance(k, Fraction):
-        if k <= 0:
-            raise ZeroK(f"rational k must be positive, got {k}")
-        return Rational(k.numerator, k.denominator)
-    if isinstance(k, tuple) and len(k) == 2:
-        return validate_k(Rational(int(k[0]), int(k[1])))
-    if isinstance(k, float):
-        if k == 0.0:
-            raise ZeroK("k must be nonzero")
-        return k
-    raise TypeError(f"cannot interpret {k!r} as rational-or-real k")
-
-
-def validate_k(k: KValue) -> KValue:
-    if isinstance(k, Rational):
-        if k.m <= 0 or k.n <= 0:
-            raise ZeroK(f"rational k requires positive integers, got {k.m}/{k.n}")
-        return k.reduced()
-    if k * k == 0.0:    # k^2 sets the couplings' bound, so it must not underflow either
-        raise ZeroK(f"k must be nonzero, and so must k^2; got {k!r}")
-    return float(k)
+        k = (k.m, k.n)
+    elif isinstance(k, Fraction):
+        k = (k.numerator, k.denominator)
+    elif _integer(k):
+        k = (k, 1)
+    if isinstance(k, tuple) and len(k) == 2 and all(_integer(t) for t in k):
+        m, n = int(k[0]), int(k[1])
+        if m <= 0 or n <= 0:
+            raise ZeroK(f"rational k = m/n needs positive integers m, n; got {m}/{n}")
+        g = math.gcd(m, n)
+        return Rational(m // g, n // g)
+    if isinstance(k, float) and math.isfinite(k) and k > 0.0 and k * k > 0.0:
+        return float(k)
+    raise ZeroK(f"k must be a positive rational or a finite positive float "
+                f"with k^2 > 0, got {k!r}")
 
 
 def k_float(k: KValue) -> float:
@@ -136,12 +128,10 @@ def json_number(value, name: str) -> float:
 def k_from_json(obj) -> KValue:
     """Inverse of :func:`k_to_json`; a JSON integer is the fraction obj/1."""
     if isinstance(obj, dict):
-        if set(obj) != {"m", "n"} or not type(obj["m"]) is type(obj["n"]) is int:
+        if set(obj) != {"m", "n"}:
             raise ValueError(f"a rational k is {{\"m\": int, \"n\": int}}, got {obj!r}")
-        return validate_k(Rational(obj["m"], obj["n"]))
-    if type(obj) is int:     # not a bool
-        return validate_k(Rational(obj, 1))
-    return validate_k(json_number(obj, "k"))
+        obj = (obj["m"], obj["n"])
+    return coerce_k(obj)
 
 
 # ---------------------------------------------------------------------
@@ -252,10 +242,6 @@ class _Family:
 
     _axes = ("x", "y")          # coordinate names of the quadrant chart
 
-    def validated(self):
-        """Certify the parameter bounds; returns the normalized spec."""
-        return self
-
     def chart(self, point) -> tuple:
         """Reject a point near a singular line; returns the scalar
         coordinates that the vectorized :meth:`formula` takes."""
@@ -290,9 +276,10 @@ class _Family:
         """Data of ``oracles.separated_spectrum``, or None if not separable.
 
         ``("cartesian", x_axis, y_axis)`` with each axis a half-line problem
-        ``(kind, coupling, c)``; or ``("polar", (k, A, B, convention),
-        (kind, coupling))``, an angular barrier problem on the sector of k
-        whose levels set the radial problem's inverse-square term.
+        ``(kind, coupling, c)``; or ``("polar", (k, A, B), (kind, coupling))``,
+        the angular barrier problem -f'' + [A/cos^2(k theta) + B/sin^2(k theta)] f
+        on the sector of k, whose levels set the radial problem's
+        inverse-square term.
         """
         return None
 
@@ -347,7 +334,7 @@ class CagedOscillator(_Family):
 
     family = "caged_oscillator"
 
-    def validated(self):
+    def __post_init__(self):
         if self.a <= 0 or self.b <= 0 or self.omega <= 0:
             raise NonPositiveMassOrFrequency(
                 f"caged oscillator requires a, b, omega > 0, got "
@@ -357,7 +344,6 @@ class CagedOscillator(_Family):
             raise BoundViolation(
                 f"caged oscillator requires A, B > -1/8, got A={self.A}, B={self.B}"
             )
-        return self
 
     def formula(self, x, y):
         w2 = self.omega**2
@@ -381,18 +367,22 @@ class _TTWForm(_Family):
     alpha: float = 0.0
     beta: float = 0.0
 
-    def validated(self):
-        k = validate_k(self.k)
+    def __post_init__(self):
+        object.__setattr__(self, "k", coerce_k(self.k))
         if self.omega <= 0:
             raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
-        bound = -1.0 / (4.0 * k_float(k) ** 2)
+        kf = k_float(self.k)
+        bound = -1.0 / (4.0 * kf**2)
         # strict inequality: alpha, beta > -1/(4 k^2)
         if self.alpha <= bound or self.beta <= bound:
             raise BoundViolation(
-                f"require alpha, beta > {bound:.9g} for k={k_float(k):g}, "
+                f"require alpha, beta > {bound:.9g} for k={kf:g}, "
                 f"got alpha={self.alpha}, beta={self.beta}"
             )
-        return replace(self, k=k)
+
+    def _weight(self) -> float:
+        """Factor of the angular couplings: k^2 for "k2", else 1."""
+        return k_float(self.k) ** 2 if self.convention == "k2" else 1.0
 
     def chart(self, point):
         rho, theta = _polar_point(point, self.rays())
@@ -400,10 +390,10 @@ class _TTWForm(_Family):
 
     def formula(self, rho2, theta):
         kf = k_float(self.k)
-        weight = kf**2 if self.convention == "k2" else 1.0
         c = np.cos(kf * theta)
         s = np.sin(kf * theta)
-        return self.omega**2 * rho2 + weight * (self.alpha / c**2 + self.beta / s**2) / rho2
+        angular = self._weight() * (self.alpha / c**2 + self.beta / s**2)
+        return self.omega**2 * rho2 + angular / rho2
 
     def quadrant(self, x, y):
         return self.formula(x**2 + y**2, np.arctan2(y, x))
@@ -412,7 +402,8 @@ class _TTWForm(_Family):
         return _angular_rays(k_float(self.k))
 
     def separation(self):
-        return ("polar", (k_float(self.k), self.alpha, self.beta, self.convention),
+        w = self._weight()
+        return ("polar", (k_float(self.k), self.alpha * w, self.beta * w),
                 ("oscillator", self.omega))
 
 
@@ -455,13 +446,12 @@ class PW(_Family):
 
     family = "pw"
 
-    def validated(self):
-        k = validate_k(self.k)
+    def __post_init__(self):
+        object.__setattr__(self, "k", coerce_k(self.k))
         if self.a <= 0:
             raise NonPositiveMassOrFrequency(
                 f"Coulomb strength a must be > 0, got {self.a}"
             )
-        return replace(self, k=k)
 
     def chart(self, point):
         return _polar_point(point, self.rays())
@@ -482,7 +472,7 @@ class PW(_Family):
         return 60.0
 
     def separation(self):
-        return ("polar", (k_float(self.k) / 2.0, self.mu, self.nu, "plain"),
+        return ("polar", (k_float(self.k) / 2.0, self.mu, self.nu),
                 ("coulomb", self.a))
 
 
@@ -494,10 +484,9 @@ class _LineModel(_Family):
     omega: float
     A: float = 0.0
 
-    def validated(self):
+    def __post_init__(self):
         if self.omega <= 0:
             raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
-        return self
 
     def chart(self, point):
         config = point if isinstance(point, ThreeBodyConfig) else ThreeBodyConfig(*point)
@@ -615,14 +604,16 @@ _BY_NAME = {cls.family: cls for cls in get_args(PotentialSpec)}
 # ---------------------------------------------------------------------
 
 def validate(spec: PotentialSpec) -> PotentialSpec:
-    """Certify a spec's invariants; returns the normalized spec.
+    """Type check: returns ``spec`` if it is a potential spec.
 
-    Rational k is reduced to lowest terms. Raises ``BoundViolation``,
-    ``ZeroK`` or ``NonPositiveMassOrFrequency`` on invalid parameters.
+    A spec certifies its own parameters when it is built (and again under
+    ``dataclasses.replace``): k goes through :func:`coerce_k`, and invalid
+    parameters raise ``BoundViolation``, ``ZeroK`` or
+    ``NonPositiveMassOrFrequency`` from the constructor.
     """
     if not isinstance(spec, _Family):
         raise TypeError(f"not a potential spec: {spec!r}")
-    return spec.validated()
+    return spec
 
 
 def singular_rays(spec: PotentialSpec) -> list[tuple[str, float]]:
@@ -631,7 +622,7 @@ def singular_rays(spec: PotentialSpec) -> list[tuple[str, float]]:
     Includes the quadrant boundaries theta = 0 and pi/2 when they are
     singular for the family. Non-angular families return an empty list.
     """
-    return validate(spec).rays()
+    return spec.rays()
 
 
 def eval_potential(spec: PotentialSpec, point) -> float:
@@ -640,7 +631,7 @@ def eval_potential(spec: PotentialSpec, point) -> float:
     Parameters
     ----------
     spec : PotentialSpec
-        Potential family with parameters (validated on entry).
+        Potential family with parameters.
     point : tuple or ThreeBodyConfig
         ``(r1, r2)``, ``(x, y)`` or ``(rho, theta)`` per the family's chart;
         Calogero/Wolfes take a :class:`ThreeBodyConfig`.
@@ -655,7 +646,6 @@ def eval_potential(spec: PotentialSpec, point) -> float:
     SingularPoint
         If the point lies within ``SINGULAR_TOL`` of a singular line.
     """
-    spec = validate(spec)
     return float(spec.formula(*spec.chart(point)))
 
 
@@ -666,7 +656,7 @@ def quadrant_values(spec: PotentialSpec, x: np.ndarray, y: np.ndarray) -> np.nda
     (grids are screened by ``discretize.make_grid``). Calogero/Wolfes have
     no quadrant chart; map them through ``reduction.map_threebody`` first.
     """
-    return validate(spec).quadrant(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    return spec.quadrant(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------
@@ -675,7 +665,6 @@ def quadrant_values(spec: PotentialSpec, x: np.ndarray, y: np.ndarray) -> np.nda
 
 def spec_to_dict(spec: PotentialSpec) -> dict:
     """JSON-ready dictionary; field names are the parameter symbols spelled out."""
-    spec = validate(spec)
     return {"family": spec.family, **spec.to_json()}
 
 
@@ -725,4 +714,4 @@ def spec_from_dict(obj: dict) -> PotentialSpec:
     extra = set(obj) - {"family", *cls.json_keys()}
     if extra:
         raise ValueError(f"unknown keys for family {family!r}: {sorted(extra)}")
-    return validate(cls.from_json(obj))
+    return cls.from_json(obj)

@@ -50,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
-from .model import KValue, PotentialSpec, k_float, validate
+from .model import KValue, PotentialSpec, coerce_k, k_float
 
 _FD_BASE_N = 1500
 _SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
@@ -548,9 +548,8 @@ def radial_spectrum(p: RadialProblem, m: int, method: str = "fd") -> np.ndarray:
 # =====================================================================
 
 def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
-                           potential: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                            target: float = 1e-8) -> np.ndarray:
-    """Lowest m levels of -u'' - ((d-1)/x) u' + L(L+d-2)/x^2 + V(x).
+    """Lowest m levels of -u'' - ((d-1)/x) u' + L(L+d-2)/x^2 on (0, cutoff).
 
     Solved in the x^(d-1)-weighted inner product with no reference to the
     gauge-rotation coefficient; this is the independent side of the
@@ -559,10 +558,9 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
     if d < 1 or L < 0:
         raise ValueError("need d >= 1 and L >= 0")
     ang = float(L * (L + d - 2))
-    base = potential if potential is not None else (lambda x: np.zeros_like(x))
 
     def pot(x: np.ndarray) -> np.ndarray:
-        return base(x) + ang / x**2 if ang else base(x)
+        return ang / x**2 if ang else np.zeros_like(x)
 
     def log_weight(x: np.ndarray) -> np.ndarray:
         return (d - 1.0) * np.log(x)
@@ -630,29 +628,19 @@ def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarr
     return _prufer_levels(problem, m, 0.0, k**2 * (2.0 * m + sa + sb + 2.0) ** 2)
 
 
-def angular_pt_levels(k: KValue, alpha: float, beta: float, m: int,
-                      convention: str = "plain", method: str = "fd",
-                      target: float = 1e-8) -> np.ndarray:
+def angular_pt_levels(k: KValue, alpha: float, beta: float, m: int, *,
+                      method: str = "fd", target: float = 1e-8) -> np.ndarray:
     """Lowest m Dirichlet eigenvalues of the angular barrier problem.
 
-    The operator is -f'' + [A/cos^2(k theta) + B/sin^2(k theta)] f on the
-    sector (0, pi/(2k)); ``convention`` fixes how the couplings enter:
-    ``"plain"`` uses A = alpha, ``"k2"`` uses A = k^2 alpha (the 3-body
-    weighting).
+    The operator is -f'' + [alpha/cos^2(k theta) + beta/sin^2(k theta)] f on
+    the sector (0, pi/(2k)); k is read by :func:`model.coerce_k`.  The
+    three-body (k^2-weighted) family passes its couplings times k^2.
     """
-    kf = abs(k_float(k))
-    if kf == 0.0:
-        raise BoundViolation("k must be nonzero")
-    if convention == "plain":
-        a_coeff, b_coeff = alpha, beta
-    elif convention == "k2":
-        a_coeff, b_coeff = alpha * kf**2, beta * kf**2
-    else:
-        raise ValueError(f"unknown convention {convention!r}")
+    kf = k_float(coerce_k(k))
     if method == "fd":
-        return _angular_fd(kf, a_coeff, b_coeff, m, target)
+        return _angular_fd(kf, alpha, beta, m, target)
     if method == "shooting":
-        return _angular_shoot(kf, a_coeff, b_coeff, m)
+        return _angular_shoot(kf, alpha, beta, m)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -700,7 +688,6 @@ def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
     labels (n_x <= n_r_max, n_y <= j_max); two equal axes are solved once.
     Levels are merged and sorted.
     """
-    spec = validate(spec)
     nm, jm = int(n_r_max), int(j_max)
     if nm < 0 or jm < 0:
         raise ValueError("label ranges must be nonnegative")
@@ -719,10 +706,8 @@ def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
             ey = radial_spectrum(py, jm + 1, method=method)
         pairs = [(ex[i] + ey[j], (i, j)) for i in range(nm + 1) for j in range(jm + 1)]
     else:
-        k, a_coeff, b_coeff, convention = first
         kind, coupling = second
-        lam = angular_pt_levels(k, a_coeff, b_coeff, jm + 1, convention=convention,
-                                method=method, target=target)
+        lam = angular_pt_levels(*first, jm + 1, method=method, target=target)
         pairs = []
         for j in range(jm + 1):
             p = RadialProblem(kind=kind, coupling=coupling, c=lam[j] - 0.25,

@@ -41,7 +41,6 @@ from .model import (
     quadrant_values,
     spec_from_dict,
     spec_to_dict,
-    validate,
 )
 
 
@@ -85,7 +84,7 @@ def default_box(spec: PotentialSpec) -> Box:
     test suite confirm these defaults. Custom potentials need an explicit
     box.
     """
-    side = validate(spec).box_side()
+    side = spec.box_side()
     return Box(side, side)
 
 
@@ -175,7 +174,6 @@ def reduce_to_2d(
     The potential must depend on the two radii only; the returned problem
     carries the centrifugal coefficients of the chosen (L_x, L_y) sector.
     """
-    spec = validate(spec)
     refusal = spec.radial_refusal()
     if refusal is not None:
         raise PotentialNotJacobiRadial(refusal)
@@ -327,7 +325,7 @@ def wolfes_to_ttw(omega: float, A: float, B: float,
     is assumed.  Raises :class:`FitFailure` if the verification exceeds
     ``tol`` (that signals an implementation bug, not user error).
     """
-    wolfes = validate(Wolfes(omega=omega, A=A, B=B))
+    wolfes = Wolfes(omega=omega, A=A, B=B)
     frame = equal_mass_frame()
 
     def design_row(u: float, v: float) -> tuple[list[float], float]:
@@ -393,7 +391,6 @@ def map_threebody(
     sector; Calogero/Wolfes at d = 1 are converted to their TTW(k=3) image
     first.
     """
-    spec = validate(spec)
     line = spec.line_model()
     if line is not None:
         if d != 1:

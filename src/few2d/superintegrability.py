@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BridgeMismatch, NotRational, SingularPoint
 from .eigensolve import DegeneracyReport, detect_degeneracies
 from .model import (Calogero, KValue, PotentialSpec, Rational, TTW, ThreeBodyTTW, Wolfes,
-                    eval_potential, k_float, k_to_json, validate)
+                    coerce_k, eval_potential, k_float, k_to_json)
 from .oracles import (OracleSpectrum, RadialProblem, pregauge_radial_levels, radial_spectrum,
                       separated_spectrum)
 from .reduction import (build_jacobi, centrifugal_coefficient, equal_mass_frame, jacobi_polar,
@@ -29,9 +29,9 @@ _EXCLUSION = 1e-3
 
 def integral_order(k: KValue) -> int:
     """Order N = 2(m + n - 1) of the extra integral at rational k = m/n."""
+    k = coerce_k(k)
     if not isinstance(k, Rational):
         raise NotRational(f"no finite integral order is claimed for k = {k!r}")
-    k = k.reduced()
     return 2 * (k.m + k.n - 1)
 
 
@@ -121,8 +121,6 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
     """
     from scipy.stats import qmc
 
-    spec_a = validate(spec_a)
-    spec_b = validate(spec_b)
     (ulo, uhi), (vlo, vhi) = bridge.sample_box
     halton = qmc.Halton(d=2, seed=seed)
     worst = 0.0
@@ -154,7 +152,7 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
                                tol=tol)
 
 
-def fit_caged_image_of_ttw(spec: TTW, tol: float = 1e-12):
+def fit_caged_image_of_ttw(spec: TTW):
     """Fit the (A_hat, B_hat) dictionary mapping TTW at k=1 onto the caged
     oscillator with a = b = 1, then return the fitted caged spec.
 
@@ -164,7 +162,6 @@ def fit_caged_image_of_ttw(spec: TTW, tol: float = 1e-12):
     from .errors import FitFailure
     from .model import CagedOscillator
 
-    spec = validate(spec)
     if k_float(spec.k) != 1.0:
         raise FitFailure("the caged-oscillator coincidence is a k = 1 statement")
     pts = [(0.9, 0.7), (1.7, 0.3)]
@@ -209,12 +206,11 @@ def degeneracy_scan(template: PotentialSpec, k_list: Sequence[KValue],
     Rational k entries are annotated with the integral order 2(m+n-1);
     irrational entries carry no order claim.
     """
-    template = validate(template)
     if not isinstance(template, (TTW, ThreeBodyTTW)):
         raise NotRational("degeneracy scans run on TTW-family templates")
     entries = []
     for k in k_list:
-        spec = validate(replace(template, k=k))
+        spec = replace(template, k=k)
         spectrum = separated_spectrum(spec, n_r_max=n_r_max, j_max=j_max,
                                       method=method)
         levels = spectrum.energies()[:levels_per_k]

@@ -306,6 +306,9 @@ _BAD_INPUTS = {
         "output": {"path": str(tmp / "solved")}},
     "custom2d-unknown-name": lambda tmp: _solve_config(
         tmp, system={"family": "custom2d", "expression": "foo + x"}),
+    "oracle-negative-k": lambda tmp: {
+        **_oracle_config(tmp),
+        "system": {"family": "ttw", "omega": 1.0, "k": -0.5, "alpha": 0.0, "beta": 0.0}},
     "map3-unequal-masses": lambda tmp: {
         "command": "map3",
         "threebody": {"masses": [1, 2, 3], "d": 1,
@@ -491,6 +494,22 @@ def test_importing_cli_leaves_out_unused_scipy_subpackages():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
     assert out.strip() == "[]"
+
+
+def test_solve_with_negative_k_exits_2_without_hanging(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import few2d
+
+    system = {"family": "ttw", "omega": 1.0, "k": -2.0, "alpha": 0.0, "beta": 0.0}
+    cfg = _write_config(tmp_path, "solve.json", _solve_config(tmp_path, system=system))
+    env = dict(os.environ, PYTHONPATH=str(Path(few2d.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-m", "few2d.cli", cfg], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ") and "Traceback" not in run.stderr
 
 
 def test_readme_config_table_matches_the_schema():

@@ -1,6 +1,8 @@
 """Potential catalog: evaluation, validation, symmetry properties, JSON."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -150,6 +152,30 @@ def test_rational_normalizes_to_lowest_terms():
     assert (k.m, k.n) == (3, 2)
     spec = validate(TTW(omega=1.0, k=Rational(6, 4)))
     assert (spec.k.m, spec.k.n) == (3, 2)
+
+
+@pytest.mark.parametrize("k,expected", [(2, Rational(2, 1)), (Fraction(3, 2), Rational(3, 2)),
+                                        ((6, 4), Rational(3, 2))])
+def test_rational_k_is_stored_as_rational_when_built(k, expected):
+    for spec in (TTW(omega=1.0, k=k), ThreeBodyTTW(omega=1.0, k=k), PW(a=1.0, k=k)):
+        assert spec.k == expected
+
+
+@pytest.mark.parametrize("k", [True, 0.0, -2.0, -0.5, (3, 0), (-6, -4), Fraction(-1, 2),
+                               math.inf, math.nan, "2"])
+def test_bad_k_is_refused_when_built(k):
+    for family in (lambda: TTW(omega=1.0, k=k), lambda: PW(a=1.0, k=k)):
+        with pytest.raises(ZeroK):
+            family()
+
+
+def test_replace_checks_the_spec_again():
+    spec = TTW(omega=1.0, k=Rational(1, 1), alpha=0.1, beta=0.1)
+    assert replace(spec, k=(6, 4)).k == Rational(3, 2)
+    with pytest.raises(ZeroK):
+        replace(spec, k=-2.0)
+    with pytest.raises(NonPositiveMassOrFrequency):
+        replace(CagedOscillator(), omega=0.0)
 
 
 def test_coerce_k_keeps_irrational_as_real():

@@ -318,12 +318,6 @@ def test_angular_dual_solver_agreement():
     assert np.max(np.abs(fd - shoot) / fd) < 1e-8
 
 
-def test_angular_conventions_differ_by_k_squared_weighting():
-    plain = angular_pt_levels(Rational(2, 1), 0.5, 0.5, 2, convention="plain")
-    weighted = angular_pt_levels(Rational(2, 1), 0.125, 0.125, 2, convention="k2")
-    assert np.allclose(plain, weighted, rtol=1e-10)
-
-
 def test_angular_bound_violation():
     with pytest.raises(BoundViolation):
         angular_pt_levels(Rational(1, 1), -0.3, 0.0, 2)
@@ -371,7 +365,7 @@ def test_caged_levels_affine_in_quantum_numbers():
 def test_threebody_ttw_uses_weighted_convention():
     spec = ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=0.2, beta=0.1)
     spectrum = separated_spectrum(spec, 2, 2)
-    lam = angular_pt_levels(Rational(3, 1), 0.2, 0.1, 3, convention="k2")
+    lam = angular_pt_levels(Rational(3, 1), 0.2 * 3.0**2, 0.1 * 3.0**2, 3)
     p = RadialProblem(kind="oscillator", coupling=1.0, c=lam[0] - 0.25)
     ground = radial_spectrum(p, 1)[0]
     assert spectrum.energies()[0] == pytest.approx(ground, rel=1e-9)

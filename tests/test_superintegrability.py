@@ -1,6 +1,7 @@
 """Integral order, potential identities, degeneracy scans."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -125,6 +126,14 @@ def test_scan_irrational_k_has_no_accidental_degeneracy():
     entry = entries[0]
     assert entry.integral_order is None
     assert max(entry.report.multiplicities()) == 1
+
+
+def test_scan_annotates_plain_integer_and_fraction_k():
+    template = TTW(omega=1.0, k=Rational(1, 1), alpha=0.1, beta=0.1)
+    entries = degeneracy_scan(template, [2, Fraction(3, 2)], levels_per_k=6,
+                              n_r_max=3, j_max=3)
+    assert [e.k for e in entries] == [Rational(2, 1), Rational(3, 2)]
+    assert [e.integral_order for e in entries] == [4, 8]
 
 
 def test_scan_k1_annotated_with_order_two():
