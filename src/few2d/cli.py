@@ -374,7 +374,7 @@ def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
     if problem.c_x != 0.0 or problem.c_y != 0.0:
         return None     # the oracles solve the potential without centrifugal terms
     try:
-        energies = separated_spectrum(problem.potential, **oracle).energies()
+        energies = separated_spectrum(problem.potential, **oracle, count=levels).energies()
     except NotSeparable:
         return None
     if len(energies) < levels:
@@ -382,7 +382,7 @@ def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
             f"the oracle has {len(energies)} levels with oracle.n_r_max = "
             f"{oracle['n_r_max']} and oracle.j_max = {oracle['j_max']}, fewer than "
             f"solver.levels = {levels}")
-    return energies[:levels]
+    return energies
 
 
 def run_converge(cfg: dict, prov: dict) -> int:

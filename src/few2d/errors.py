@@ -17,7 +17,7 @@ class SingularPoint(Few2DError):
 
 
 class BoundViolation(Few2DError):
-    """A coupling violates the solvability bound (e.g. alpha <= -1/(4 k^2))."""
+    """A coupling violates the solvability bound (e.g. an angular coupling <= -k^2/4)."""
 
 
 class ZeroK(Few2DError):

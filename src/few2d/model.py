@@ -10,8 +10,9 @@ goes through :func:`coerce_k`), one vectorized formula on its natural chart
 (``formula``) and the quadrant view of it (``quadrant``), its singular rays,
 its default truncation box, whether it enters the quadrant reduction directly
 (``radial_refusal``) or through the three-body line route (``line_model``),
-and the separated-variable data the oracles build on (``separation``).  The
-module-level functions dispatch onto the family.
+the separated-variable data the oracles build on (``separation``), and
+whether a degeneracy scan may vary its k (``k_scan``).  The module-level
+functions dispatch onto the family.
 
 ================   =========================================
 family             natural chart of ``eval_potential``
@@ -134,6 +135,24 @@ def k_from_json(obj) -> KValue:
     return coerce_k(obj)
 
 
+def barrier_exponents(k: float, a: float, b: float) -> tuple[float, float]:
+    """Exponents (s_a, s_b) of the angular barrier problem
+    -f'' + [a/cos^2(k theta) + b/sin^2(k theta)] f at its cos and sin rays.
+
+    Near a ray the barrier is a/(k^2 d^2) in the distance d, so f ~ d^s with
+    s(s-1) = coupling/k^2.  This is the one coupling bound of the polar
+    families: a, b > -k^2/4, so that s > 1/2 is real on both rays.
+    """
+    qa = 0.25 + a / k**2
+    qb = 0.25 + b / k**2
+    if qa <= 0.0 or qb <= 0.0:
+        raise BoundViolation(
+            f"angular couplings must exceed -k^2/4 = {-k*k/4.0:.9g} for k={k:g}, "
+            f"got cos-side {a}, sin-side {b}"
+        )
+    return 0.5 + math.sqrt(qa), 0.5 + math.sqrt(qb)
+
+
 # ---------------------------------------------------------------------
 # three-body configurations on the line / in d dimensions
 # ---------------------------------------------------------------------
@@ -241,6 +260,7 @@ class _Family:
     """
 
     _axes = ("x", "y")          # coordinate names of the quadrant chart
+    k_scan = False              # whether a degeneracy scan may vary k
 
     def chart(self, point) -> tuple:
         """Reject a point near a singular line; returns the scalar
@@ -367,18 +387,14 @@ class _TTWForm(_Family):
     alpha: float = 0.0
     beta: float = 0.0
 
+    k_scan = True
+
     def __post_init__(self):
         object.__setattr__(self, "k", coerce_k(self.k))
         if self.omega <= 0:
             raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
-        kf = k_float(self.k)
-        bound = -1.0 / (4.0 * kf**2)
-        # strict inequality: alpha, beta > -1/(4 k^2)
-        if self.alpha <= bound or self.beta <= bound:
-            raise BoundViolation(
-                f"require alpha, beta > {bound:.9g} for k={kf:g}, "
-                f"got alpha={self.alpha}, beta={self.beta}"
-            )
+        # the weighted couplings are the ones the angular problem sees
+        barrier_exponents(*self.separation()[1])
 
     def _weight(self) -> float:
         """Factor of the angular couplings: k^2 for "k2", else 1."""
@@ -452,6 +468,7 @@ class PW(_Family):
             raise NonPositiveMassOrFrequency(
                 f"Coulomb strength a must be > 0, got {self.a}"
             )
+        barrier_exponents(*self.separation()[1])
 
     def chart(self, point):
         return _polar_point(point, self.rays())

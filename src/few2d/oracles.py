@@ -50,7 +50,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv, dstebz
 
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
-from .model import KValue, PotentialSpec, coerce_k, k_float
+from .model import KValue, PotentialSpec, barrier_exponents, coerce_k, k_float
 
 _FD_BASE_N = 1500
 _SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
@@ -578,24 +578,13 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
 # angular problems
 # =====================================================================
 
-def _pt_exponents(k: float, a_coeff: float, b_coeff: float) -> tuple[float, float]:
-    qa = 0.25 + a_coeff / k**2
-    qb = 0.25 + b_coeff / k**2
-    if qa <= 0.0 or qb <= 0.0:
-        raise BoundViolation(
-            f"angular couplings must exceed -k^2/4 = {-k*k/4.0:g}, "
-            f"got cos-side {a_coeff}, sin-side {b_coeff}"
-        )
-    return 0.5 + math.sqrt(qa), 0.5 + math.sqrt(qb)
-
-
 def _angular_label(k: float, a_coeff: float, b_coeff: float) -> str:
     return f"angular barrier problem (k={k:.12g}, A={a_coeff:.12g}, B={b_coeff:.12g})"
 
 
 def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
                 target: float) -> np.ndarray:
-    at, bt = _pt_exponents(k, a_coeff, b_coeff)
+    at, bt = barrier_exponents(k, a_coeff, b_coeff)
     length = math.pi / (2.0 * k)
     shift = k**2 * (at + bt) ** 2
 
@@ -614,7 +603,7 @@ def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
 
 def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarray:
     length = math.pi / (2.0 * k)
-    sa, sb = _pt_exponents(k, a_coeff, b_coeff)
+    sa, sb = barrier_exponents(k, a_coeff, b_coeff)
     # series data: near theta=0 the regular part of q is B/3 + A + O(theta^2);
     # mirrored at theta=pi/(2k) with the roles of A and B exchanged
     left = _SeriesEnd(s=sb, tcoeffs={0: a_coeff + b_coeff / 3.0,
@@ -678,8 +667,9 @@ def _merge_labeled(pairs: Iterable[tuple[float, tuple[int, int]]]) -> tuple:
 
 def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
                        method: str = "fd", cutoff: Optional[float] = None,
-                       target: float = 1e-8) -> OracleSpectrum:
-    """Labeled spectrum of a separable family.
+                       target: float = 1e-8, count: Optional[int] = None) -> OracleSpectrum:
+    """Labeled spectrum of a separable family: the lowest ``count`` levels of
+    its label box, or the whole box when ``count`` is None.
 
     Polar families (TTW, 3-body TTW, PW): for each angular label
     j <= j_max the gauged radial problem -R'' + [(lambda_j - 1/4)/rho^2 +
@@ -687,35 +677,58 @@ def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
     (caged oscillator, hydrogen pair): sums of two half-line levels with
     labels (n_x <= n_r_max, n_y <= j_max); two equal axes are solved once.
     Levels are merged and sorted.
+
+    Only the radial levels that can be among the lowest ``count`` are
+    solved.  E(n_r, j) increases in n_r, and in j too, since lambda_j is
+    ascending and each radial level grows with its inverse-square term (by
+    min-max); the same holds for each Cartesian axis.  So E(n_r, j) lies
+    above the (n_r+1)(j+1) - 1 levels of smaller labels, and above
+    E(n_r, j-1): it can be among the lowest ``count`` only if
+    (n_r+1)(j+1) <= count and E(n_r, j-1) does not exceed the ``count``-th
+    smallest level solved so far.  Every solved level carries the oracle's
+    certified accuracy, but levels tied to within ``target`` may swap at the
+    ``count`` boundary, and a radial problem solved for fewer levels takes
+    its smaller default cutoff, which moves its levels within ``target``.
     """
     nm, jm = int(n_r_max), int(j_max)
     if nm < 0 or jm < 0:
         raise ValueError("label ranges must be nonnegative")
+    box = (nm + 1) * (jm + 1)
+    count = box if count is None else min(int(count), box)
+    if count < 1:
+        raise ValueError("need count >= 1 levels")
     separation = spec.separation()
     if separation is None:
         raise NotSeparable(f"{type(spec).__name__} has no separated-variable oracle")
 
     shape, first, second = separation
     if shape == "cartesian":
+        nx, ny = min(nm + 1, count), min(jm + 1, count)
         px, py = (RadialProblem(kind=kind, coupling=coupling, c=c, cutoff=cutoff,
                                 target=target) for kind, coupling, c in (first, second))
         if px == py:
-            ex = ey = radial_spectrum(px, max(nm, jm) + 1, method=method)
+            ex = ey = radial_spectrum(px, max(nx, ny), method=method)
         else:
-            ex = radial_spectrum(px, nm + 1, method=method)
-            ey = radial_spectrum(py, jm + 1, method=method)
-        pairs = [(ex[i] + ey[j], (i, j)) for i in range(nm + 1) for j in range(jm + 1)]
+            ex = radial_spectrum(px, nx, method=method)
+            ey = radial_spectrum(py, ny, method=method)
+        pairs = [(ex[i] + ey[j], (i, j)) for i in range(nx) for j in range(ny)]
     else:
         kind, coupling = second
-        lam = angular_pt_levels(*first, jm + 1, method=method, target=target)
+        lam = angular_pt_levels(*first, min(jm + 1, count), method=method, target=target)
         pairs = []
-        for j in range(jm + 1):
-            p = RadialProblem(kind=kind, coupling=coupling, c=lam[j] - 0.25,
+        for j, lam_j in enumerate(lam):
+            need = min(nm + 1, count // (j + 1))
+            if len(pairs) >= count:
+                threshold = sorted(e for e, _ in pairs)[count - 1]
+                need = min(need, int(np.count_nonzero(er <= threshold)))
+            if need == 0:
+                break
+            p = RadialProblem(kind=kind, coupling=coupling, c=lam_j - 0.25,
                               cutoff=cutoff, target=target)
-            er = radial_spectrum(p, nm + 1, method=method)
-            pairs.extend((er[i], (i, j)) for i in range(nm + 1))
+            er = radial_spectrum(p, need, method=method)
+            pairs.extend((er[i], (i, j)) for i in range(need))
 
     params = {f.name: getattr(spec, f.name) for f in fields(spec)}
     if "k" in params:
         params["k"] = k_float(params["k"])
-    return OracleSpectrum(spec.family, _merge_labeled(pairs), params)
+    return OracleSpectrum(spec.family, _merge_labeled(pairs)[:count], params)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import BridgeMismatch, NotRational, SingularPoint
 from .eigensolve import DegeneracyReport, detect_degeneracies
-from .model import (Calogero, KValue, PotentialSpec, Rational, TTW, ThreeBodyTTW, Wolfes,
+from .model import (Calogero, KValue, PotentialSpec, Rational, TTW, Wolfes,
                     coerce_k, eval_potential, k_float, k_to_json)
 from .oracles import (OracleSpectrum, RadialProblem, pregauge_radial_levels, radial_spectrum,
                       separated_spectrum)
@@ -204,16 +204,17 @@ def degeneracy_scan(template: PotentialSpec, k_list: Sequence[KValue],
     """Oracle spectra, clustered, for a TTW-like template across k values.
 
     Rational k entries are annotated with the integral order 2(m+n-1);
-    irrational entries carry no order claim.
+    irrational entries carry no order claim.  Only the lowest
+    ``levels_per_k`` levels of each oracle box are solved.
     """
-    if not isinstance(template, (TTW, ThreeBodyTTW)):
+    if not template.k_scan:
         raise NotRational("degeneracy scans run on TTW-family templates")
     entries = []
     for k in k_list:
         spec = replace(template, k=k)
         spectrum = separated_spectrum(spec, n_r_max=n_r_max, j_max=j_max,
-                                      method=method)
-        levels = spectrum.energies()[:levels_per_k]
+                                      method=method, count=levels_per_k)
+        levels = spectrum.energies()
         report = detect_degeneracies(levels, tol_rel=tol)
         order = integral_order(spec.k) if isinstance(spec.k, Rational) else None
         entries.append(ScanEntry(k=spec.k, integral_order=order, levels=levels,

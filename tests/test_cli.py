@@ -465,6 +465,19 @@ def test_converge_oracle_accuracy_failure_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: requested relative accuracy")
 
 
+def test_converge_with_an_oracle_box_below_the_levels_exits_2(tmp_path, capsys):
+    # the oracle is asked for the lowest solver.levels of its box, and a box
+    # of 2 x 2 labels holds fewer than 6
+    config = _converge_config(
+        tmp_path, system={"family": "ttw", "omega": 1.0, "k": 2, "alpha": 0.2, "beta": 0.2},
+        reduction={"d1": 3, "d2": 3}, solver={"levels": 6, "tol": 1e-6},
+        oracle={"n_r_max": 1, "j_max": 1})
+    assert main([_write_config(tmp_path, "conv.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "oracle.n_r_max = 1" in err and "oracle.j_max = 1" in err
+    assert "solver.levels = 6" in err and "Traceback" not in err
+
+
 def test_converge_honours_oracle_cutoff(tmp_path):
     def errors(oracle, name):
         config = _converge_config(tmp_path, oracle=oracle,

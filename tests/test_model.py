@@ -24,6 +24,7 @@ from few2d import (
     TTW,
     Wolfes,
     ZeroK,
+    angular_pt_levels,
     coerce_k,
     default_box,
     eval_potential,
@@ -121,13 +122,35 @@ def test_threebody_ttw_carries_k_squared_weighting():
 # --- validation -------------------------------------------------------
 
 def test_validate_accepts_point_just_above_bound():
-    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0 / 16.0 + 1e-9, beta=0.0)
+    # the plain TTW couplings must exceed -k^2/4, here -1
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0 + 1e-9, beta=0.0)
     validate(spec)
 
 
 def test_validate_rejects_bound_exactly():
     with pytest.raises(BoundViolation):
-        validate(TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0 / 16.0, beta=0.0))
+        validate(TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0, beta=0.0))
+
+
+def test_polar_bounds_are_the_angular_problems():
+    # the bound is the oracle's: each coupling the angular problem sees must
+    # exceed -k^2/4 for its sector's k, whatever the family's weighting
+    with pytest.raises(BoundViolation):
+        ThreeBodyTTW(omega=1.0, k=Rational(1, 2), alpha=-0.5, beta=0.1)
+    ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=-0.24, beta=0.0)
+    with pytest.raises(BoundViolation):
+        ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=-0.25, beta=0.0)
+    with pytest.raises(BoundViolation):
+        PW(a=1.0, k=Rational(2, 1), mu=0.0, nu=-0.25)
+    PW(a=1.0, k=Rational(2, 1), mu=0.0, nu=-0.24)
+
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=-0.5)
+    lam = angular_pt_levels(Rational(2, 1), -0.5, 0.0, 2)
+    assert lam == pytest.approx([13.743, 59.399], abs=1e-3)
+    assert len(separated_spectrum(spec, 1, 1).levels) == 4
+    # at k = 1 the same alpha is below -1/4, and a copy checks itself again
+    with pytest.raises(BoundViolation):
+        replace(spec, k=Rational(1, 1))
 
 
 def test_validate_rejects_zero_k_and_bad_frequency():

@@ -394,3 +394,41 @@ def test_golden_spectrum_file(request):
     assert len(spectrum.levels) == len(expected)
     for energy, label in spectrum.levels:
         assert energy == pytest.approx(expected[label], rel=1e-8)
+
+
+# --- the lowest count levels of a label box ------------------------------
+
+@pytest.mark.parametrize("spec", [
+    CagedOscillator(),
+    CagedOscillator(a=2.0, b=1.0, omega=1.0, A=0.3, B=0.1),
+    HydrogenPair(),
+    TTW(omega=1.0, k=Rational(2, 1), alpha=0.1875, beta=0.1875),
+    TTW(omega=1.0, k=math.sqrt(2.0), alpha=0.2, beta=0.3),
+    ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=0.2, beta=0.1),
+    ThreeBodyTTW(omega=1.0, k=2.5, alpha=0.2, beta=0.1),
+    PW(a=1.0, k=Rational(2, 1), mu=0.3, nu=0.4),
+], ids=["caged-iso", "caged-aniso", "hydrogen-pair", "ttw-k2", "ttw-sqrt2",
+        "ttw3-k3", "ttw3-k2.5", "pw-k2"])
+def test_count_levels_are_the_lowest_of_the_full_box(spec):
+    n_r_max, j_max = 2, 2
+    full = separated_spectrum(spec, n_r_max, j_max)
+    box = {(a, b) for a in range(n_r_max + 1) for b in range(j_max + 1)}
+    assert len(full.levels) == len(box) and set(full.labels()) == box
+    energies = full.energies()
+    for count in range(1, len(box) + 1):
+        part = separated_spectrum(spec, n_r_max, j_max, count=count)
+        assert len(part.levels) == count
+        assert part.energies() == pytest.approx(energies[:count], rel=1e-8)
+        # labels agree, except inside an exact multiplet that count cuts
+        edge = energies[count - 1]
+        tied = {lab for e, lab in full.levels if abs(e - edge) <= 1e-8 * abs(edge)}
+        assert ({lab for lab in part.labels() if lab not in tied}
+                == {lab for lab in full.labels()[:count] if lab not in tied})
+        assert {lab for lab in part.labels() if lab in tied} <= tied
+
+
+def test_count_beyond_the_box_returns_the_box_and_zero_is_refused():
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.1875, beta=0.1875)
+    assert len(separated_spectrum(spec, 1, 1, count=10).levels) == 4
+    with pytest.raises(ValueError):
+        separated_spectrum(spec, 1, 1, count=0)

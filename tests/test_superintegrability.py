@@ -1,5 +1,6 @@
 """Integral order, potential identities, degeneracy scans."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ import pytest
 
 from few2d import (
     Bridge,
+    CagedOscillator,
     Calogero,
     NotRational,
+    PW,
     Rational,
     TTW,
     Wolfes,
@@ -21,8 +24,11 @@ from few2d import (
     ordered_line_to_jacobi_polar_bridge,
     polar_to_cartesian_bridge,
     separated_spectrum,
+    spec_from_dict,
     wolfes_to_ttw,
 )
+from few2d import oracles
+from few2d.model import k_from_json
 
 
 # --- integral order -----------------------------------------------------
@@ -141,6 +147,34 @@ def test_scan_k1_annotated_with_order_two():
     entries = degeneracy_scan(template, [Rational(1, 1)], levels_per_k=12,
                               n_r_max=8, j_max=8)
     assert entries[0].integral_order == 2
+
+
+def test_scan_refuses_families_it_cannot_vary_k_on():
+    with pytest.raises(NotRational):
+        degeneracy_scan(CagedOscillator(), [Rational(2, 1)])
+    with pytest.raises(NotRational):
+        degeneracy_scan(PW(a=1.0, k=Rational(2, 1)), [Rational(2, 1)])
+
+
+def test_scan_solves_only_the_radial_levels_it_reports(monkeypatch, request):
+    # the shipped scan's box holds 13 x 9 radial levels per k, 585 in all;
+    # the lowest 20 per k need at most 190 of them
+    config = json.loads((request.path.parents[1] / "configs" / "ttw_scan.json").read_text())
+    scan = config["scan"]
+    requested = []
+    solve = oracles.radial_spectrum
+
+    def counting(p, m, method="fd"):
+        requested.append(m)
+        return solve(p, m, method=method)
+
+    monkeypatch.setattr(oracles, "radial_spectrum", counting)
+    entries = degeneracy_scan(spec_from_dict(config["system"]),
+                              [k_from_json(k) for k in scan["k_list"]],
+                              levels_per_k=scan["levels_per_k"], tol=scan["tol"],
+                              n_r_max=scan["n_r_max"], j_max=scan["j_max"])
+    assert sum(requested) <= 190
+    assert all(len(entry.levels) == scan["levels_per_k"] for entry in entries)
 
 
 def test_multiplicities_stable_across_tolerance_decade():
