@@ -38,7 +38,6 @@ from .model import (
     permute_particles,
     spec_from_dict,
     spec_to_dict,
-    validate,
 )
 from .reduction import (
     Box,

@@ -137,8 +137,7 @@ _TEXT, _SYSTEM = _Choice(), _Parsed(lambda obj: spec_from_dict(obj))
 _BOX = _Block({"x_max": (_POSITIVE, _REQUIRED), "y_max": (_POSITIVE, _REQUIRED)})
 _REDUCTION = _Block({"d1": (_INT1, 3), "d2": (_INT1, 3), "L_x": (_INT0, 0), "L_y": (_INT0, 0),
                      "box": (_BOX, None)})
-_DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200),
-                          "offset_rule": (_Choice(("auto", "none")), "auto")})
+_DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200)})
 _SOLVER = _Block({"levels": (_INT1, 6), "tol": (_POSITIVE, 1e-6), "max_iter": (_INT1, None),
                   "seed": (_INT0, 0),
                   "cluster_tol": (_Num(False, 0.0), 1e-6)})
@@ -266,6 +265,14 @@ def _lowest(op, solver: dict):
                        max_iter=solver["max_iter"], seed=solver["seed"])
 
 
+def _stopped_short(where: str) -> int:
+    """Exit 3 of a run whose eigensolve did not converge; its partial results
+    are already written."""
+    print(f"error: the eigensolve did not converge on {where}; the levels found are written",
+          file=sys.stderr)
+    return 3
+
+
 def run_solve(cfg: dict, prov: dict) -> int:
     problem = _problem(cfg)
     disc = cfg["discretization"]
@@ -277,8 +284,7 @@ def run_solve(cfg: dict, prov: dict) -> int:
             f"requested {solver['levels']} levels exceeds grid dimension "
             f"{disc['n1'] * disc['n2']}"
         )
-    grid = make_grid(problem.box, disc["n1"], disc["n2"], spec=problem.potential,
-                     offset_rule=disc["offset_rule"])
+    grid = make_grid(problem.box, disc["n1"], disc["n2"], spec=problem.potential)
     op = assemble(problem, grid)
     result = _lowest(op, solver)
     report = detect_degeneracies(result.eigenvalues, tol_rel=solver["cluster_tol"])
@@ -303,7 +309,7 @@ def run_solve(cfg: dict, prov: dict) -> int:
     })
     print(f"wrote {prefix.with_suffix('.csv')} ({len(rows)} levels, "
           f"max residual {result.residuals.max():.3g})")
-    return 0 if result.converged else 3
+    return 0 if result.converged else _stopped_short(f"the {disc['n1']}x{disc['n2']} grid")
 
 
 def run_oracle(cfg: dict, prov: dict) -> int:
@@ -401,20 +407,25 @@ def run_converge(cfg: dict, prov: dict) -> int:
         columns += ["error", "observed_order"]
     rows = []
     for ridx, (h, result) in enumerate(runs):
+        h_prev, prev = runs[ridx - 1] if ridx else (h, None)
+        # a rung that stopped short has fewer levels than the rung after it
+        known = len(prev.eigenvalues) if prev is not None else 0
         for lvl, energy in enumerate(result.eigenvalues):
             row = (float(h), lvl, float(energy))
             if oracle_levels is not None:
                 err, order = abs(energy - oracle_levels[lvl]), float("nan")
-                if ridx > 0:
-                    h_prev, res_prev = runs[ridx - 1]
-                    err_prev = abs(res_prev.eigenvalues[lvl] - oracle_levels[lvl])
+                if lvl < known:
+                    err_prev = abs(prev.eigenvalues[lvl] - oracle_levels[lvl])
                     if err > 0 and err_prev > 0:
                         order = math.log(err_prev / err) / math.log(h_prev / h)
                 row += (float(err), float(order))
             rows.append(row)
     _write_csv(prefix.with_suffix(".csv"), _header_lines(prov), columns, rows)
     print(f"wrote {prefix.with_suffix('.csv')} ({len(runs)} grids)")
-    return 0 if all(result.converged for _, result in runs) else 3
+    stopped = [f"{n}x{n}" for n, (_, result) in zip(cfg["ladder"], runs) if not result.converged]
+    if stopped:
+        return _stopped_short(f"the {', '.join(stopped)} grid{'s' * (len(stopped) > 1)}")
+    return 0
 
 
 # ---------------------------------------------------------------------

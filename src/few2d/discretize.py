@@ -15,15 +15,14 @@ textbook (2/h^2, -1/h^2) stencil exactly.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, GridTooCoarse, SingularNodeUnavoidable, SingularPoint
-from .model import PotentialSpec, singular_rays
+from .errors import GridTooCoarse, SingularNodeUnavoidable, SingularPoint
+from .model import PotentialSpec
 from .reduction import Box, ReducedProblem2D
 
 _MIN_NODES = 8
@@ -51,10 +50,6 @@ class Grid:
     def shape(self) -> tuple[int, int]:
         return (len(self.nodes_x), len(self.nodes_y))
 
-    @property
-    def size(self) -> int:
-        return len(self.nodes_x) * len(self.nodes_y)
-
 
 def _axis_nodes(extent: float, n: int, staggered: bool) -> tuple[np.ndarray, float]:
     if staggered:
@@ -75,8 +70,7 @@ def _collides(nodes_x: np.ndarray, nodes_y: np.ndarray,
     return False
 
 
-def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None,
-              offset_rule: str = "auto") -> Grid:
+def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None) -> Grid:
     """Uniform interior grid, offset by half a step if a singular ray is hit.
 
     Parameters
@@ -86,27 +80,19 @@ def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None,
     n1, n2 : int
         Interior node counts per axis (minimum 8).
     spec : PotentialSpec, optional
-        Potential whose angular singular lines the nodes must avoid.
-    offset_rule : {"auto", "none"}
-        "auto" staggers the y axis (then also the x axis) on collision;
-        "none" raises instead.
+        Potential whose angular singular lines the nodes must avoid; on a
+        collision the y axis is staggered, then also the x axis.
     """
     if n1 < _MIN_NODES or n2 < _MIN_NODES:
         raise GridTooCoarse(f"need at least {_MIN_NODES} nodes per axis, got {n1}x{n2}")
-    if offset_rule not in ("auto", "none"):
-        raise ValueError(f"unknown offset rule {offset_rule!r}")
 
-    rays = singular_rays(spec) if spec is not None else []
+    rays = spec.rays() if spec is not None else []
     for sx, sy in ((False, False), (False, True), (True, True)):
         nx, hx = _axis_nodes(box.x_max, n1, sx)
         ny, hy = _axis_nodes(box.y_max, n2, sy)
         if not _collides(nx, ny, rays):
             return Grid(box=box, nodes_x=nx, nodes_y=ny, h_x=hx, h_y=hy,
                         staggered_x=sx, staggered_y=sy)
-        if offset_rule == "none":
-            raise SingularNodeUnavoidable(
-                "grid nodes collide with a singular line and offsets are disabled"
-            )
     raise SingularNodeUnavoidable(
         "nodes collide with a singular line even after half-step offsets"
     )
@@ -146,30 +132,6 @@ class SparseOperator:
                       h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
         return _operator(coarse, self.w[1::2, 1::2])
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Exact sparse product with deterministic (row-sequential) summation."""
-        v = np.asarray(v)
-        if v.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"operator dimension {self.dim}, vector shape {v.shape}"
-            )
-        return self.matrix @ v
-
-    def dump_binary(self, path) -> None:
-        """Write CSR arrays (row pointer, column index, value), little endian.
-
-        Layout: 8-byte magic b"FEW2DCSR", three little-endian int64 fields
-        (nrows, ncols, nnz), then indptr as int64[nrows+1], indices as
-        int64[nnz], data as float64[nnz].
-        """
-        m = self.matrix
-        with open(path, "wb") as fh:
-            fh.write(b"FEW2DCSR")
-            fh.write(struct.pack("<qqq", m.shape[0], m.shape[1], m.nnz))
-            m.indptr.astype("<i8").tofile(fh)
-            m.indices.astype("<i8").tofile(fh)
-            m.data.astype("<f8").tofile(fh)
-
 
 def _axis_stencil(n: int, h: float, staggered: bool) -> sp.csr_matrix:
     main = np.full(n, 2.0 / h**2)
@@ -188,8 +150,7 @@ def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
     correction on staggered axes); off-diagonals are -1/h^2 towards each
     stencil neighbor.  Row index is i * n_y + j.
     """
-    rays = singular_rays(problem.potential)
-    if _collides(grid.nodes_x, grid.nodes_y, rays):
+    if _collides(grid.nodes_x, grid.nodes_y, problem.potential.rays()):
         raise SingularPoint("angular ray", "grid node on a singular line")
     w = problem.effective_values(grid.nodes_x[:, None], grid.nodes_y[None, :])
     w = np.asarray(w, dtype=float).reshape(grid.shape)

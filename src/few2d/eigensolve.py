@@ -224,8 +224,9 @@ class _Solve:
 
         The missing ones are the algebraically smallest values of
         (H - tau I)^-1 in the complement of those found; a value returned
-        above tau is dropped and sought again.  Returns ``(vals, vecs,
-        certified)``, sorted, all below tau.
+        above tau is dropped and sought again, unless the attempt found no
+        level below tau at all, which ends the search.  Returns ``(vals,
+        vecs, certified)``, sorted, all below tau.
         """
         for _ in range(_ATTEMPTS):
             if len(vals) == count:
@@ -235,7 +236,7 @@ class _Solve:
             below = new_vals < tau
             vals = np.concatenate([vals, new_vals[below]])
             vecs = np.hstack([vecs, new_vecs[:, below]])
-            if not complete:
+            if not complete or not below.any():
                 break
             v0 = self.rng.standard_normal(self.n)
         order = np.argsort(vals, kind="stable")

@@ -272,11 +272,13 @@ class _Family:
         return float(x), float(y)
 
     def quadrant(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Vectorized potential on quadrant points (x, y)."""
+        """Vectorized potential on float arrays of quadrant points (x, y);
+        the caller keeps them off the singular lines."""
         return self.formula(x, y)
 
     def rays(self) -> list[tuple[str, float]]:
-        """Angular singular lines as (kind, theta)."""
+        """Angular singular lines as (kind, theta), the quadrant's edges
+        theta = 0 and pi/2 included where they are singular."""
         return []
 
     def box_side(self) -> float:
@@ -617,30 +619,8 @@ _BY_NAME = {cls.family: cls for cls in get_args(PotentialSpec)}
 
 
 # ---------------------------------------------------------------------
-# validation and evaluation
+# evaluation
 # ---------------------------------------------------------------------
-
-def validate(spec: PotentialSpec) -> PotentialSpec:
-    """Type check: returns ``spec`` if it is a potential spec.
-
-    A spec certifies its own parameters when it is built (and again under
-    ``dataclasses.replace``): k goes through :func:`coerce_k`, and invalid
-    parameters raise ``BoundViolation``, ``ZeroK`` or
-    ``NonPositiveMassOrFrequency`` from the constructor.
-    """
-    if not isinstance(spec, _Family):
-        raise TypeError(f"not a potential spec: {spec!r}")
-    return spec
-
-
-def singular_rays(spec: PotentialSpec) -> list[tuple[str, float]]:
-    """Angular singular lines of a polar-family potential, as (kind, theta).
-
-    Includes the quadrant boundaries theta = 0 and pi/2 when they are
-    singular for the family. Non-angular families return an empty list.
-    """
-    return spec.rays()
-
 
 def eval_potential(spec: PotentialSpec, point) -> float:
     """Evaluate a potential at one point of its natural chart.
@@ -664,16 +644,6 @@ def eval_potential(spec: PotentialSpec, point) -> float:
         If the point lies within ``SINGULAR_TOL`` of a singular line.
     """
     return float(spec.formula(*spec.chart(point)))
-
-
-def quadrant_values(spec: PotentialSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized potential on quadrant points (x, y), broadcasting.
-
-    The caller is responsible for keeping nodes off the singular lines
-    (grids are screened by ``discretize.make_grid``). Calogero/Wolfes have
-    no quadrant chart; map them through ``reduction.map_threebody`` first.
-    """
-    return spec.quadrant(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
 
 # ---------------------------------------------------------------------

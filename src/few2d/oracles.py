@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -53,6 +53,7 @@ from .errors import AccuracyNotReached, BoundViolation, NotSeparable
 from .model import KValue, PotentialSpec, barrier_exponents, coerce_k, k_float
 
 _FD_BASE_N = 1500
+_FD_MAX_POINTS = 2_000_000   # finest Richardson grid at most: 16 MB per array
 _SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
 _ULP = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
@@ -212,6 +213,19 @@ def _richardson(e1: np.ndarray, e2: np.ndarray,
     rr = (16.0 * r2 - r1) / 15.0
     err = np.abs(rr - r2) / np.maximum(np.abs(rr), 1e-300)
     return rr, err
+
+
+def _richardson_base(n: float, label: str) -> int:
+    """``n`` rounded down, as the coarsest grid n0 of a Richardson ladder.
+
+    The ladder may go up to 8 n0 points; beyond ``_FD_MAX_POINTS`` it is
+    refused here, before any grid is allocated.  ``label`` names the problem.
+    """
+    if not 8.0 * n <= _FD_MAX_POINTS:
+        raise AccuracyNotReached(math.inf, 0.0, (
+            f"fd backend, {label}: its finest Richardson grid would have {8.0 * n:.4g} "
+            f"points, above the {_FD_MAX_POINTS} allowed"))
+    return int(n)
 
 
 def _fd_levels_certified(
@@ -399,6 +413,8 @@ class RadialProblem:
             raise BoundViolation(f"inverse-square coefficient must be >= -1/4, got {self.c}")
         if self.kind in ("oscillator", "coulomb") and self.coupling <= 0:
             raise ValueError(f"{self.kind} coupling must be positive")
+        if not math.isfinite(self.coupling * self.coupling):
+            raise BoundViolation(f"{self.kind} coupling {self.coupling!r} overflows when squared")
 
 
 def _gauge_exponent(c: float) -> float:
@@ -467,7 +483,7 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
             lam = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m, tol=np.finfo(float).tiny)
             return lam / math.exp(t_min)
 
-        n_log = max(3000, int((t_max - t_min) * (40.0 * m + 60.0)))
+        n_log = _richardson_base(max(3000, (t_max - t_min) * (40.0 * m + 60.0)), label)
         return _fd_levels_certified(solve_n, p.target, label, n0=n_log)
 
     # with no inverse-square term the plain Dirichlet scheme has the cleaner
@@ -491,12 +507,15 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
     def log_weight(x: np.ndarray) -> np.ndarray:
         return 2.0 * s_eff * np.log(x) if s_eff else np.zeros_like(x)
 
-    n_base = max(_FD_BASE_N, int(12.0 * cutoff))
+    n_base = max(_FD_BASE_N, 12.0 * cutoff)
     # the largest weight ratio, (1 + h / (2 x))^(2 s) at the first node, peaks
-    # on the coarsest grid; refuse it before allocating any grid
-    h_base = (cutoff - x_lo) / (n_base + 1)
-    if x_lo > 0.0 and 2.0 * s_eff * math.log1p(h_base / (2.0 * x_lo)) > _LOG_MAX:
-        raise _steep_weight(n_base, x_lo, cutoff)
+    # on the coarsest grid; refuse it, then a ladder too large, before
+    # allocating any grid (x_lo > 0 only under a finite cutoff)
+    if x_lo > 0.0:
+        h_base = (cutoff - x_lo) / (int(n_base) + 1)
+        if 2.0 * s_eff * math.log1p(h_base / (2.0 * x_lo)) > _LOG_MAX:
+            raise _steep_weight(int(n_base), x_lo, cutoff)
+    n_base = _richardson_base(n_base, label)
 
     def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
         return _weighted_fd_once(log_weight, pot, (x_lo, cutoff), m, n,
@@ -569,9 +588,9 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
         return _weighted_fd_once(log_weight, pot, (0.0, cutoff), m, n,
                                  natural_left=d > 1, natural_right=False, guess=guess)
 
-    return _fd_levels_certified(solve_n, target,
-                                f"pre-gauge radial problem (d={d}, L={L}, cutoff={cutoff:.12g})",
-                                n0=max(_FD_BASE_N, int(12.0 * cutoff)))
+    label = f"pre-gauge radial problem (d={d}, L={L}, cutoff={cutoff:.12g})"
+    return _fd_levels_certified(solve_n, target, label,
+                                n0=_richardson_base(max(_FD_BASE_N, 12.0 * cutoff), label))
 
 
 # =====================================================================
@@ -661,10 +680,6 @@ class OracleSpectrum:
         return [(lab[0], lab[1], e) for e, lab in self.levels]
 
 
-def _merge_labeled(pairs: Iterable[tuple[float, tuple[int, int]]]) -> tuple:
-    return tuple(sorted(pairs, key=lambda t: t[0]))
-
-
 def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
                        method: str = "fd", cutoff: Optional[float] = None,
                        target: float = 1e-8, count: Optional[int] = None) -> OracleSpectrum:
@@ -731,4 +746,4 @@ def separated_spectrum(spec: PotentialSpec, n_r_max: int, j_max: int,
     params = {f.name: getattr(spec, f.name) for f in fields(spec)}
     if "k" in params:
         params["k"] = k_float(params["k"])
-    return OracleSpectrum(spec.family, _merge_labeled(pairs)[:count], params)
+    return OracleSpectrum(spec.family, tuple(sorted(pairs, key=lambda t: t[0])[:count]), params)

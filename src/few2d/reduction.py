@@ -38,7 +38,6 @@ from .model import (
     ThreeBodyTTW,
     Wolfes,
     json_number,
-    quadrant_values,
     spec_from_dict,
     spec_to_dict,
 )
@@ -109,7 +108,7 @@ class ReducedProblem2D:
         """Vectorized W(x, y) = V + c_x/x^2 + c_y/y^2 on quadrant points."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        w = quadrant_values(self.potential, x, y)
+        w = self.potential.quadrant(x, y)
         if self.c_x != 0.0:
             w = w + self.c_x / x**2
         if self.c_y != 0.0:
@@ -130,35 +129,34 @@ class ReducedProblem2D:
 
     @staticmethod
     def from_dict(obj: dict) -> "ReducedProblem2D":
-        """Inverse of :meth:`to_dict`.
+        """Inverse of :meth:`to_dict`, built through :func:`reduce_to_2d`.
 
-        d and L must be integers (bools refused), and the stored c_x, c_y
-        must be the centrifugal coefficients of their (d, L).
+        d and L must be integers (bools refused), the potential must be one
+        the reduction accepts, and the stored c_x, c_y must be the
+        centrifugal coefficients of their (d, L).
         """
         allowed = {"potential", "d1", "d2", "L_x", "L_y", "c_x", "c_y", "box"}
         extra = set(obj) - allowed
         if extra:
             raise ValueError(f"unknown keys in reduced problem: {sorted(extra)}")
-        fields = {}
+        labels = {}
         for key in ("d1", "d2", "L_x", "L_y"):
             value = json_number(obj[key], key)
             if not value.is_integer():
                 raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
-            fields[key] = int(value)
-        for key, d, L in (("c_x", "d1", "L_x"), ("c_y", "d2", "L_y")):
-            fields[key] = json_number(obj[key], key)
-            expected = centrifugal_coefficient(fields[d], fields[L])
-            if not math.isclose(fields[key], expected, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValueError(f"{key} = {fields[key]!r} disagrees with {expected!r}, the "
-                                 f"centrifugal coefficient of {d} = {fields[d]}, "
-                                 f"{L} = {fields[L]}")
+            labels[key] = int(value)
         box = obj["box"]
-        return ReducedProblem2D(
-            potential=spec_from_dict(obj["potential"]),
-            box=Box(json_number(box["x_max"], "box.x_max"),
-                    json_number(box["y_max"], "box.y_max")),
-            **fields,
-        )
+        problem = reduce_to_2d(spec_from_dict(obj["potential"]),
+                               box=Box(json_number(box["x_max"], "box.x_max"),
+                                       json_number(box["y_max"], "box.y_max")),
+                               **labels)
+        for key, d, L in (("c_x", "d1", "L_x"), ("c_y", "d2", "L_y")):
+            stored, expected = json_number(obj[key], key), getattr(problem, key)
+            if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
+                raise ValueError(f"{key} = {stored!r} disagrees with {expected!r}, the "
+                                 f"centrifugal coefficient of {d} = {labels[d]}, "
+                                 f"{L} = {labels[L]}")
+        return problem
 
 
 def reduce_to_2d(

@@ -42,22 +42,11 @@ def integral_order(k: KValue) -> int:
 @dataclass(frozen=True)
 class IdentityCheckResult:
     max_rel_deviation: float
-    samples: int
-    params: dict
     tol: float
 
     @property
     def passed(self) -> bool:
         return self.max_rel_deviation <= self.tol
-
-    def to_dict(self) -> dict:
-        return {
-            "max_rel_deviation": self.max_rel_deviation,
-            "samples": self.samples,
-            "params": self.params,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -145,11 +134,7 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
         accepted += 1
         dev = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
         worst = max(worst, dev)
-    return IdentityCheckResult(max_rel_deviation=worst, samples=accepted,
-                               params={"spec_a": type(spec_a).__name__,
-                                       "spec_b": type(spec_b).__name__,
-                                       "seed": seed},
-                               tol=tol)
+    return IdentityCheckResult(max_rel_deviation=worst, tol=tol)
 
 
 def fit_caged_image_of_ttw(spec: TTW):

@@ -117,7 +117,7 @@ def test_criterion_3_wolfes_equals_ttw3():
         worst0 = max(worst0, abs(va - vb) / abs(va))
     ok = res.passed and worst0 <= 1e-12
     _verdict(3, "Wolfes = TTW(k=3) after 3-point fit", ok,
-             f"wolfes deviation {res.max_rel_deviation:.3g} over {res.samples} configs, "
+             f"wolfes deviation {res.max_rel_deviation:.3g} over 1000 configs, "
              f"calogero-at-B=0 deviation {worst0:.3g}")
 
 

@@ -122,6 +122,9 @@ def test_unmatched_inertia_count_exits_3(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "out" / "caged.json").read_text())
     assert doc["result"]["converged"] is False
     assert len(doc["result"]["eigenvalues"]) == 4
+    # a completion attempt that adds no level below tau ends the search, so
+    # the miscount, which never goes away, does not spend the 20000-solve budget
+    assert doc["result"]["iterations"] < 2000
 
 
 def test_unmatched_inertia_count_on_the_slice_path_exits_3(tmp_path, monkeypatch):
@@ -309,6 +312,12 @@ _BAD_INPUTS = {
     "oracle-negative-k": lambda tmp: {
         **_oracle_config(tmp),
         "system": {"family": "ttw", "omega": 1.0, "k": -0.5, "alpha": 0.0, "beta": 0.0}},
+    # a reduced problem is built through the reduction, which refuses both
+    "reduced-calogero": lambda tmp: _inline_reduced_config(
+        tmp, potential={"family": "calogero", "omega": 1.0, "A": 0.5}),
+    "reduced-custom2d-depends-on-angles": lambda tmp: _inline_reduced_config(
+        tmp, potential={"family": "custom2d", "expression": "x**2 + y**2",
+                        "depends_on_angles": True}),
     "map3-unequal-masses": lambda tmp: {
         "command": "map3",
         "threebody": {"masses": [1, 2, 3], "d": 1,
@@ -386,8 +395,8 @@ _PROBES = {
     "n1-fraction": (lambda t: _solve_config(t, discretization={"n1": 20.9, "n2": 20}),
                     "discretization.n1"),
     "offset-rule": (lambda t: _solve_config(
-        t, discretization={"n1": 20, "n2": 20, "offset_rule": "bogus"}),
-        "discretization.offset_rule"),
+        t, discretization={"n1": 20, "n2": 20, "offset_rule": "auto"}),
+        "offset_rule"),
     "output-path-number": (lambda t: _solve_config(t, output={"path": 5}), "output.path"),
     "output-formats": (lambda t: _solve_config(
         t, output={"path": str(t / "out"), "formats": ["csv"]}), "formats"),
@@ -493,6 +502,48 @@ def test_converge_honours_oracle_cutoff(tmp_path):
     assert min(abs(a - b) for a, b in zip(default, walled)) > 1e-3
 
 
+def test_converge_after_a_rung_that_stopped_short_exits_3(tmp_path, capsys):
+    # a budget of 20 solves stops the 40x40 rung after 1 level and the 80x80
+    # rung after 3; the levels the rung before lacks get no observed order
+    config = _converge_config(
+        tmp_path, system={"family": "caged_oscillator", "a": 1.0, "b": 1.7, "omega": 1.0,
+                          "A": 0.1, "B": 0.2},
+        ladder=[40, 80], solver={"levels": 6, "max_iter": 20},
+        oracle={"n_r_max": 4, "j_max": 4})
+    assert main([_write_config(tmp_path, "conv.json", config)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: the eigensolve did not converge") and "Traceback" not in err
+    rows = [l.split(",") for l in (tmp_path / "conv.csv").read_text().splitlines()
+            if l[:1].isdigit()]
+    first = [r for r in rows if r[0] == rows[0][0]]
+    second = rows[len(first):]
+    assert 0 < len(first) < len(second)
+    assert all(math.isnan(float(r[4])) for r in first + second[len(first):])
+
+
+# oracle inputs whose fd grid cannot be sized: each is refused before any
+# grid of it is allocated
+_UNSIZABLE_ORACLES = {
+    "cutoff-1e18": ({"family": "ttw", "omega": 1.0, "k": 2, "alpha": 0.1, "beta": 0.1},
+                    {"cutoff": 1e18}, 3, "finest Richardson grid would have 9.6e+19 points"),
+    "caged-a-1e-300": ({"family": "caged_oscillator", "a": 1e-300}, {}, 3,
+                       "finest Richardson grid would have"),
+    "ttw-omega-1e-300": ({"family": "ttw", "omega": 1e-300, "k": 2, "alpha": 0.1,
+                          "beta": 0.1}, {}, 3, "finest Richardson grid would have"),
+    "ttw-omega-1e300": ({"family": "ttw", "omega": 1e300, "k": 2, "alpha": 0.1,
+                         "beta": 0.1}, {}, 2, "overflows when squared"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNSIZABLE_ORACLES))
+def test_unsizable_oracle_grid_is_refused(tmp_path, capsys, case):
+    system, oracle, code, message = _UNSIZABLE_ORACLES[case]
+    config = {**_oracle_config(tmp_path, **oracle), "system": system}
+    assert main([_write_config(tmp_path, "oracle.json", config)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_importing_cli_leaves_out_unused_scipy_subpackages():
     import os
     import subprocess
@@ -545,3 +596,23 @@ def test_readme_config_table_matches_the_schema():
               for key in kind.keys}
     assert documented == schema
     assert top_level <= {key for command in SCHEMA.values() for key in command.keys}
+
+
+def test_readme_example_config_passes_the_schema():
+    # the annotated example is a solve config; a key it still shows after
+    # the schema dropped it is an error here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+    config = json.loads(re.sub(r"//[^\n]*", "", example))
+    SCHEMA[config["command"]].parse(config, "")
+
+
+def test_readme_command_table_matches_the_schema():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = readme.split("| command ", 1)[1].split("\n\n", 1)[0].splitlines()[2:]
+    documented = {}
+    for row in rows:
+        name, keys = row.split("|")[1:3]
+        documented[name.strip().strip("`")] = set(re.findall(r"`(\w+)`", keys))
+    assert documented == {command: set(block.keys) - {"command"}
+                          for command, block in SCHEMA.items()}

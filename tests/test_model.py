@@ -32,9 +32,7 @@ from few2d import (
     separated_spectrum,
     spec_from_dict,
     spec_to_dict,
-    validate,
 )
-from few2d.model import quadrant_values, singular_rays
 
 
 def test_ttw_reduces_to_isotropic_oscillator():
@@ -123,13 +121,12 @@ def test_threebody_ttw_carries_k_squared_weighting():
 
 def test_validate_accepts_point_just_above_bound():
     # the plain TTW couplings must exceed -k^2/4, here -1
-    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0 + 1e-9, beta=0.0)
-    validate(spec)
+    TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0 + 1e-9, beta=0.0)
 
 
 def test_validate_rejects_bound_exactly():
     with pytest.raises(BoundViolation):
-        validate(TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0, beta=0.0))
+        TTW(omega=1.0, k=Rational(2, 1), alpha=-1.0, beta=0.0)
 
 
 def test_polar_bounds_are_the_angular_problems():
@@ -157,23 +154,23 @@ def test_validate_rejects_zero_k_and_bad_frequency():
     with pytest.raises(ZeroK):
         coerce_k(0.0)
     with pytest.raises(ZeroK):
-        validate(TTW(omega=1.0, k=Rational(0, 1)))
+        TTW(omega=1.0, k=Rational(0, 1))
     with pytest.raises(NonPositiveMassOrFrequency):
-        validate(TTW(omega=-1.0, k=Rational(1, 1)))
+        TTW(omega=-1.0, k=Rational(1, 1))
     with pytest.raises(NonPositiveMassOrFrequency):
-        validate(CagedOscillator(a=0.0))
+        CagedOscillator(a=0.0)
 
 
 def test_caged_bound_is_minus_one_eighth():
-    validate(CagedOscillator(A=-0.124, B=0.0))
+    CagedOscillator(A=-0.124, B=0.0)
     with pytest.raises(BoundViolation):
-        validate(CagedOscillator(A=-0.125, B=0.0))
+        CagedOscillator(A=-0.125, B=0.0)
 
 
 def test_rational_normalizes_to_lowest_terms():
     k = coerce_k((6, 4))
     assert (k.m, k.n) == (3, 2)
-    spec = validate(TTW(omega=1.0, k=Rational(6, 4)))
+    spec = TTW(omega=1.0, k=Rational(6, 4))
     assert (spec.k.m, spec.k.n) == (3, 2)
 
 
@@ -354,7 +351,7 @@ def test_family_contract(spec, chart_to_xy, box_side, rays):
     if chart_to_xy is not None:
         for point in _CHART_POINTS:
             x, y = chart_to_xy(*point)
-            quad = float(quadrant_values(spec, np.array([x]), np.array([y]))[0])
+            quad = float(spec.quadrant(np.array([x]), np.array([y]))[0])
             assert eval_potential(spec, point) == pytest.approx(quad, rel=1e-13)
 
     if box_side is None:
@@ -364,7 +361,7 @@ def test_family_contract(spec, chart_to_xy, box_side, rays):
         box = default_box(spec)
         assert (box.x_max, box.y_max) == (box_side, box_side)
 
-    got = singular_rays(spec)
+    got = spec.rays()
     assert [kind for kind, _ in got] == [kind for kind, _ in rays]
     assert [th for _, th in got] == pytest.approx([th for _, th in rays], abs=1e-15)
 

@@ -31,7 +31,6 @@ from few2d import (
     reduce_to_2d,
     wolfes_to_ttw,
 )
-from few2d.model import quadrant_values
 from few2d.reduction import ReducedProblem2D
 
 
@@ -85,7 +84,7 @@ def test_reduce_caged_d3_keeps_couplings():
     prob = reduce_to_2d(spec, 3, 3)
     # hatted couplings equal the bare ones: W = V with no extra 1/x^2
     assert prob.effective_values(2.0, 3.0) == pytest.approx(
-        quadrant_values(spec, 2.0, 3.0)
+        spec.quadrant(2.0, 3.0)
     )
 
 
