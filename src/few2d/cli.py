@@ -43,12 +43,13 @@ _REQUIRED = object()    # default of a key the config must give
 
 
 class _Num(NamedTuple):
-    """A finite number >= lo, or > lo if ``strict``; with ``integer`` an
-    integer, which an integral JSON float such as 20.0 also is."""
+    """A finite number >= lo, or > lo if ``strict``, and <= hi; with
+    ``integer`` an integer, which an integral JSON float such as 20.0 also is."""
 
     integer: bool
     lo: float
     strict: bool = False
+    hi: float = math.inf
 
     def parse(self, value, where: str):
         try:
@@ -60,6 +61,8 @@ class _Num(NamedTuple):
         if number < self.lo or self.strict and number == self.lo:
             raise ConfigError(f"{where} must be {'>' if self.strict else '>='} "
                               f"{self.lo:g}, got {value!r}")
+        if number > self.hi:
+            raise ConfigError(f"{where} must be <= {self.hi:g}, got {value!r}")
         return int(value) if self.integer else number
 
 
@@ -131,29 +134,37 @@ def _read_reduced_problem(src) -> ReducedProblem2D:
     return ReducedProblem2D.from_dict(src)
 
 
+# Size bounds, each at least 10x the largest value a test, config or benchmark job uses
+_MAX_GRID_NODES = 2_000_000   # nodes of a solve or converge grid; 400 x 400 is the largest
+_MAX_LABEL = 200   # n_r_max and j_max, 12 at most; j_max + 1 stays below the 1200
+                   # points of the coarsest angular fd grid
+_MAX_DL = 100      # d and L, 5 and 2 at most
+
 _INT0, _INT1, _POSITIVE = _Num(True, 0), _Num(True, 1), _Num(False, 0.0, strict=True)
+_DIM, _ANG, _LABEL = (_Num(True, 1, hi=_MAX_DL), _Num(True, 0, hi=_MAX_DL),
+                      _Num(True, 0, hi=_MAX_LABEL))
 # spec_from_dict is looked up per call, so wrappers put on the module attribute see it
 _TEXT, _SYSTEM = _Choice(), _Parsed(lambda obj: spec_from_dict(obj))
 _BOX = _Block({"x_max": (_POSITIVE, _REQUIRED), "y_max": (_POSITIVE, _REQUIRED)})
-_REDUCTION = _Block({"d1": (_INT1, 3), "d2": (_INT1, 3), "L_x": (_INT0, 0), "L_y": (_INT0, 0),
+_REDUCTION = _Block({"d1": (_DIM, 3), "d2": (_DIM, 3), "L_x": (_ANG, 0), "L_y": (_ANG, 0),
                      "box": (_BOX, None)})
 _DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200)})
 _SOLVER = _Block({"levels": (_INT1, 6), "tol": (_POSITIVE, 1e-6), "max_iter": (_INT1, None),
                   "seed": (_INT0, 0),
                   "cluster_tol": (_Num(False, 0.0), 1e-6)})
 _THREEBODY = _Block({"masses": (_List(_POSITIVE, length=3), _REQUIRED),
-                     "d": (_INT1, _REQUIRED), "L1": (_INT0, 0), "L2": (_INT0, 0),
+                     "d": (_DIM, _REQUIRED), "L1": (_ANG, 0), "L2": (_ANG, 0),
                      "potential": (_SYSTEM, _REQUIRED), "box": (_BOX, None)})
 _SCAN = _Block({"k_list": (_List(_Parsed(k_from_json)), _REQUIRED),
                 "levels_per_k": (_INT1, 20), "tol": (_POSITIVE, 1e-8),
-                "n_r_max": (_INT0, 14), "j_max": (_INT0, 10)})
+                "n_r_max": (_LABEL, 14), "j_max": (_LABEL, 10)})
 _OUTPUT = _Block({"path": (_TEXT, _REQUIRED)})
 
 
 def _oracle(labels: int) -> _Block:
     """Keyword arguments of ``separated_spectrum``; both label ranges
     default to ``labels``."""
-    return _Block({"n_r_max": (_INT0, labels), "j_max": (_INT0, labels),
+    return _Block({"n_r_max": (_LABEL, labels), "j_max": (_LABEL, labels),
                    "method": (_Choice(("fd", "shooting")), "fd"),
                    "cutoff": (_POSITIVE, None), "target": (_POSITIVE, 1e-8)})
 
@@ -260,6 +271,13 @@ def _problem(cfg: dict) -> ReducedProblem2D:
         raise ConfigError(f"invalid reduction {red}: {exc}") from exc
 
 
+def _check_grid(n1: int, n2: int, where: str) -> None:
+    """Refuse, before anything is allocated, a grid above ``_MAX_GRID_NODES`` nodes."""
+    if n1 * n2 > _MAX_GRID_NODES:
+        raise ConfigError(f"{where} asks for a {n1} x {n2} grid, more than the "
+                          f"{_MAX_GRID_NODES} nodes allowed")
+
+
 def _lowest(op, solver: dict):
     return lowest_eigs(op, solver["levels"], tol=solver["tol"],
                        max_iter=solver["max_iter"], seed=solver["seed"])
@@ -277,6 +295,7 @@ def run_solve(cfg: dict, prov: dict) -> int:
     problem = _problem(cfg)
     disc = cfg["discretization"]
     solver = cfg["solver"]
+    _check_grid(disc["n1"], disc["n2"], "discretization.n1 x n2")
     prefix = _output_prefix(cfg)
 
     if solver["levels"] > disc["n1"] * disc["n2"]:
@@ -393,6 +412,8 @@ def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
 
 def run_converge(cfg: dict, prov: dict) -> int:
     problem = _problem(cfg)
+    for i, n in enumerate(cfg["ladder"]):
+        _check_grid(n, n, f"ladder[{i}]")
     solver = cfg["solver"]
     prefix = _output_prefix(cfg)
     oracle_levels = _oracle_levels(problem, cfg["oracle"], solver["levels"])

@@ -21,13 +21,16 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridTooCoarse, SingularNodeUnavoidable, SingularPoint
+from .errors import BoundViolation, GridTooCoarse, SingularNodeUnavoidable, SingularPoint
 from .model import PotentialSpec
 from .reduction import Box, ReducedProblem2D
 
 _MIN_NODES = 8
 _MIN_COARSE_NODES = 32   # coarser grids place the eigensolver's slice badly
 _ANGLE_GUARD = 1e-9
+# largest |W| at a node: the eigensolver's residual norms sum n squares of
+# operator entries, which stays finite for up to 10^7 nodes of this size
+_W_MAX = 1e150
 
 
 @dataclass(frozen=True)
@@ -148,14 +151,23 @@ def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
 
     Diagonal entries are 2/h_x^2 + 2/h_y^2 + W(x_i, y_j) (plus the wall
     correction on staggered axes); off-diagonals are -1/h^2 towards each
-    stencil neighbor.  Row index is i * n_y + j.
+    stencil neighbor.  Row index is i * n_y + j.  A node where W is not
+    finite, or exceeds ``_W_MAX`` in magnitude, is refused by name.
     """
     if _collides(grid.nodes_x, grid.nodes_y, problem.potential.rays()):
         raise SingularPoint("angular ray", "grid node on a singular line")
-    w = problem.effective_values(grid.nodes_x[:, None], grid.nodes_y[None, :])
+    with np.errstate(all="ignore"):     # values out of range are refused just below
+        w = problem.effective_values(grid.nodes_x[:, None], grid.nodes_y[None, :])
     w = np.asarray(w, dtype=float).reshape(grid.shape)
-    if not np.all(np.isfinite(w)):
-        raise SingularPoint("potential", "non-finite value at a grid node")
+    out = ~(np.abs(w) <= _W_MAX)
+    if out.any():
+        i, j = np.argwhere(out)[0]
+        where = (f"W = {w[i, j]:.6g} at the grid node (x, y) = "
+                 f"({grid.nodes_x[i]:.12g}, {grid.nodes_y[j]:.12g})")
+        if np.isfinite(w[i, j]):
+            raise BoundViolation(f"{where} exceeds {_W_MAX:g} in magnitude, beyond which "
+                                 f"the eigensolver's residual norms overflow")
+        raise SingularPoint("potential", f"non-finite value {where}")
     return _operator(grid, w)
 
 

@@ -83,7 +83,8 @@ def coerce_k(k) -> KValue:
     A float stays real with no rational approximation (degeneracy scans need
     genuinely irrational k as a control); it must be finite and positive, and
     k^2 must not underflow, since k^2 sets the couplings' bound.  Anything
-    else, a bool included, raises :class:`ZeroK`.
+    else, a bool included, raises :class:`ZeroK`; a k whose square overflows
+    a double raises :class:`BoundViolation`.
     """
     if isinstance(k, Rational):
         k = (k.m, k.n)
@@ -96,11 +97,15 @@ def coerce_k(k) -> KValue:
         if m <= 0 or n <= 0:
             raise ZeroK(f"rational k = m/n needs positive integers m, n; got {m}/{n}")
         g = math.gcd(m, n)
-        return Rational(m // g, n // g)
-    if isinstance(k, float) and math.isfinite(k) and k > 0.0 and k * k > 0.0:
-        return float(k)
-    raise ZeroK(f"k must be a positive rational or a finite positive float "
-                f"with k^2 > 0, got {k!r}")
+        k = Rational(m // g, n // g)
+    elif not (isinstance(k, float) and math.isfinite(k) and k > 0.0 and k * k > 0.0):
+        raise ZeroK(f"k must be a positive rational or a finite positive float "
+                    f"with k^2 > 0, got {k!r}")
+    try:
+        k_float(k) ** 2     # a float power raises where k * k would be inf
+    except OverflowError:
+        raise BoundViolation(f"k = {k!r} overflows when squared") from None
+    return k
 
 
 def k_float(k: KValue) -> float:
@@ -133,6 +138,14 @@ def k_from_json(obj) -> KValue:
             raise ValueError(f"a rational k is {{\"m\": int, \"n\": int}}, got {obj!r}")
         obj = (obj["m"], obj["n"])
     return coerce_k(obj)
+
+
+def _check_frequency(omega: float) -> None:
+    """Refuse a frequency that is not positive or whose square overflows a double."""
+    if omega <= 0:
+        raise NonPositiveMassOrFrequency(f"omega must be > 0, got {omega}")
+    if not math.isfinite(omega * omega):
+        raise BoundViolation(f"omega = {omega!r} overflows when squared")
 
 
 def barrier_exponents(k: float, a: float, b: float) -> tuple[float, float]:
@@ -362,6 +375,7 @@ class CagedOscillator(_Family):
                 f"caged oscillator requires a, b, omega > 0, got "
                 f"a={self.a}, b={self.b}, omega={self.omega}"
             )
+        _check_frequency(self.omega)
         if self.A <= -0.125 or self.B <= -0.125:
             raise BoundViolation(
                 f"caged oscillator requires A, B > -1/8, got A={self.A}, B={self.B}"
@@ -393,8 +407,7 @@ class _TTWForm(_Family):
 
     def __post_init__(self):
         object.__setattr__(self, "k", coerce_k(self.k))
-        if self.omega <= 0:
-            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
+        _check_frequency(self.omega)
         # the weighted couplings are the ones the angular problem sees
         barrier_exponents(*self.separation()[1])
 
@@ -504,8 +517,7 @@ class _LineModel(_Family):
     A: float = 0.0
 
     def __post_init__(self):
-        if self.omega <= 0:
-            raise NonPositiveMassOrFrequency(f"omega must be > 0, got {self.omega}")
+        _check_frequency(self.omega)
 
     def chart(self, point):
         config = point if isinstance(point, ThreeBodyConfig) else ThreeBodyConfig(*point)

@@ -173,7 +173,7 @@ def _weighted_fd_operator(
     lwm = log_weight(a + h * (i - 0.5))
     lwp = log_weight(a + h * (i + 0.5))
     v = potential(x)
-    with np.errstate(over="ignore"):   # an overflow is reported just below
+    with np.errstate(over="ignore", invalid="ignore"):   # reported just below
         dm = np.exp(lwm - lw)
         dp = np.exp(lwp - lw)
         diag = (dm + dp) / h**2 + v
@@ -240,16 +240,25 @@ def _fd_levels_certified(
     grid gets no guess: its cold bisection anchors the level indices.  Each
     finer grid gets a prediction of its levels: the n0 levels for 2n0, the
     h^2 step e_2n + (e_2n - e_n) / 4 for the grids after it.  ``label``
-    names the problem in the error raised on a miss.
+    names the problem in the error raised on a miss, and on a grid whose
+    LAPACK bisection fails.
     """
-    e1 = solve_n(n0, None)
-    e2 = solve_n(2 * n0, e1)
-    e3 = solve_n(4 * n0, e2 + (e2 - e1) / 4.0)
-    grids = [n0, 2 * n0, 4 * n0]
+    grids = []
+
+    def solve(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
+        grids.append(n)
+        try:
+            return solve_n(n, guess)
+        except np.linalg.LinAlgError as exc:
+            raise AccuracyNotReached(math.inf, target, (
+                f"fd backend, {label}: LAPACK failed on the {n}-point grid ({exc})")) from None
+
+    e1 = solve(n0, None)
+    e2 = solve(2 * n0, e1)
+    e3 = solve(4 * n0, e2 + (e2 - e1) / 4.0)
     levels, err = _richardson(e1, e2, e3)
     if err.max() > target:
-        e4 = solve_n(8 * n0, e3 + (e3 - e2) / 4.0)
-        grids.append(8 * n0)
+        e4 = solve(8 * n0, e3 + (e3 - e2) / 4.0)
         levels, err = _richardson(e2, e3, e4)
     if err.max() <= target:
         return levels

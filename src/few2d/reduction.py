@@ -60,7 +60,13 @@ def centrifugal_coefficient(d: int, L: int) -> float:
         raise ValueError(f"angular momentum L must be >= 0, got {L}")
     if d == 1 and L > 1:
         raise ValueError(f"at d = 1, L is a parity in {{0, 1}}, got {L}")
-    return L * (L + d - 2) + (d - 1) * (d - 3) / 4.0
+    try:
+        c = L * (L + d - 2) + (d - 1) * (d - 3) / 4.0
+    except OverflowError:     # an integer too large for a double
+        c = math.inf
+    if not math.isfinite(c):
+        raise ValueError(f"the centrifugal coefficient of d = {d}, L = {L} overflows a double")
+    return c
 
 
 @dataclass(frozen=True)

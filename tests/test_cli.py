@@ -544,6 +544,79 @@ def test_unsizable_oracle_grid_is_refused(tmp_path, capsys, case):
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+# magnitudes no grid, oracle or double can hold: each exits 2 (refused
+# before anything is allocated) or 3, with an error line naming the key or
+# the node, the backend and the problem
+_CAGED = {"family": "caged_oscillator", "a": 1.0, "b": 1.0, "omega": 1.0, "A": 0.0, "B": 0.0}
+_BOX12 = {"x_max": 12.0, "y_max": 12.0}
+_HUGE_INPUTS = {
+    "solve-ttw-omega-1e300": (lambda t: _solve_config(
+        t, system={"family": "ttw", "omega": 1e300, "k": 2, "alpha": 0.1, "beta": 0.1}),
+        2, "omega = 1e+300 overflows when squared"),
+    "solve-caged-omega-1e300": (lambda t: _solve_config(t, system={**_CAGED, "omega": 1e300}),
+                                2, "omega = 1e+300 overflows when squared"),
+    "map3-wolfes-omega-1e200": (lambda t: _map3_config(
+        t, potential={"family": "wolfes", "omega": 1e200, "A": 1.0, "B": 2.0}),
+        2, "omega = 1e+200 overflows when squared"),
+    "scan-k-1e300": (lambda t: _scan_config(t, k_list=[1, 1e300]), 2,
+                     "scan.k_list[1]: k = 1e+300 overflows when squared"),
+    "converge-caged-a-1e300": (lambda t: _converge_config(t, system={**_CAGED, "a": 1e300}),
+                               3, "fd backend, radial oscillator problem (coupling=1e+150"),
+    "solve-n1-1e12": (lambda t: _solve_config(t, discretization={"n1": 10**12, "n2": 20}),
+                      2, "discretization.n1 x n2"),
+    "solve-n1-1e300": (lambda t: _solve_config(t, discretization={"n1": 1e300, "n2": 20}),
+                       2, "discretization.n1 x n2"),
+    "converge-rung-1e12": (lambda t: _converge_config(t, ladder=[20, 10**12]), 2, "ladder[1]"),
+    "converge-rung-1e300": (lambda t: _converge_config(t, ladder=[1e300]), 2, "ladder[0]"),
+    "oracle-j-max-1e12": (lambda t: _oracle_config(t, j_max=10**12), 2, "oracle.j_max"),
+    "oracle-j-max-1e300": (lambda t: _oracle_config(t, j_max=1e300), 2, "oracle.j_max"),
+    "scan-n-r-max-1e300": (lambda t: _scan_config(t, n_r_max=1e300), 2, "scan.n_r_max"),
+    "reduction-d1-1e300": (lambda t: _solve_config(
+        t, reduction={"d1": 1e300, "d2": 3, "box": _BOX12}), 2, "reduction.d1"),
+    "reduction-d2-1e300": (lambda t: _solve_config(
+        t, reduction={"d1": 3, "d2": 1e300, "box": _BOX12}), 2, "reduction.d2"),
+    "reduction-L-x-1e300": (lambda t: _solve_config(
+        t, reduction={"d1": 3, "d2": 3, "L_x": 1e300, "box": _BOX12}), 2, "reduction.L_x"),
+    "reduction-L-y-1e300": (lambda t: _solve_config(
+        t, reduction={"d1": 3, "d2": 3, "L_y": 1e300, "box": _BOX12}), 2, "reduction.L_y"),
+    "map3-d-1e300": (lambda t: _map3_config(t, d=1e300), 2, "threebody.d"),
+    "reduced-L-x-1e300": (lambda t: _inline_reduced_config(t, L_x=1e300), 2,
+                          "centrifugal coefficient of d = 3, L = 1"),
+    "solve-caged-A-1e308": (lambda t: _solve_config(t, system={**_CAGED, "A": 1e308}),
+                            2, "W = inf at the grid node (x, y) = (0.196721311475, "),
+    "solve-caged-a-1e300": (lambda t: _solve_config(t, system={**_CAGED, "a": 1e300}),
+                            2, "exceeds 1e+150 in magnitude"),
+    "solve-box-x-max-1e300": (lambda t: _solve_config(
+        t, reduction={"d1": 3, "d2": 3, "box": {"x_max": 1e300, "y_max": 12.0}}),
+        2, "W = inf at the grid node (x, y) = ("),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUGE_INPUTS))
+def test_huge_magnitude_keeps_the_exit_code_contract(tmp_path, capsys, case):
+    make, code, message = _HUGE_INPUTS[case]
+    assert main([_write_config(tmp_path, "huge.json", make(tmp_path))]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_verify_identity_checks_leave_out_scipy_stats(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import few2d
+
+    config = {"command": "verify", "checks": ["wolfes-ttw3", "calogero-b0", "ttw1-caged"]}
+    cfg = _write_config(tmp_path, "verify.json", config)
+    code = ("import sys, few2d.cli; rc = few2d.cli.main([sys.argv[1]]); "
+            "print(rc, 'scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(few2d.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code, cfg], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.splitlines()[-1] == "0 False"
+
+
 def test_importing_cli_leaves_out_unused_scipy_subpackages():
     import os
     import subprocess

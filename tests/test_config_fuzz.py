@@ -1,7 +1,8 @@
 """Every field of every shipped config, mutated: the CLI keeps its exit-code contract.
 
 Each example sweeps all fields of one config in ``configs/``: every leaf
-gets a wrong type, a bool, an out-of-bounds number and is removed; every
+gets a wrong type, a bool and is removed, every numeric leaf also an
+out-of-bounds number and a huge one (10^12 or 1e300); every
 object gets an extra key, a wrong type and is removed; the top level gets an
 extra key.  Hypothesis draws the replacement values, seeded.  Each mutated
 run must exit 0, 2 or 3 (1 only for a ``verify`` whose check fails), print an
@@ -43,6 +44,7 @@ _BY_TYPE = {     # JSON values by type; a "wrong type" draws from the other type
 _DRAWN = {
     "bool": st.booleans(),
     "out of bounds": st.sampled_from([-1, 0, -0.5, -1e9]),
+    "huge": st.sampled_from([10**12, 1e300]),
     "extra key": st.sampled_from(["extra", "solvr", "formats", "check"]),
 }
 
@@ -72,7 +74,7 @@ def _sites(node, path=()):
         for idx, value in enumerate(node):
             yield from _sites(value, path + (idx,))
     elif isinstance(node, (int, float)) and not isinstance(node, bool):
-        yield path, ("wrong type", "bool", "out of bounds", "missing")
+        yield path, ("wrong type", "bool", "out of bounds", "huge", "missing")
     else:
         yield path, ("wrong type", "bool", "missing")
 

@@ -161,6 +161,17 @@ def test_validate_rejects_zero_k_and_bad_frequency():
         CagedOscillator(a=0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: coerce_k(1e155), lambda: coerce_k((10**400, 3)),
+    lambda: TTW(omega=1e300, k=2), lambda: ThreeBodyTTW(omega=1e155, k=3),
+    lambda: CagedOscillator(omega=1e300), lambda: Calogero(omega=1e300),
+    lambda: Wolfes(omega=1e200, A=1.0, B=2.0),
+])
+def test_a_square_that_overflows_is_a_bound_violation(build):
+    with pytest.raises(BoundViolation, match="overflows when squared"):
+        build()
+
+
 def test_caged_bound_is_minus_one_eighth():
     CagedOscillator(A=-0.124, B=0.0)
     with pytest.raises(BoundViolation):

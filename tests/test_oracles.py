@@ -113,6 +113,13 @@ def test_fd_operator_overflow_is_an_accuracy_failure():
         separated_spectrum(TTW(omega=1.0, k=1e9, alpha=0.1875, beta=0.1875), 1, 1)
 
 
+def test_failed_lapack_bisection_is_an_accuracy_failure():
+    # at a = 1e300 the oscillator's operator spans ~1e300 and dstebz gives up
+    with pytest.raises(AccuracyNotReached, match=r"fd backend, radial oscillator problem "
+                       r"\(coupling=1e\+150.*LAPACK failed on the 1500-point grid"):
+        separated_spectrum(CagedOscillator(a=1e300), 0, 0)
+
+
 def test_fd_overflow_is_refused_before_any_grid_is_built(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the operator was assembled")

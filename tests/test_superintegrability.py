@@ -29,6 +29,7 @@ from few2d import (
 )
 from few2d import oracles
 from few2d.model import k_from_json
+from few2d.superintegrability import halton_point
 
 
 # --- integral order -----------------------------------------------------
@@ -100,6 +101,33 @@ def test_identity_check_is_symmetric_under_swap():
                          samples=400, tol=1e-12)
     # same symmetric deviation measure, same samples: equal up to roundoff
     assert rev.max_rel_deviation == pytest.approx(fwd.max_rel_deviation, rel=1e-9)
+
+
+def test_halton_points_are_radical_inverses_in_bases_2_and_3():
+    assert [halton_point(i) for i in (1, 2, 3)] == [(1 / 2, 1 / 3), (1 / 4, 2 / 3),
+                                                    (3 / 4, 1 / 9)]
+    assert halton_point(0) == (0.0, 0.0)
+
+
+def test_identity_check_draws_from_seed_and_advances_past_rejected_points():
+    # the unit box keeps the Halton points as drawn; the bridge admits
+    # u > 0.4, which rejects the second point (1/4, 2/3)
+    def drawn(seed, samples):
+        points = []
+
+        def to_a(u, v):
+            points.append((u, v))
+            return (u + 1.0, v + 1.0)
+
+        bridge = Bridge(sample_box=((0.0, 1.0), (0.0, 1.0)), to_a=to_a,
+                        to_b=lambda u, v: (u + 1.0, v + 1.0), admissible=lambda u, v: u > 0.4)
+        identity_check(CagedOscillator(), CagedOscillator(), bridge, samples=samples,
+                       seed=seed)
+        return points
+
+    assert drawn(0, 2) == [(1 / 2, 1 / 3), (3 / 4, 1 / 9)]
+    assert drawn(0, 50) == drawn(0, 50)
+    assert drawn(7, 3) == [p for p in map(halton_point, range(8, 20)) if p[0] > 0.4][:3]
 
 
 # --- degeneracy scans -----------------------------------------------------
