@@ -274,7 +274,7 @@ def _problem(cfg: dict) -> ReducedProblem2D:
 def _check_grid(n1: int, n2: int, where: str) -> None:
     """Refuse, before anything is allocated, a grid above ``_MAX_GRID_NODES`` nodes."""
     if n1 * n2 > _MAX_GRID_NODES:
-        raise ConfigError(f"{where} asks for a {n1} x {n2} grid, more than the "
+        raise ConfigError(f"{where} asks for a {n1:g} x {n2:g} grid, more than the "
                           f"{_MAX_GRID_NODES} nodes allowed")
 
 
@@ -300,8 +300,8 @@ def run_solve(cfg: dict, prov: dict) -> int:
 
     if solver["levels"] > disc["n1"] * disc["n2"]:
         raise ConfigError(
-            f"requested {solver['levels']} levels exceeds grid dimension "
-            f"{disc['n1'] * disc['n2']}"
+            f"solver.levels asks for {solver['levels']:g} levels, more than the grid "
+            f"dimension {disc['n1'] * disc['n2']}"
         )
     grid = make_grid(problem.box, disc["n1"], disc["n2"], spec=problem.potential)
     op = assemble(problem, grid)
@@ -406,7 +406,7 @@ def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
         raise ConfigError(
             f"the oracle has {len(energies)} levels with oracle.n_r_max = "
             f"{oracle['n_r_max']} and oracle.j_max = {oracle['j_max']}, fewer than "
-            f"solver.levels = {levels}")
+            f"solver.levels = {levels:g}")
     return energies
 
 

@@ -13,12 +13,13 @@ solved here by two unrelated backends:
     -(x^{-2s}) (x^{2s} w')' + V(x) w.  The scheme is assembled in log-space
     ratios (stable for large s), reduced to a symmetric tridiagonal problem,
     and Richardson-extrapolated over grids (n, 2n, 4n); the extrapolation
-    residual provides the accuracy estimate.  The first grid is solved by
-    LAPACK bisection; each finer grid refines the levels predicted from the
-    coarser ones by inverse iteration and keeps them only when a Sturm count
-    and their residuals certify them, else it is bisected too.  Coulomb
-    problems with c != 0 use a logarithmically mapped grid instead, equally
-    tridiagonal and always bisected.
+    residual provides the accuracy estimate.  Each grid refines a
+    prediction of its levels by inverse iteration and keeps them only when
+    a Sturm count and their residuals certify them, else it is bisected by
+    LAPACK.  The first grid is predicted by the same scheme on a quarter of
+    its points, loosely bisected; each finer grid by the coarser ones.
+    Coulomb problems with c != 0 use a logarithmically mapped grid instead,
+    equally tridiagonal and always bisected.
 
 ``shooting``
     Adaptive integration (LSODA) of the scaled Prufer angle theta of the
@@ -58,28 +59,37 @@ _SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
 _ULP = np.finfo(float).eps
 _LOG_MAX = math.log(np.finfo(float).max)
 _INVERSE_STEPS = 5     # at most, per predicted level
+_TINY = np.finfo(float).tiny
+_PREDICT_TOL = 1e-6    # of ||T||: the bisection tolerance of a predicting grid
+_SHIFT_WINDOW = 0.25   # of the predicted gap: how far from its prediction a shift may move
 
 
 # =====================================================================
 # backend 1: weighted conservative finite differences + Richardson
 # =====================================================================
 
-def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int, tol: float = 0.0,
+def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int,
                     guess: Optional[np.ndarray] = None) -> np.ndarray:
     """Lowest m eigenvalues of the symmetric tridiagonal matrix (diag, off).
 
-    Without ``guess`` they are bisected by LAPACK ``dstebz`` from the
-    Gershgorin bounds to the absolute tolerance ``tol`` (<= 0: ulp * ||T||).
-    With a prediction ``guess`` of all m levels, ``_refined_levels`` tries
-    to refine and certify them first; a failed certificate falls back to
-    the bisection.
+    With a prediction ``guess`` of all m levels, ``_refined_levels`` refines
+    and certifies them.  Without one, or when the certificate fails, they
+    are bisected by LAPACK ``dstebz`` from the Gershgorin bounds to the
+    smallest absolute tolerance, so that only its relative stopping rule,
+    about ulp * |lambda|, ends the bisection.
     """
     if guess is not None:
         levels = _refined_levels(diag, off, guess)
         if levels is not None:
             return levels
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
-                            eigvals_only=True, tol=tol)
+                            eigvals_only=True, tol=_TINY)
+
+
+def _norm(diag: np.ndarray, off: np.ndarray) -> float:
+    """The infinity norm ||T|| of the symmetric tridiagonal (diag, off)."""
+    a = np.abs(off)
+    return float(np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0)))
 
 
 def _refined_levels(diag: np.ndarray, off: np.ndarray,
@@ -89,7 +99,11 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
     Each predicted level is refined by shifted inverse iteration (LAPACK
     ``dgtsv``) from a fixed start vector, ending in a Rayleigh quotient
     lam_j with residual r_j; then T has an eigenvalue in each interval
-    [lam_j - r_j, lam_j + r_j].  The levels are accepted only if
+    [lam_j - r_j, lam_j + r_j].  The shift starts at the prediction and
+    moves to the Rayleigh quotient after each step that has not converged,
+    but only while the quotient lies within a quarter of the predicted gap
+    of the prediction: a Rayleigh shift converges cubically, but to
+    whichever level it lies nearest.  The levels are accepted only if
 
     * the intervals, widened by 8 ulp * ||T|| for rounding, are pairwise
       disjoint and ordered,
@@ -104,8 +118,7 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
     so that the count also bounds the gap above the highest level.
     """
     m = len(guess)
-    a = np.abs(off)
-    norm = float(np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0)))
+    norm = _norm(diag, off)
     tol_abs = _ULP * norm
     # stop iterating once r_j^2 is well below tol_abs times the predicted gap
     spacing = np.abs(np.diff(guess))
@@ -114,9 +127,9 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
     start = np.random.default_rng(0).standard_normal(diag.size)
     lam, res = np.empty(m), np.empty(m)
     for j in range(m):
-        x = start
+        x, shift = start, guess[j]
         for _ in range(_INVERSE_STEPS):
-            *_, y, info = dgtsv(off, diag - guess[j], off, x)
+            *_, y, info = dgtsv(off, diag - shift, off, x)
             if info != 0:
                 return None
             x = y / np.linalg.norm(y)
@@ -127,6 +140,8 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
             res[j] = np.linalg.norm(tx - lam[j] * x)
             if res[j] ** 2 <= 0.1 * tol_abs * gap_guess[j]:
                 break
+            if abs(lam[j] - guess[j]) <= _SHIFT_WINDOW * gap_guess[j]:
+                shift = lam[j]
 
     # each check is written so that a NaN fails it
     slack = 8.0 * tol_abs
@@ -145,7 +160,7 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
 
 
 def _steep_weight(n: int, a: float, b: float) -> AccuracyNotReached:
-    return AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n}-point operator on "
+    return AccuracyNotReached(math.inf, 0.0, f"fd backend: the {n:g}-point operator on "
                               f"[{a:.12g}, {b:.12g}] overflows; its weight is too steep")
 
 
@@ -198,9 +213,23 @@ def _weighted_fd_once(
     guess: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Lowest m eigenvalues of the weighted scheme on n points; ``guess``
-    predicts them (see ``_tridiag_lowest``)."""
+    predicts them (see ``_tridiag_lowest``).
+
+    Without a guess, the same scheme on n // 4 points, bisected to
+    ``_PREDICT_TOL`` * ||T||, predicts them.  That grid is skipped, and the n
+    points are bisected, when it has fewer than m points, when its operator
+    overflows or when LAPACK fails on it.
+    """
     diag, off = _weighted_fd_operator(log_weight, potential, interval, n,
                                       natural_left, natural_right)
+    if guess is None and n // 4 >= m:
+        try:
+            qdiag, qoff = _weighted_fd_operator(log_weight, potential, interval, n // 4,
+                                                natural_left, natural_right)
+            guess = eigh_tridiagonal(qdiag, qoff, select="i", select_range=(0, m - 1),
+                                     eigvals_only=True, tol=_PREDICT_TOL * _norm(qdiag, qoff))
+        except (AccuracyNotReached, np.linalg.LinAlgError):
+            pass
     return _tridiag_lowest(diag, off, m, guess=guess)
 
 
@@ -237,7 +266,7 @@ def _fd_levels_certified(
     """Richardson over (n0, 2n0, 4n0), then over (2n0, 4n0, 8n0) on a miss.
 
     ``solve_n(n, guess)`` returns the lowest levels on n points.  The first
-    grid gets no guess: its cold bisection anchors the level indices.  Each
+    grid gets no guess: ``solve_n`` predicts it itself, or bisects it.  Each
     finer grid gets a prediction of its levels: the n0 levels for 2n0, the
     h^2 step e_2n + (e_2n - e_n) / 4 for the grids after it.  ``label``
     names the problem in the error raised on a miss, and on a grid whose
@@ -467,8 +496,8 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
         # problem into the pencil K v = lambda e^{2t} v, K = -d^2/dt^2 + c + 1/4
         # - Z e^t, solved as the symmetric tridiagonal e^{t_min} e^{-t} K e^{-t}
         # (the factor e^{t_min} centres its squared entries in the double range).
-        # The entries span many orders of magnitude, so LAPACK bisection gets a
-        # tiny absolute tolerance and keeps its relative stopping rule.
+        # The entries span many orders of magnitude; the bisection's tiny
+        # absolute tolerance leaves its relative stopping rule in charge.
         z = p.coupling
         # inner wall where the x^s tail shifts the levels by about 1e-2 * target;
         # below t = -200 the bisection's pivot floor, safemin * max off^2, would
@@ -489,7 +518,7 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
             t = t_min + h * np.arange(1, n + 1)
             w = np.exp(0.5 * t_min - t)
             diag = (2.0 / h**2 + (p.c + 0.25) - z * np.exp(t)) * w**2
-            lam = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m, tol=np.finfo(float).tiny)
+            lam = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m)
             return lam / math.exp(t_min)
 
         n_log = _richardson_base(max(3000, (t_max - t_min) * (40.0 * m + 60.0)), label)

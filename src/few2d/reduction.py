@@ -20,6 +20,7 @@ lands in exactly the same quadrant form under (x, y) <-> (r1J, r2J).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -65,8 +66,14 @@ def centrifugal_coefficient(d: int, L: int) -> float:
     except OverflowError:     # an integer too large for a double
         c = math.inf
     if not math.isfinite(c):
-        raise ValueError(f"the centrifugal coefficient of d = {d}, L = {L} overflows a double")
+        raise ValueError(f"the centrifugal coefficient of d = {_compact(d)}, "
+                         f"L = {_compact(L)} overflows a double")
     return c
+
+
+def _compact(n: int) -> str:
+    """``n`` in ``g`` form, as 1e+300; beyond the double range, as ~2^bits."""
+    return f"{n:g}" if abs(n) <= sys.float_info.max else f"~2^{n.bit_length()}"
 
 
 @dataclass(frozen=True)
@@ -326,57 +333,60 @@ def wolfes_to_ttw(omega: float, A: float, B: float,
     The image parameters (omega', alpha, beta) are determined by an exact
     linear fit at 3 generic sample points and then verified pointwise at
     ``verify_points`` fresh ordered configurations; no analytic dictionary
-    is assumed.  Raises :class:`FitFailure` if the verification exceeds
-    ``tol`` (that signals an implementation bug, not user error).
+    is assumed.  The map is linear in (omega^2, A, B), so the harmonic model
+    (omega, 0, 0), the pair model (omega, A, 0) and the three-body model
+    (omega, 0, B) are fitted as three right-hand sides, and each image
+    parameter is read from the model that carries its term alone: beta is
+    then never resolved next to a much larger A.  Raises
+    :class:`FitFailure` if the verification of the image against the full
+    model exceeds ``tol`` (that signals an implementation bug, not user
+    error).
     """
+    from .model import eval_potential
+
     wolfes = Wolfes(omega=omega, A=A, B=B)
+    parts = (Wolfes(omega=omega), Wolfes(omega=omega, A=A), Wolfes(omega=omega, B=B))
     frame = equal_mass_frame()
 
-    def design_row(u: float, v: float) -> tuple[list[float], float]:
-        config = ordered_line_config(u, v)
+    def design_row(config: ThreeBodyConfig) -> list[float]:
         rho, theta = jacobi_polar(config, frame)
         rho2 = rho * rho
-        gc = 9.0 / (rho2 * math.cos(3 * theta) ** 2)
-        gs = 9.0 / (rho2 * math.sin(3 * theta) ** 2)
-        from .model import eval_potential
+        return [rho2, 9.0 / (rho2 * math.cos(3 * theta) ** 2),
+                9.0 / (rho2 * math.sin(3 * theta) ** 2)]
 
-        return [rho2, gc, gs], eval_potential(wolfes, config)
-
-    sample = [(0.7, 1.3), (1.1, 0.4), (0.5, 0.9)]
-    mat, rhs = [], []
-    for u, v in sample:
-        row, val = design_row(u, v)
-        mat.append(row)
-        rhs.append(val)
+    sample = [ordered_line_config(u, v) for u, v in [(0.7, 1.3), (1.1, 0.4), (0.5, 0.9)]]
+    mat = np.array([design_row(config) for config in sample])
+    rhs = np.array([[eval_potential(part, config) for part in parts] for config in sample])
     try:
-        omega2, alpha, beta = np.linalg.solve(np.array(mat), np.array(rhs))
+        coef = np.linalg.solve(mat, rhs)     # column i: the image of parts[i]
     except np.linalg.LinAlgError as exc:
         raise FitFailure(f"singular design matrix: {exc}") from exc
+    omega2 = float(coef[0, 0])
     if omega2 <= 0:
         raise FitFailure(f"fit produced non-positive omega'^2 = {omega2}")
-    # coefficients at the fit's roundoff floor are exact zeros (a residual
+    # a coupling at its model's roundoff floor is an exact zero (a residual
     # angular coupling of size eps gets amplified without bound near its ray)
-    floor = 1e-12 * max(abs(omega2), abs(alpha), abs(beta), 1.0)
-    alpha = 0.0 if abs(alpha) < floor else float(alpha)
-    beta = 0.0 if abs(beta) < floor else float(beta)
+    floor = 1e-12 * np.maximum(np.abs(coef).max(axis=0), 1.0)
+    alpha = 0.0 if abs(coef[1, 1]) < floor[1] else float(coef[1, 1])
+    beta = 0.0 if abs(coef[2, 2]) < floor[2] else float(coef[2, 2])
 
     rng = np.random.default_rng(20240311)
     worst = 0.0
     count = 0
     while count < verify_points:
         u, v = rng.uniform(0.2, 3.0, size=2)
-        theta = jacobi_polar(ordered_line_config(u, v), frame)[1]
-        if abs(theta - math.pi / 3.0) < 1e-3:
+        config = ordered_line_config(u, v)
+        if abs(jacobi_polar(config, frame)[1] - math.pi / 3.0) < 1e-3:
             continue                      # stay off the sin(3 theta) = 0 ray
         count += 1
-        row, val = design_row(u, v)
+        row, val = design_row(config), eval_potential(wolfes, config)
         image = row[0] * omega2 + row[1] * alpha + row[2] * beta
         worst = max(worst, abs(image - val) / max(abs(val), abs(image)))
     if worst > tol:
         raise FitFailure(
             f"pointwise verification failed: max relative deviation {worst:g} > {tol:g}"
         )
-    return TTWImage(omega=math.sqrt(omega2), alpha=float(alpha), beta=float(beta))
+    return TTWImage(omega=math.sqrt(omega2), alpha=alpha, beta=beta)
 
 
 def map_threebody(

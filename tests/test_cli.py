@@ -562,10 +562,16 @@ _HUGE_INPUTS = {
                      "scan.k_list[1]: k = 1e+300 overflows when squared"),
     "converge-caged-a-1e300": (lambda t: _converge_config(t, system={**_CAGED, "a": 1e300}),
                                3, "fd backend, radial oscillator problem (coupling=1e+150"),
+    "converge-caged-A-1e300": (lambda t: _converge_config(t, system={**_CAGED, "A": 1e300}),
+                               3, "fd backend: the 1.69706e+76-point operator"),
+    "solve-levels-1e300": (lambda t: _solve_config(t, solver=_solver(levels=1e300)), 2,
+                           "solver.levels asks for 1e+300 levels"),
+    "converge-levels-1e300": (lambda t: _converge_config(t, solver=_solver(levels=1e300)), 2,
+                              "fewer than solver.levels = 1e+300"),
     "solve-n1-1e12": (lambda t: _solve_config(t, discretization={"n1": 10**12, "n2": 20}),
                       2, "discretization.n1 x n2"),
     "solve-n1-1e300": (lambda t: _solve_config(t, discretization={"n1": 1e300, "n2": 20}),
-                       2, "discretization.n1 x n2"),
+                       2, "discretization.n1 x n2 asks for a 1e+300 x 20 grid"),
     "converge-rung-1e12": (lambda t: _converge_config(t, ladder=[20, 10**12]), 2, "ladder[1]"),
     "converge-rung-1e300": (lambda t: _converge_config(t, ladder=[1e300]), 2, "ladder[0]"),
     "oracle-j-max-1e12": (lambda t: _oracle_config(t, j_max=10**12), 2, "oracle.j_max"),
@@ -598,6 +604,17 @@ def test_huge_magnitude_keeps_the_exit_code_contract(tmp_path, capsys, case):
     assert main([_write_config(tmp_path, "huge.json", make(tmp_path))]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert all(len(line) <= 300 for line in err.splitlines() if line.startswith("error:"))
+
+
+@pytest.mark.parametrize("A", [1e4, 1e8, 1e12])
+def test_map3_wolfes_with_a_large_pair_coupling(tmp_path, A):
+    config = _map3_config(tmp_path, potential={"family": "wolfes", "omega": 1.0, "A": A,
+                                               "B": 2.0})
+    assert main([_write_config(tmp_path, "map3.json", config)]) == 0
+    image = json.loads((tmp_path / "reduced.json").read_text())["reduced_problem"]["potential"]
+    assert image["alpha"] == pytest.approx(A, rel=1e-12)
+    assert image["beta"] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_verify_identity_checks_leave_out_scipy_stats(tmp_path):

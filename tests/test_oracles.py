@@ -203,6 +203,77 @@ def test_wrong_guess_fails_the_certificate_and_bisects(kind, wrong, bisections):
     assert np.array_equal(levels, oracles._tridiag_lowest(diag, off, m))
 
 
+def _tight(diag, off, m):
+    return oracles.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
+                                    eigvals_only=True, tol=np.finfo(float).tiny)
+
+
+def test_a_failed_certificate_bisects_to_the_smallest_tolerance(monkeypatch):
+    diag, off = _assembled("angular")
+    monkeypatch.setattr(oracles, "_refined_levels", lambda *args: None)
+    levels = oracles._tridiag_lowest(diag, off, 4, guess=np.arange(4.0))
+    assert np.array_equal(levels, _tight(diag, off, 4))
+
+
+def test_an_oscillator_ladder_bisects_only_its_quarter_grid(fd_work):
+    levels = radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0), 4)
+    assert np.allclose(levels, [3.0, 7.0, 11.0, 15.0], rtol=1e-8)
+    assert fd_work.refined[:3] == [(1500, True), (3000, True), (6000, True)]
+    assert all(certified for _, certified in fd_work.refined)
+    assert [size for size, _ in fd_work.bisected] == [1500 // 4]
+
+
+def test_a_prediction_shifted_by_one_level_falls_back_to_bisection(monkeypatch):
+    bisect, sizes = oracles.eigh_tridiagonal, []
+
+    def shifted(diag, off, select_range, **kwargs):
+        sizes.append(diag.size)
+        if kwargs["tol"] > np.finfo(float).tiny:     # the quarter grid's prediction
+            select_range = (select_range[0] + 1, select_range[1] + 1)
+        return bisect(diag, off, select_range=select_range, **kwargs)
+
+    monkeypatch.setattr(oracles, "eigh_tridiagonal", shifted)
+    s = 0.5 + math.sqrt(2.25)
+    levels = oracles._weighted_fd_once(lambda x: 2.0 * s * np.log(x), lambda x: x**2,
+                                       (0.0, 12.0), 4, 3000, True, False)
+    assert sizes == [750, 3000]
+    diag, off = _assembled("radial")
+    assert np.array_equal(levels, _tight(diag, off, 4))
+
+
+def test_a_quarter_grid_whose_operator_overflows_is_skipped(bisections):
+    # the weight ratio (x + h)^(2e6) / x^(2e6) at x = 1 overflows for h = 1/1001,
+    # the quarter of a 4000-point grid, but not for h = 1/4001
+    args = (lambda x: 2e6 * np.log(x), np.zeros_like, (1.0, 2.0))
+    with pytest.raises(AccuracyNotReached, match="1000-point operator"):
+        oracles._weighted_fd_operator(*args, 1000, False, False)
+    levels = oracles._weighted_fd_once(*args, 2, 4000, False, False)
+    assert bisections == [(0, 1)]
+    diag, off = oracles._weighted_fd_operator(*args, 4000, False, False)
+    assert np.array_equal(levels, _tight(diag, off, 2))
+
+
+def test_a_rayleigh_shift_stays_near_its_prediction(monkeypatch):
+    # on the first grid of this ladder the first Rayleigh quotient of level 3
+    # (near 16) is 21.2 from the fixed start vector, nearer level 4 (near 20):
+    # a shift moved there would find level 4 twice
+    grids = []
+    refine = oracles._refined_levels
+
+    def recorded(diag, off, guess):
+        grids.append((diag, off, guess))
+        return refine(diag, off, guess)
+
+    monkeypatch.setattr(oracles, "_refined_levels", recorded)
+    radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=0.75), 5)
+    diag, off, guess = grids[0]
+    assert diag.size == 1500 and np.allclose(guess, [4.0, 8.0, 12.0, 16.0, 20.0], rtol=1e-3)
+    levels = refine(diag, off, guess)
+    assert np.max(np.abs(levels - _tight(diag, off, 5))) <= _ulp_norm(diag, off)
+    monkeypatch.setattr(oracles, "_SHIFT_WINDOW", math.inf)
+    assert refine(diag, off, guess) is None
+
+
 def test_log_grid_coulomb_is_only_bisected(monkeypatch):
     def unreachable(*args):
         raise AssertionError("dgtsv was called on the log grid")
@@ -286,8 +357,8 @@ def test_every_sweep_grid_is_within_ulp_of_a_tight_bisection(kind, params, m, mo
     grids = []
     solve = oracles._tridiag_lowest
 
-    def recorded(diag, off, count, tol=0.0, guess=None):
-        levels = solve(diag, off, count, tol=tol, guess=guess)
+    def recorded(diag, off, count, guess=None):
+        levels = solve(diag, off, count, guess=guess)
         grids.append((diag, off, guess, levels))
         return levels
 
@@ -306,7 +377,8 @@ def test_every_sweep_grid_is_within_ulp_of_a_tight_bisection(kind, params, m, mo
         tight = oracles.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
                                          eigvals_only=True, tol=np.finfo(float).tiny)
         assert np.max(np.abs(levels - tight)) <= _ulp_norm(diag, off)
-    assert not grids or grids[0][2] is None   # the first grid anchors the indices
+    # the quarter grid predicts the first grid, so no weighted grid is bisected cold
+    assert kind == "coulomb" or all(guess is not None for _, _, guess, _ in grids)
 
 
 # --- angular problems --------------------------------------------------

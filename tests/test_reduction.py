@@ -226,6 +226,15 @@ def test_wolfes_to_ttw_full_match():
     assert image.beta == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("A", [1e3, 1e4, 1e8, 1e12])
+def test_wolfes_to_ttw_resolves_beta_next_to_a_large_pair_coupling(A):
+    # beta ~ B/3 is fitted apart from alpha ~ A, so it keeps its own precision
+    image = wolfes_to_ttw(1.0, A, 2.0)
+    assert image.alpha == pytest.approx(A, rel=1e-12)
+    assert image.beta == pytest.approx(2.0 / 3.0, rel=1e-12)
+    assert image.omega**2 == pytest.approx(1.5, rel=1e-12)
+
+
 # --- map_threebody ----------------------------------------------------
 
 def test_map_threebody_ttw_passthrough_zero_centrifugal():
