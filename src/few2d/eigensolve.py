@@ -60,6 +60,8 @@ class EigenResult:
     of returned levels only when the m-th level's multiplet continues past m.
     ``factorizations`` counts the sparse factorizations of shifted copies of
     H (0 on the dense path); those of the coarse estimate are not included.
+    ``factor_nnz`` is the size (SuperLU's nnz of L + U) of the factorization
+    that made the count, or None on the dense path or when no count was made.
     """
 
     eigenvalues: np.ndarray
@@ -71,6 +73,7 @@ class EigenResult:
     tol: float
     count_below: int | None
     factorizations: int
+    factor_nnz: int | None
 
     def to_dict(self) -> dict:
         return {
@@ -82,6 +85,7 @@ class EigenResult:
             "tol": self.tol,
             "count_below": self.count_below,
             "factorizations": self.factorizations,
+            "factor_nnz": self.factor_nnz,
         }
 
 
@@ -92,6 +96,14 @@ def _as_matrix(op):
     if matrix is not None:
         return matrix
     return np.asarray(op)
+
+
+def _csc(H) -> sp.csc_matrix:
+    """H as a float CSC matrix.  A canonical float CSR H is symmetric, so its
+    arrays already are those of its CSC form, and are taken without a copy."""
+    if sp.issparse(H) and H.format == "csr" and H.dtype == float and H.has_canonical_format:
+        return sp.csc_matrix((H.data, H.indices, H.indptr), shape=H.shape)
+    return sp.csc_matrix(H, dtype=float)
 
 
 def _gershgorin(H) -> tuple[float, float]:
@@ -126,10 +138,17 @@ def _factor_at(H: sp.csc_matrix, tau: float):
 def _negative_pivots(lu) -> int:
     """Eigenvalues below tau, for ``lu`` from ``_factor_at(H, tau)``.
 
-    Reading U makes ``lu`` keep copies of L and U, about as large as the
-    factorization itself, for as long as it lives.
+    The first read of ``lu.U`` makes SuperLU build CSC copies of both L and
+    U, about as large as the factorization itself, and cache them for the
+    life of ``lu`` (``lu.U is lu.U``).  ``lu.solve`` works on the factors
+    themselves and nothing here reads the copies again, so they are emptied
+    once the pivots are counted instead of sitting beside ARPACK's basis.
     """
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    count = int(np.count_nonzero(lu.U.diagonal() < 0))
+    for copy in (lu.L, lu.U):
+        for name in ("data", "indices", "indptr"):
+            setattr(copy, name, np.empty(0, dtype=getattr(copy, name).dtype))
+    return count
 
 
 def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
@@ -153,14 +172,21 @@ class _Solve:
         self.rng = np.random.default_rng(seed)
         self.start = self.rng.standard_normal(self.n)
         self.solves = self.factorizations = 0
+        self.factor_nnz = None
         self.breakdown = False
 
     def empty(self):
         return np.zeros(0), np.zeros((self.n, 0))
 
-    def factor(self, tau: float):
+    def count(self, tau: float):
+        """``(lu, c)``: a factorization of H - tau I and the c levels below tau
+        it counts, or ``(None, None)``; the size of ``lu`` is kept."""
         self.factorizations += 1
-        return _factor_at(self.H, tau)
+        lu = _factor_at(self.H, tau)
+        if lu is None:
+            return None, None
+        self.factor_nnz = lu.nnz
+        return lu, _negative_pivots(lu)
 
     def spread(self, vals: np.ndarray, vecs: np.ndarray) -> float:
         """Smallest gap that the inertia count can tell from rounding."""
@@ -253,8 +279,7 @@ class _Solve:
         """
         j = m + int(np.argmax(np.diff(estimate)[m - 1:]))
         tau = 0.5 * (estimate[j - 1] + estimate[j])
-        lu = self.factor(tau)
-        count = None if lu is None else _negative_pivots(lu)
+        lu, count = self.count(tau)
         if count is None or not m <= count <= _OVERCOUNT * j:
             return None
         vals, vecs, certified = self.complete_below(lu, count, tau, *self.empty(),
@@ -285,8 +310,7 @@ class _Solve:
                 want = len(vals)      # the m-th multiplet runs past what was found
                 continue
             tau = 0.5 * (vals[j - 1] + vals[j])
-            lu = self.factor(tau)
-            count = None if lu is None else _negative_pivots(lu)
+            lu, count = self.count(tau)
             if count is None or count < j:
                 return vals, vecs, count, False
             # count > j: the missed copies are sought about tau
@@ -357,12 +381,12 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         count = _slice_index(vals, m, slack) or n
         return EigenResult(vals[:m], vecs[:, :m], res, iterations=0,
                            converged=bool(np.all(res <= tol)), breakdown=False,
-                           tol=tol, count_below=count, factorizations=0)
+                           tol=tol, count_below=count, factorizations=0, factor_nnz=None)
 
     if max_iter is None:
         max_iter = max(20000, 400 * m)
     estimate = _coarse_estimate(op, m, seed)
-    run = _Solve(sp.csc_matrix(H, dtype=float), tol, max_iter, seed)
+    run = _Solve(_csc(H), tol, max_iter, seed)
     found = None if estimate is None else run.sliced(m, estimate)
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:
@@ -377,7 +401,8 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     converged = certified and len(vals) == m and bool(np.all(res <= tol))
     return EigenResult(eigenvalues=vals, eigenvectors=vecs, residuals=res,
                        iterations=run.solves, converged=converged, breakdown=run.breakdown,
-                       tol=tol, count_below=count, factorizations=run.factorizations)
+                       tol=tol, count_below=count, factorizations=run.factorizations,
+                       factor_nnz=None if count is None else run.factor_nnz)
 
 
 # ---------------------------------------------------------------------

@@ -12,7 +12,8 @@ solved here by two unrelated backends:
     substituting u = x^s w turns the operator into the regular weighted form
     -(x^{-2s}) (x^{2s} w')' + V(x) w.  The scheme is assembled in log-space
     ratios (stable for large s), reduced to a symmetric tridiagonal problem,
-    and Richardson-extrapolated over grids (n, 2n, 4n); the extrapolation
+    and Richardson-extrapolated over grids of n, 2n + 1 and 4n + 3 points,
+    on which the step h = L / (n + 1) halves exactly; the extrapolation
     residual provides the accuracy estimate.  Each grid refines a
     prediction of its levels by inverse iteration and keeps them only when
     a Sturm count and their residuals certify them, else it is bisected by
@@ -103,13 +104,94 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
     moves to the Rayleigh quotient after each step that has not converged,
     but only while the quotient lies within a quarter of the predicted gap
     of the prediction: a Rayleigh shift converges cubically, but to
-    whichever level it lies nearest.  The levels are accepted only if
+    whichever level it lies nearest.  A level stops iterating once r_j^2 is
+    well below ulp * ||T|| times its predicted gap.  The levels are
+    accepted only if ``_certified`` holds.
 
-    * the intervals, widened by 8 ulp * ||T|| for rounding, are pairwise
+    A single level has no predicted gap, since nothing above it is
+    predicted (and its own size is none: the gauged angular ground level is
+    0).  ``_refined_level`` refines it with Sturm counts instead.
+    """
+    m = len(guess)
+    norm = _norm(diag, off)
+    if m == 1:
+        return _refined_level(diag, off, guess[0], norm)
+    tol_abs = _ULP * norm
+    spacing = np.abs(np.diff(guess))
+    gap_guess = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
+    start = np.random.default_rng(0).standard_normal(diag.size)
+    lam, res = np.empty(m), np.empty(m)
+    for j in range(m):
+        x, shift = start, guess[j]
+        for _ in range(_INVERSE_STEPS):
+            step = _inverse_step(diag, off, shift, x)
+            if step is None:
+                return None
+            x, lam[j], res[j] = step
+            if res[j] ** 2 <= 0.1 * tol_abs * gap_guess[j]:
+                break
+            if abs(lam[j] - guess[j]) <= _SHIFT_WINDOW * gap_guess[j]:
+                shift = lam[j]
+    return lam if _certified(diag, off, lam, res, norm) else None
+
+
+def _refined_level(diag: np.ndarray, off: np.ndarray, guess: float,
+                   norm: float) -> Optional[np.ndarray]:
+    """Level 0 refined from a prediction, as ``[lam]``, or None if not certified.
+
+    Inverse iteration stops as soon as ``_certified`` holds, one Sturm count
+    per step.  The shift moves to the Rayleigh quotient lam once a second
+    count finds level 0 alone up to lam + r: the interval [lam - r, lam + r]
+    then holds level 0 and no other, so level 0 is the one nearest lam.
+    """
+    slack = 8.0 * _ULP * norm
+    x, shift = np.random.default_rng(0).standard_normal(diag.size), guess
+    for _ in range(_INVERSE_STEPS):
+        step = _inverse_step(diag, off, shift, x)
+        if step is None:
+            return None
+        x, lam, res = step
+        if _certified(diag, off, np.array([lam]), np.array([res]), norm):
+            return np.array([lam])
+        if _sturm_count(diag, off, lam + res + slack, norm) == 1:
+            shift = lam
+    return None
+
+
+def _inverse_step(diag: np.ndarray, off: np.ndarray, shift: float,
+                  x: np.ndarray) -> Optional[tuple[np.ndarray, float, float]]:
+    """One step of inverse iteration from x: ``(x', lam, r)``, x' normalized,
+    with its Rayleigh quotient lam and residual r, or None if the solve fails."""
+    *_, y, info = dgtsv(off, diag - shift, off, x)
+    if info != 0:
+        return None
+    x = y / np.linalg.norm(y)
+    tx = diag * x
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    lam = x @ tx
+    return x, lam, np.linalg.norm(tx - lam * x)
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, top: float, norm: float) -> int:
+    """Eigenvalues of T up to ``top``: ``dstebz`` over a range with no bisection."""
+    vl = -2.0 * norm   # below the whole spectrum
+    return dstebz(diag, off, 1, vl, top, 0, 0, top - vl, b"E")[0]
+
+
+def _certified(diag: np.ndarray, off: np.ndarray, lam: np.ndarray, res: np.ndarray,
+               norm: float) -> bool:
+    """Whether T's levels 0..m-1 are lam_j, each within ulp * ||T||, given
+    residuals r_j = res_j of unit vectors; ``norm`` is ||T||.
+
+    It holds when
+
+    * the intervals [lam_j - r_j, lam_j + r_j], each of which holds an
+      eigenvalue, widened by 8 ulp * ||T|| for rounding, are pairwise
       disjoint and ordered,
-    * one Sturm count (``dstebz`` over a range with no bisection) finds
-      exactly m eigenvalues up to the top of the last interval, so the
-      intervals hold levels 0..m-1 and nothing else lies below that top,
+    * one Sturm count finds exactly m eigenvalues up to the top of the
+      last interval, so the intervals hold levels 0..m-1 and nothing else
+      lies below that top,
     * the Kato-Temple bound r_j^2 / gap_j, with gap_j the distance from
       lam_j to the nearest other eigenvalue, is at most ulp * ||T||: the
       absolute accuracy class of the bisection.
@@ -117,46 +199,17 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
     The top of the last interval is raised to lam + 2 r^2 / (ulp * ||T||)
     so that the count also bounds the gap above the highest level.
     """
-    m = len(guess)
-    norm = _norm(diag, off)
-    tol_abs = _ULP * norm
-    # stop iterating once r_j^2 is well below tol_abs times the predicted gap
-    spacing = np.abs(np.diff(guess))
-    gap_guess = (np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
-                 if m > 1 else np.abs(guess))
-    start = np.random.default_rng(0).standard_normal(diag.size)
-    lam, res = np.empty(m), np.empty(m)
-    for j in range(m):
-        x, shift = start, guess[j]
-        for _ in range(_INVERSE_STEPS):
-            *_, y, info = dgtsv(off, diag - shift, off, x)
-            if info != 0:
-                return None
-            x = y / np.linalg.norm(y)
-            tx = diag * x
-            tx[:-1] += off * x[1:]
-            tx[1:] += off * x[:-1]
-            lam[j] = x @ tx
-            res[j] = np.linalg.norm(tx - lam[j] * x)
-            if res[j] ** 2 <= 0.1 * tol_abs * gap_guess[j]:
-                break
-            if abs(lam[j] - guess[j]) <= _SHIFT_WINDOW * gap_guess[j]:
-                shift = lam[j]
-
     # each check is written so that a NaN fails it
+    tol_abs = _ULP * norm
     slack = 8.0 * tol_abs
     lo, hi = lam - res - slack, lam + res + slack
     if not (lo[1:] > hi[:-1]).all():
-        return None
+        return False
     top = max(hi[-1], lam[-1] + 2.0 * res[-1] ** 2 / tol_abs)
-    vl = -2.0 * norm   # below the whole spectrum
-    count = dstebz(diag, off, 1, vl, top, 0, 0, top - vl, b"E")[0]
-    if count != m:
-        return None
+    if _sturm_count(diag, off, top, norm) != len(lam):
+        return False
     gap = np.minimum(np.append(lo[1:], top) - lam, np.insert(lam[1:] - hi[:-1], 0, np.inf))
-    if not (res**2 <= tol_abs * gap).all():
-        return None
-    return lam
+    return bool((res**2 <= tol_abs * gap).all())
 
 
 def _steep_weight(n: int, a: float, b: float) -> AccuracyNotReached:
@@ -235,8 +288,8 @@ def _weighted_fd_once(
 
 def _richardson(e1: np.ndarray, e2: np.ndarray,
                 e3: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-stage Richardson extrapolation in h^2 over grids (n, 2n, 4n);
-    returns (levels, rel error)."""
+    """Two-stage Richardson extrapolation in h^2 over grids of steps h, h/2
+    and h/4; returns (levels, rel error)."""
     r1 = (4.0 * e2 - e1) / 3.0
     r2 = (4.0 * e3 - e2) / 3.0
     rr = (16.0 * r2 - r1) / 15.0
@@ -247,12 +300,12 @@ def _richardson(e1: np.ndarray, e2: np.ndarray,
 def _richardson_base(n: float, label: str) -> int:
     """``n`` rounded down, as the coarsest grid n0 of a Richardson ladder.
 
-    The ladder may go up to 8 n0 points; beyond ``_FD_MAX_POINTS`` it is
+    The ladder may go up to 8 n0 + 7 points; beyond ``_FD_MAX_POINTS`` it is
     refused here, before any grid is allocated.  ``label`` names the problem.
     """
-    if not 8.0 * n <= _FD_MAX_POINTS:
+    if not 8.0 * n + 7.0 <= _FD_MAX_POINTS:
         raise AccuracyNotReached(math.inf, 0.0, (
-            f"fd backend, {label}: its finest Richardson grid would have {8.0 * n:.4g} "
+            f"fd backend, {label}: its finest Richardson grid would have {8.0 * n + 7.0:.4g} "
             f"points, above the {_FD_MAX_POINTS} allowed"))
     return int(n)
 
@@ -263,14 +316,16 @@ def _fd_levels_certified(
     label: str,
     n0: int = _FD_BASE_N,
 ) -> np.ndarray:
-    """Richardson over (n0, 2n0, 4n0), then over (2n0, 4n0, 8n0) on a miss.
+    """Richardson over grids of n0, 2 n0 + 1 and 4 n0 + 3 points, then over
+    the last two and 8 n0 + 7 points on a miss.
 
-    ``solve_n(n, guess)`` returns the lowest levels on n points.  The first
-    grid gets no guess: ``solve_n`` predicts it itself, or bisects it.  Each
-    finer grid gets a prediction of its levels: the n0 levels for 2n0, the
-    h^2 step e_2n + (e_2n - e_n) / 4 for the grids after it.  ``label``
-    names the problem in the error raised on a miss, and on a grid whose
-    LAPACK bisection fails.
+    ``solve_n(n, guess)`` returns the lowest levels on n points, with step
+    h = L / (n + 1), so each grid halves the step of the one before.  The
+    first grid gets no guess: ``solve_n`` predicts it itself, or bisects it.
+    Each finer grid gets a prediction of its levels: the n0 levels for the
+    second grid, the h^2 step e_2 + (e_2 - e_1) / 4 for the grids after it.
+    ``label`` names the problem in the error raised on a miss, and on a grid
+    whose LAPACK bisection fails.
     """
     grids = []
 
@@ -283,11 +338,11 @@ def _fd_levels_certified(
                 f"fd backend, {label}: LAPACK failed on the {n}-point grid ({exc})")) from None
 
     e1 = solve(n0, None)
-    e2 = solve(2 * n0, e1)
-    e3 = solve(4 * n0, e2 + (e2 - e1) / 4.0)
+    e2 = solve(2 * n0 + 1, e1)
+    e3 = solve(4 * n0 + 3, e2 + (e2 - e1) / 4.0)
     levels, err = _richardson(e1, e2, e3)
     if err.max() > target:
-        e4 = solve(8 * n0, e3 + (e3 - e2) / 4.0)
+        e4 = solve(8 * n0 + 7, e3 + (e3 - e2) / 4.0)
         levels, err = _richardson(e2, e3, e4)
     if err.max() <= target:
         return levels

@@ -110,6 +110,7 @@ def test_solve_json_reports_inertia_count(tmp_path):
     assert main([cfg]) == 0
     doc = json.loads((tmp_path / "out" / "caged.json").read_text())
     assert doc["result"]["count_below"] == 5
+    assert doc["result"]["factor_nnz"] > 0
 
 
 def test_unmatched_inertia_count_exits_3(tmp_path, monkeypatch):

@@ -21,7 +21,8 @@ from few2d import (
     make_grid,
     reduce_to_2d,
 )
-from few2d.eigensolve import _count_below
+from few2d import eigensolve
+from few2d.eigensolve import _count_below, _factor_at, _negative_pivots
 
 
 def _dirichlet_laplacian_1d(n, h=1.0):
@@ -240,6 +241,52 @@ def test_forced_fallback_agrees_with_the_slice(monkeypatch):
     assert sliced.factorizations == 1 and fallback.factorizations >= 2
     assert np.allclose(sliced.eigenvalues, fallback.eigenvalues, rtol=0, atol=1e-9)
     assert sliced.count_below == fallback.count_below
+
+
+# --- the factorization behind the count ---------------------------------
+
+def _caged_80():
+    prob = reduce_to_2d(CagedOscillator(), 3, 3, box=Box(12.0, 12.0))
+    return assemble(prob, make_grid(prob.box, 80, 80))
+
+
+def test_the_count_frees_superlu_copies_of_l_and_u():
+    # reading lu.U makes SuperLU cache CSC copies of L and U; once the pivots
+    # are counted they hold nothing, and the solves do not need them
+    lu = _factor_at(_caged_80().matrix.tocsc(), 8.0)
+    b = np.random.default_rng(3).standard_normal(lu.shape[0])
+    before = lu.solve(b)
+    assert _negative_pivots(lu) == 1
+    for copy in (lu.L, lu.U):
+        assert copy.data.size == copy.indices.size == copy.indptr.size == 0
+    assert np.array_equal(lu.solve(b), before)
+
+
+def test_the_slice_factors_the_operator_arrays_and_reports_their_fill(monkeypatch):
+    op = _caged_80()
+    factored = []
+
+    def recorded(H, tau):
+        lu = _factor_at(H, tau)
+        factored.append((H, lu))
+        return lu
+
+    monkeypatch.setattr(eigensolve, "_factor_at", recorded)
+    result = lowest_eigs(op, 6, tol=1e-7)
+    fine = [(H, lu) for H, lu in factored if H.shape == op.matrix.shape]
+    assert result.converged and len(fine) == result.factorizations == 1
+    (H, lu), = fine
+    # a symmetric CSR operator is taken as its own CSC form, not copied
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(H, name), getattr(op.matrix, name))
+    assert result.factor_nnz == lu.nnz > op.matrix.nnz
+    assert result.to_dict()["factor_nnz"] == result.factor_nnz
+
+
+def test_a_dense_solve_reports_no_factor_fill():
+    result = lowest_eigs(_dirichlet_laplacian_1d(50), 2)
+    assert result.converged and result.factorizations == 0
+    assert result.factor_nnz is None and result.to_dict()["factor_nnz"] is None
 
 
 # --- degeneracy clustering ---------------------------------------------

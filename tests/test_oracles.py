@@ -218,9 +218,32 @@ def test_a_failed_certificate_bisects_to_the_smallest_tolerance(monkeypatch):
 def test_an_oscillator_ladder_bisects_only_its_quarter_grid(fd_work):
     levels = radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0), 4)
     assert np.allclose(levels, [3.0, 7.0, 11.0, 15.0], rtol=1e-8)
-    assert fd_work.refined[:3] == [(1500, True), (3000, True), (6000, True)]
+    assert fd_work.refined[:3] == [(1500, True), (3001, True), (6003, True)]
     assert all(certified for _, certified in fd_work.refined)
     assert [size for size, _ in fd_work.bisected] == [1500 // 4]
+
+
+@pytest.fixture
+def inverse_solves(monkeypatch):
+    sizes = []
+    solve = oracles.dgtsv
+
+    def counted(dl, d, du, b):
+        sizes.append(d.size)
+        return solve(dl, d, du, b)
+
+    monkeypatch.setattr(oracles, "dgtsv", counted)
+    return sizes
+
+
+def test_a_one_level_ladder_stops_on_its_certificate(inverse_solves, fd_work):
+    # the gauged angular ground level is 0 up to rounding: no stopping rule
+    # scaled by its size can pass, while the certificate passes at once
+    level = angular_pt_levels(2, 0.1875, 0.1875, 1)
+    assert level == pytest.approx([_pt_level(2.0, 0.1875, 0.1875, 0)], rel=1e-8)
+    assert fd_work.refined == [(1200, True), (2401, True), (4803, True)]
+    assert all(inverse_solves.count(size) <= 2 for size in (1200, 2401, 4803))
+    assert [size for size, _ in fd_work.bisected] == [300]
 
 
 def test_a_prediction_shifted_by_one_level_falls_back_to_bisection(monkeypatch):
@@ -281,6 +304,26 @@ def test_log_grid_coulomb_is_only_bisected(monkeypatch):
     monkeypatch.setattr(oracles, "dgtsv", unreachable)
     levels = radial_spectrum(RadialProblem(kind="coulomb", coupling=1.0, c=2.0), 2)
     assert np.allclose(levels, [-1.0 / 16.0, -1.0 / 36.0], rtol=1e-8)
+
+
+@pytest.mark.parametrize("c", [0.5, 2.0, 6.0])
+def test_richardson_estimate_bounds_the_oscillator_error(c, monkeypatch):
+    # the ladder's grids halve h exactly, so the h^2 and h^4 eliminations
+    # cancel those terms and the estimate bounds the error that remains
+    estimates = []
+    extrapolate = oracles._richardson
+
+    def recorded(*grids):
+        levels, err = extrapolate(*grids)
+        estimates.append(err)
+        return levels, err
+
+    monkeypatch.setattr(oracles, "_richardson", recorded)
+    levels = radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=c), 3)
+    exact = np.array([_oscillator_level(1.0, c, n) for n in range(3)])
+    error = np.abs(levels - exact) / exact
+    assert np.all(error <= 1e-11)
+    assert np.all(error <= estimates[-1])
 
 
 # --- closed-form sweep ----------------------------------------------------
