@@ -258,17 +258,23 @@ def _write_json(path: Path, prov: dict, payload: dict) -> None:
 # ---------------------------------------------------------------------
 
 def _problem(cfg: dict) -> ReducedProblem2D:
-    """The reduced problem of a ``solve`` or ``converge`` config."""
+    """The reduced problem of a ``solve`` or ``converge`` config; one whose
+    grid levels would not converge stops with exit 3 before any grid."""
     if (cfg["system"] is None) == (cfg["reduced_problem"] is None):
         raise ConfigError("config needs exactly one of 'system' and 'reduced_problem'")
-    if cfg["reduced_problem"] is not None:
-        return cfg["reduced_problem"]
-    red = cfg["reduction"]
-    try:
-        return reduce_to_2d(cfg["system"], d1=red["d1"], d2=red["d2"], L_x=red["L_x"],
-                            L_y=red["L_y"], box=Box(**red["box"]) if red["box"] else None)
-    except ValueError as exc:
-        raise ConfigError(f"invalid reduction {red}: {exc}") from exc
+    problem = cfg["reduced_problem"]
+    if problem is None:
+        red = cfg["reduction"]
+        try:
+            problem = reduce_to_2d(cfg["system"], d1=red["d1"], d2=red["d2"], L_x=red["L_x"],
+                                   L_y=red["L_y"],
+                                   box=Box(**red["box"]) if red["box"] else None)
+        except ValueError as exc:
+            raise ConfigError(f"invalid reduction {red}: {exc}") from exc
+    refusal = problem.potential.grid_refusal()
+    if refusal is not None:
+        raise AccuracyNotReached(math.inf, cfg["solver"]["tol"], refusal)
+    return problem
 
 
 def _check_grid(n1: int, n2: int, where: str) -> None:

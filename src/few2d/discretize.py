@@ -135,6 +135,30 @@ class SparseOperator:
                       h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
         return _operator(coarse, self.w[1::2, 1::2])
 
+    def prolong(self, coarse: "SparseOperator", vectors: np.ndarray) -> np.ndarray:
+        """Columns of ``vectors``, given on the nodes of ``coarse`` (from one or
+        more ``coarsened()`` steps), interpolated bilinearly to this operator's
+        nodes, with zeros on the walls of the box."""
+        g, c = self.grid, coarse.grid
+        px = _interpolation(g.nodes_x, c.nodes_x, g.box.x_max)
+        py = _interpolation(g.nodes_y, c.nodes_y, g.box.y_max)
+        v = vectors.reshape(len(c.nodes_x), len(c.nodes_y), -1)
+        rows = np.tensordot(px, v, axes=(1, 0))      # (fine x, coarse y, k)
+        return np.matmul(py, rows).reshape(self.dim, -1)
+
+
+def _interpolation(fine: np.ndarray, coarse: np.ndarray, extent: float) -> np.ndarray:
+    """Linear interpolation from ``coarse`` nodes to ``fine`` nodes of one axis,
+    with the value 0 at the walls 0 and ``extent``; shape (fine, coarse)."""
+    knots = np.concatenate(([0.0], coarse, [extent]))
+    right = np.clip(np.searchsorted(knots, fine), 1, len(knots) - 1)
+    t = (fine - knots[right - 1]) / (knots[right] - knots[right - 1])
+    weights = np.zeros((len(fine), len(knots)))
+    rows = np.arange(len(fine))
+    weights[rows, right - 1] = 1.0 - t
+    weights[rows, right] += t
+    return weights[:, 1:-1]
+
 
 def _axis_stencil(n: int, h: float, staggered: bool) -> sp.csr_matrix:
     main = np.full(n, 2.0 / h**2)

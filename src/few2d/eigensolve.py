@@ -11,14 +11,22 @@ below tau (spectrum slicing, Parlett, *The Symmetric Eigenvalue Problem*).
 
 On an operator that can be coarsened, one such factorization does both jobs
 (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).  The lowest m + 3
-levels are first estimated on the half-resolution grid, and tau is put in
-the widest of their gaps above the m-th.  The c negative pivots of H - tau I
-count the levels below tau, and ARPACK seeks the c algebraically smallest
-values of (H - tau I)^-1: exactly the levels below tau.  A value returned
-above tau means a copy was missed; it is sought again in the orthogonal
-complement of the pairs found, with the same factorization.  The count
-comes first because with fewer than m levels below tau the solve falls back
-at once, rather than ARPACK hunting the top of the spectrum for the rest.
+levels are first estimated, uncertified, on the coarsest grid that keeps at
+least 32 nodes per axis, solved there as a plain matrix, and tau is put in
+the widest of their gaps above the m-th.  The estimate's eigenvectors,
+interpolated to the fine grid, span a space whose Rayleigh-Ritz values bound
+the fine levels from above (Cauchy interlacing).  When the bound of the
+level below the gap lies between the gap's midpoint and the next estimate,
+tau is raised to it, so that an estimate lying low still counts every level
+below the gap.  Should the bound reach past the next estimate, the gap is
+not bracketed, and the estimate is made again one grid finer, at most on the
+half-resolution grid.  The c negative pivots of H - tau I count the levels
+below tau, and ARPACK seeks the c algebraically smallest values of
+(H - tau I)^-1: exactly the levels below tau.  A value returned above tau
+means a copy was missed; it is sought again in the orthogonal complement of
+the pairs found, with the same factorization.  The count comes first because
+with fewer than m levels below tau the solve falls back at once, rather than
+ARPACK hunting the top of the spectrum for the rest.
 
 Plain matrices and grids too small to coarsen take the Gershgorin path, as
 does a slice that cannot be factored, counts fewer than m levels or far more
@@ -38,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import DimensionMismatch
@@ -151,12 +160,6 @@ def _negative_pivots(lu) -> int:
     return count
 
 
-def _count_below(H: sp.csc_matrix, tau: float) -> int | None:
-    """Eigenvalues of H below tau, from the inertia of H - tau I, or None."""
-    lu = _factor_at(H, tau)
-    return None if lu is None else _negative_pivots(lu)
-
-
 class _Solve:
     """One sparse call of ``lowest_eigs``: operator, start vectors, budget, counters."""
 
@@ -268,17 +271,23 @@ class _Solve:
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order], len(vals) == count
 
-    def sliced(self, m: int, estimate: np.ndarray):
+    def sliced(self, m: int, estimate: np.ndarray, ritz: np.ndarray):
         """Levels below tau in the widest estimated gap at index >= m.
 
-        Returns ``(vals, vecs, count, certified)``, or None to fall back:
-        when H - tau I cannot be counted, the count is below m or above
-        ``_OVERCOUNT`` times j, or, while budget remains, the slice is not
-        completed or misses ``tol`` (the diagonal pivots of an indefinite
-        H - tau I may lose accuracy).
+        tau is the gap's midpoint, raised to just above ``ritz[j-1]``, an
+        upper bound of the j-th level, when that stays below ``estimate[j]``:
+        the count then takes in all j levels below the gap even where the
+        estimate lies low.  Returns ``(vals, vecs, count, certified)``, or
+        None to fall back: when H - tau I cannot be counted, the count is
+        below m or above ``_OVERCOUNT`` times j, or, while budget remains, the
+        slice is not completed or misses ``tol`` (the diagonal pivots of an
+        indefinite H - tau I may lose accuracy).
         """
-        j = m + int(np.argmax(np.diff(estimate)[m - 1:]))
+        j = _widest_gap(estimate, m)
         tau = 0.5 * (estimate[j - 1] + estimate[j])
+        bound = ritz[j - 1] + self.slack
+        if tau < bound < estimate[j]:
+            tau = bound
         lu, count = self.count(tau)
         if count is None or not m <= count <= _OVERCOUNT * j:
             return None
@@ -320,18 +329,43 @@ class _Solve:
         return vals, vecs, None, False
 
 
-def _coarse_estimate(op, m: int, seed: int) -> np.ndarray | None:
-    """The lowest m + 3 levels of ``op.coarsened()``, to a loose tolerance.
+def _widest_gap(estimate: np.ndarray, m: int) -> int:
+    """Index j >= m of the widest gap estimate[j] - estimate[j-1]."""
+    return m + int(np.argmax(np.diff(estimate)[m - 1:]))
 
-    None when the operator does not coarsen, the coarse grid is too small,
-    or the estimate offers no gap above its m-th level.
+
+def _coarse_estimate(op, m: int, seed: int):
+    """``(estimate, ritz)``: the lowest m + 3 levels of ``op`` estimated on a
+    coarsened grid, and the Rayleigh-Ritz values of ``op`` on their prolonged
+    eigenvectors.
+
+    The grids are ``op.coarsened()``, its ``coarsened()``, and so on; each is
+    solved as a plain matrix to a loose tolerance.  The coarsest comes first,
+    and a finer one is tried only while the Ritz bound of the level below the
+    widest gap reaches the estimate above it, so that the gap is not
+    bracketed.  The coarse nodes are fine nodes, so the prolonged vectors
+    stay independent, and by Cauchy interlacing ``ritz[i]`` bounds the i-th
+    level of ``op`` from above.  None when the operator does not coarsen, or
+    the estimate offers no gap above its m-th level.
     """
-    coarsened = getattr(op, "coarsened", None)
-    coarse = coarsened() if coarsened is not None else None
-    if coarse is None or m + _EXTRA_LEVELS > coarse.dim:
+    grids = []
+    coarse = op.coarsened() if hasattr(op, "coarsened") else None
+    while coarse is not None and m + _EXTRA_LEVELS <= coarse.dim:
+        grids.append(coarse)
+        coarse = coarse.coarsened()
+    if not grids:
         return None
-    levels = lowest_eigs(coarse, m + _EXTRA_LEVELS, tol=_ESTIMATE_TOL, seed=seed).eigenvalues
-    return levels if len(levels) > m else None
+    for coarse in reversed(grids):
+        est = _lowest(coarse.matrix, m + _EXTRA_LEVELS, _ESTIMATE_TOL, None, seed)
+        estimate = est.eigenvalues
+        if len(estimate) <= m:
+            return None
+        basis = op.prolong(coarse, est.eigenvectors)
+        ritz = eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
+        j = _widest_gap(estimate, m)
+        if ritz[j - 1] < estimate[j]:
+            break
+    return estimate, ritz
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
@@ -368,11 +402,17 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         stands in as the one (unconverged) pair.
     """
     H = _as_matrix(op)
-    n = H.shape[0]
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > n:
-        raise DimensionMismatch(f"m={m} exceeds operator dimension {n}")
+    if m > H.shape[0]:
+        raise DimensionMismatch(f"m={m} exceeds operator dimension {H.shape[0]}")
+    return _lowest(H, m, tol, max_iter, seed, op)
+
+
+def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None) -> EigenResult:
+    """``lowest_eigs`` of the matrix H, for 1 <= m <= dim H; the slice about
+    an estimated gap is tried when ``op``, the operator H came from, coarsens."""
+    n = H.shape[0]
     if n <= max(3 * m + 2, 64) or m > n // 2:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         vals, vecs = np.linalg.eigh(dense)
@@ -387,7 +427,7 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         max_iter = max(20000, 400 * m)
     estimate = _coarse_estimate(op, m, seed)
     run = _Solve(_csc(H), tol, max_iter, seed)
-    found = None if estimate is None else run.sliced(m, estimate)
+    found = None if estimate is None else run.sliced(m, *estimate)
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:
         # every level below tau is found, so a clear gap among them counts too

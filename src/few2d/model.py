@@ -10,9 +10,10 @@ goes through :func:`coerce_k`), one vectorized formula on its natural chart
 (``formula``) and the quadrant view of it (``quadrant``), its singular rays,
 its default truncation box, whether it enters the quadrant reduction directly
 (``radial_refusal``) or through the three-body line route (``line_model``),
-the separated-variable data the oracles build on (``separation``), and
-whether a degeneracy scan may vary its k (``k_scan``).  The module-level
-functions dispatch onto the family.
+the separated-variable data the oracles build on (``separation``), whether
+the 5-point grid can resolve it (``grid_refusal``), and whether a degeneracy
+scan may vary its k (``k_scan``).  The module-level functions dispatch onto
+the family.
 
 ================   =========================================
 family             natural chart of ``eval_potential``
@@ -246,6 +247,27 @@ def _polar_point(point, rays: list[tuple[str, float]]) -> tuple[float, float]:
     return float(rho), float(theta)
 
 
+def _attractive_ray(spec, couplings: tuple[str, str]) -> str | None:
+    """The refusal of a negative coupling on a singular ray inside the quadrant.
+
+    ``couplings`` names the spec's fields of the cos and the sin term.  The
+    5-point grid samples such an inverse-square well at its nodes, so its
+    levels run to -infinity as the grid is refined.  The quadrant's edges
+    are Dirichlet walls of the grid and are not concerned.
+    """
+    _, (_, cos_side, sin_side), _ = spec.separation()
+    for which, theta in spec.rays():
+        coupling = cos_side if which == "cos" else sin_side
+        if SINGULAR_TOL < theta < math.pi / 2 - SINGULAR_TOL and coupling < 0:
+            name = couplings[0] if which == "cos" else couplings[1]
+            return (f"the attractive coupling {name} = {getattr(spec, name)!r} of "
+                    f"{spec.family} with k = {k_float(spec.k):.9g} lies on the singular "
+                    f"ray theta = {theta:.9g} inside the quadrant, where the 5-point "
+                    f"grid does not resolve it: its levels run to -infinity as the grid "
+                    f"is refined")
+    return None
+
+
 def _angular_rays(kf: float) -> list[tuple[str, float]]:
     """Singular rays theta = j pi / (2k) of sin/cos(k theta) in the closed quadrant."""
     step = math.pi / (2.0 * kf)
@@ -305,6 +327,10 @@ class _Family:
     def line_model(self) -> tuple[float, float, float] | None:
         """(omega, A, B) of a three-body line model, which enters the
         quadrant through its fitted TTW(k=3) image; None otherwise."""
+        return None
+
+    def grid_refusal(self) -> str | None:
+        """Why a grid spectrum of the spec would not converge, or None."""
         return None
 
     def separation(self) -> tuple | None:
@@ -432,6 +458,9 @@ class _TTWForm(_Family):
     def rays(self):
         return _angular_rays(k_float(self.k))
 
+    def grid_refusal(self):
+        return _attractive_ray(self, ("alpha", "beta"))
+
     def separation(self):
         w = self._weight()
         return ("polar", (k_float(self.k), self.alpha * w, self.beta * w),
@@ -499,6 +528,9 @@ class PW(_Family):
 
     def rays(self):
         return _angular_rays(k_float(self.k) / 2.0)
+
+    def grid_refusal(self):
+        return _attractive_ray(self, ("mu", "nu"))
 
     def box_side(self) -> float:
         return 60.0

@@ -226,6 +226,50 @@ def test_map3_output_feeds_solve(tmp_path):
     assert main([cfg2]) == 0
 
 
+# an attractive coupling on a singular ray inside the quadrant: the grid levels
+# run to -infinity (TTW k = 2, alpha = beta = -0.05 gave -28910 on 80x80
+# against the closed form 9.899), so solve and converge stop before any grid
+_ATTRACTIVE_RAYS = {
+    "ttw-k2-solve": ("solve", {"family": "ttw", "omega": 1.0, "k": 2, "alpha": -0.05,
+                               "beta": -0.05}, "alpha = -0.05", math.pi / 4),
+    "three-body-ttw-k3-converge": ("converge", {"family": "three_body_ttw", "omega": 1.0,
+                                                "k": 3, "alpha": 0.1, "beta": -0.05},
+                                   "beta = -0.05", math.pi / 3),
+    "pw-k4-solve": ("solve", {"family": "pw", "a": 1.0, "k": 4, "mu": -0.05, "nu": 0.1},
+                    "mu = -0.05", math.pi / 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ATTRACTIVE_RAYS))
+def test_attractive_coupling_on_an_interior_ray_exits_3(tmp_path, capsys, case):
+    command, system, coupling, ray = _ATTRACTIVE_RAYS[case]
+    make = _solve_config if command == "solve" else _converge_config
+    config = make(tmp_path, system=system, reduction={"d1": 3, "d2": 3})
+    assert main([_write_config(tmp_path, "grid.json", config)]) == 3
+    err = capsys.readouterr().err
+    assert coupling in err and f"theta = {ray:.9g}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "conv.csv").exists()
+
+
+def test_wolfes_image_with_an_attractive_pair_coupling_exits_3(tmp_path, capsys):
+    # A = -0.05 maps to the cos coupling of TTW(k=3), whose ray pi/6 is interior
+    map_config = {
+        "command": "map3",
+        "threebody": {"masses": [2.0, 2.0, 2.0], "d": 1,
+                      "potential": {"family": "wolfes", "omega": 1.0, "A": -0.05, "B": 2.0}},
+        "output": {"path": str(tmp_path / "reduced")},
+    }
+    assert main([_write_config(tmp_path, "map3.json", map_config)]) == 0
+    solve_config = _solve_config(tmp_path, reduced_problem=str(tmp_path / "reduced.json"))
+    del solve_config["system"], solve_config["reduction"]
+    capsys.readouterr()
+    assert main([_write_config(tmp_path, "solve.json", solve_config)]) == 3
+    err = capsys.readouterr().err
+    alpha = float(re.search(r"alpha = (\S+) of three_body_ttw", err).group(1))
+    assert alpha == pytest.approx(-0.05, rel=1e-9)
+    assert f"theta = {math.pi / 6:.9g}" in err
+
+
 def test_verify_command_passes_fast_checks(tmp_path):
     config = {
         "command": "verify",

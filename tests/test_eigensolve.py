@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import eigsh, splu
 
 from few2d import (
     Box,
@@ -22,7 +22,7 @@ from few2d import (
     reduce_to_2d,
 )
 from few2d import eigensolve
-from few2d.eigensolve import _count_below, _factor_at, _negative_pivots
+from few2d.eigensolve import _factor_at, _negative_pivots
 
 
 def _dirichlet_laplacian_1d(n, h=1.0):
@@ -150,16 +150,17 @@ def test_ttw_k2_staggered_multiplicities_match_inertia_counts():
     below = np.cumsum(report.multiplicities())
     H = op.matrix.tocsc()
     for lo, hi, count in zip(energies, energies[1:], below):
-        assert _count_below(H, 0.5 * (lo + hi)) == count
+        assert _negative_pivots(_factor_at(H, 0.5 * (lo + hi))) == count
 
 
 # --- the slice about an estimated gap, and its fallback -----------------
 
 # (system, n, levels): n below 64 leaves a coarse axis under 32 nodes, so
-# those grids take the Gershgorin fallback and the others the slice
+# those grids take the Gershgorin fallback and the others the slice; 256
+# coarsens three times, down to 32 nodes per axis
 _SWEEP = [("caged-iso", n, 6) for n in (48, 63, 64, 101, 160)] + [
     ("caged-aniso", n, 7) for n in (49, 72, 117, 150)] + [
-    ("hydrogen", n, 4) for n in (50, 81, 128, 160)]
+    ("hydrogen", n, 4) for n in (50, 81, 128, 160)] + [("caged-aniso", 256, 7)]
 
 
 def _sweep_problem(system, seed):
@@ -192,6 +193,70 @@ def test_sweep_against_kronecker_sum(case):
     assert (result.factorizations == 1) == (op.coarsened() is not None)
 
 
+@pytest.mark.parametrize("case", range(len(_SWEEP)),
+                         ids=[f"{s}-{n}" for s, n, _ in _SWEEP])
+def test_ritz_values_bound_the_kronecker_levels(case):
+    # the prolonged coarse eigenvectors span a subspace of the fine grid, so
+    # by Cauchy interlacing each Ritz value lies above its fine level
+    system, n, m = _SWEEP[case]
+    prob = _sweep_problem(system, seed=1000 + case)
+    grid = make_grid(prob.box, n, n)
+    op = assemble(prob, grid)
+    estimate = eigensolve._coarse_estimate(op, m, seed=case)
+    assert (estimate is None) == (op.coarsened() is None)
+    if estimate is None:
+        return
+    ritz = estimate[1]
+    exact = _kronecker_levels(prob, grid, len(ritz))
+    assert np.all(ritz >= exact - 1e-10 * np.maximum(1.0, np.abs(exact)))
+
+
+def _recorded_factorizations(monkeypatch):
+    """Dimensions of the matrices that ``eigensolve`` hands to SuperLU, and the
+    operators ``lowest_eigs`` is called with."""
+    dims, calls = [], []
+
+    def factor(A, *args, **kwargs):
+        dims.append(A.shape[0])
+        return splu(A, *args, **kwargs)
+
+    def solve(op, *args, **kwargs):
+        calls.append(op)
+        return lowest_eigs(op, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "splu", factor)
+    monkeypatch.setattr(eigensolve, "lowest_eigs", solve)
+    return dims, calls
+
+
+def test_a_160_solve_factors_only_the_coarsest_grid_and_the_operator(monkeypatch):
+    # 160x160 coarsens to 80x80 and 40x40; the estimate is made on 40x40 alone,
+    # with no solve, certified or not, on the 80x80 grid in between
+    prob = reduce_to_2d(CagedOscillator(), 3, 3, box=Box(12.0, 12.0))
+    op = assemble(prob, make_grid(prob.box, 160, 160))
+    dims, calls = _recorded_factorizations(monkeypatch)
+    result = eigensolve.lowest_eigs(op, 6, tol=1e-7)
+    assert result.converged and result.factorizations == 1
+    assert set(dims) == {40 * 40, 160 * 160} and dims.count(160 * 160) == 1
+    # the estimate is solved as a plain matrix, not by lowest_eigs on the coarse grid
+    assert len(calls) == 1 and calls[0] is op
+
+
+def test_an_unbracketed_gap_is_estimated_again_one_grid_finer(monkeypatch):
+    # 12 levels of this anisotropic 130x130 grid: on the 32x32 grid the Ritz
+    # bound of the 12th level lies above the 13th estimate, and the slice
+    # placed from it counts 11; the 65x65 estimate brackets the gap, and one
+    # factorization of the fine grid both counts and solves
+    prob = _sweep_problem("caged-aniso", seed=3000)
+    grid = make_grid(prob.box, 130, 130)
+    op = assemble(prob, grid)
+    dims, _ = _recorded_factorizations(monkeypatch)
+    result = eigensolve.lowest_eigs(op, 12, tol=1e-6)
+    assert result.converged and result.factorizations == 1
+    assert {32 * 32, 65 * 65} <= set(dims) and dims.count(130 * 130) == 1
+    assert np.allclose(result.eigenvalues, _kronecker_levels(prob, grid, 12), rtol=0, atol=1e-9)
+
+
 def test_hydrogen_pair_160_takes_one_factorization():
     prob = reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
     result = lowest_eigs(assemble(prob, make_grid(prob.box, 160, 160)), 2, tol=1e-6)
@@ -213,7 +278,7 @@ def test_ttw_k2_staggered_slice_matches_inertia_counts():
     H = op.matrix.tocsc()
     energies = [e for e, _ in report.clusters]
     for lo, hi, count in zip(energies, energies[1:], np.cumsum(report.multiplicities())):
-        assert _count_below(H, 0.5 * (lo + hi)) == count
+        assert _negative_pivots(_factor_at(H, 0.5 * (lo + hi))) == count
 
 
 def test_slice_counting_fewer_than_m_levels_falls_back_before_solving():

@@ -150,6 +150,22 @@ def test_polar_bounds_are_the_angular_problems():
         replace(spec, k=Rational(1, 1))
 
 
+def test_grid_refusal_names_an_attractive_coupling_on_an_interior_ray():
+    # k = 2: the cos term's ray pi/4 lies inside the quadrant, the sin term's
+    # rays 0 and pi/2 are the grid's Dirichlet edges
+    refusal = TTW(omega=1.0, k=Rational(2, 1), alpha=-0.05, beta=0.1).grid_refusal()
+    assert "alpha = -0.05" in refusal and f"theta = {math.pi / 4:.9g}" in refusal
+    assert TTW(omega=1.0, k=Rational(2, 1), alpha=0.1, beta=-0.05).grid_refusal() is None
+    assert TTW(omega=1.0, k=Rational(1, 1), alpha=-0.05, beta=-0.05).grid_refusal() is None
+    # k = 3 has the cos ray pi/6 and the sin ray pi/3 inside
+    refusal = ThreeBodyTTW(omega=1.0, k=Rational(3, 1), alpha=0.1, beta=-0.01).grid_refusal()
+    assert "beta = -0.01" in refusal and f"theta = {math.pi / 3:.9g}" in refusal
+    # PW's angular terms take k/2: k = 4 puts the cos ray at pi/4
+    assert "mu = -0.05" in PW(a=1.0, k=Rational(4, 1), mu=-0.05, nu=0.0).grid_refusal()
+    assert PW(a=1.0, k=Rational(2, 1), mu=-0.05, nu=-0.05).grid_refusal() is None
+    assert CagedOscillator(A=-0.1, B=-0.1).grid_refusal() is None
+
+
 def test_validate_rejects_zero_k_and_bad_frequency():
     with pytest.raises(ZeroK):
         coerce_k(0.0)
