@@ -9,7 +9,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     Few2DError,
-    FitFailure,
     GridTooCoarse,
     NonPositiveDistance,
     NonPositiveMass,
@@ -70,8 +69,8 @@ from .superintegrability import (
     Bridge,
     IdentityCheckResult,
     ScanEntry,
+    caged_image_of_ttw,
     degeneracy_scan,
-    fit_caged_image_of_ttw,
     identity_check,
     integral_order,
     labeled_collisions,

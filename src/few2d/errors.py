@@ -40,10 +40,6 @@ class PotentialNotJacobiRadial(Few2DError):
     """3-body mapping requires a potential depending on Jacobi distances only."""
 
 
-class FitFailure(Few2DError):
-    """Pointwise parameter fit did not reproduce the target potential."""
-
-
 class BridgeMismatch(Few2DError):
     """Coordinate bridge produced a point outside the target chart's domain."""
 

@@ -326,7 +326,8 @@ class _Family:
 
     def line_model(self) -> tuple[float, float, float] | None:
         """(omega, A, B) of a three-body line model, which enters the
-        quadrant through its fitted TTW(k=3) image; None otherwise."""
+        quadrant through its closed-form TTW(k=3) image
+        (``reduction.wolfes_to_ttw``); None otherwise."""
         return None
 
     def grid_refusal(self) -> str | None:

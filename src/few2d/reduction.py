@@ -15,6 +15,8 @@ The 3-body side: mass-weighted Jacobi rows diagonalize the kinetic energy
 (unit Gram matrix in the 1/m metric), the center of mass separates off, and
 a translation-invariant potential depending on the two Jacobi distances only
 lands in exactly the same quadrant form under (x, y) <-> (r1J, r2J).
+Calogero and Wolfes on the line (d = 1) land there as TTW at k = 3, by the
+closed-form dictionary of :func:`wolfes_to_ttw`.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import (
-    FitFailure,
+    BoundViolation,
     NonPositiveDistance,
     NonPositiveMass,
     PotentialNotJacobiRadial,
@@ -37,7 +39,6 @@ from .model import (
     Rational,
     ThreeBodyConfig,
     ThreeBodyTTW,
-    Wolfes,
     json_number,
     spec_from_dict,
     spec_to_dict,
@@ -302,19 +303,6 @@ def jacobi_polar(config: ThreeBodyConfig, frame: JacobiFrame) -> tuple[float, fl
 # 3-body potentials into the quadrant
 # ---------------------------------------------------------------------
 
-class TTWImage(NamedTuple):
-    """k = 3 image parameters of a 3-body line model: W = omega^2 rho^2
-    + 9 alpha / (rho^2 cos^2 3theta) + 9 beta / (rho^2 sin^2 3theta)."""
-
-    omega: float
-    alpha: float
-    beta: float
-
-    def as_spec(self) -> ThreeBodyTTW:
-        return ThreeBodyTTW(omega=self.omega, k=Rational(3, 1),
-                            alpha=self.alpha, beta=self.beta)
-
-
 _EQUAL_MASS_FRAME = None
 
 
@@ -326,67 +314,23 @@ def equal_mass_frame() -> JacobiFrame:
     return _EQUAL_MASS_FRAME
 
 
-def wolfes_to_ttw(omega: float, A: float, B: float,
-                  verify_points: int = 200, tol: float = 1e-12) -> TTWImage:
-    """Fit the TTW(k=3) image of a Wolfes model on the ordered line.
+def wolfes_to_ttw(omega: float, A: float, B: float) -> ThreeBodyTTW:
+    """The TTW(k=3) image of a Wolfes model on the ordered line.
 
-    The image parameters (omega', alpha, beta) are determined by an exact
-    linear fit at 3 generic sample points and then verified pointwise at
-    ``verify_points`` fresh ordered configurations; no analytic dictionary
-    is assumed.  The map is linear in (omega^2, A, B), so the harmonic model
-    (omega, 0, 0), the pair model (omega, A, 0) and the three-body model
-    (omega, 0, B) are fitted as three right-hand sides, and each image
-    parameter is read from the model that carries its term alone: beta is
-    then never resolved next to a much larger A.  Raises
-    :class:`FitFailure` if the verification of the image against the full
-    model exceeds ``tol`` (that signals an implementation bug, not user
-    error).
+    In the equal-mass (m = 2) Jacobi frame the pair and three-body terms
+    become the cos and sin barriers of k = 3, and the quadratic sum
+    becomes (3/2) omega^2 rho^2:
+
+        omega' = sqrt(3/2) omega,   alpha = A,   beta = B / 3.
+
+    Calogero is the case B = 0.  The ``wolfes-ttw3`` and ``calogero-b0``
+    checks of ``verify`` certify the dictionary pointwise.
     """
-    from .model import eval_potential
-
-    wolfes = Wolfes(omega=omega, A=A, B=B)
-    parts = (Wolfes(omega=omega), Wolfes(omega=omega, A=A), Wolfes(omega=omega, B=B))
-    frame = equal_mass_frame()
-
-    def design_row(config: ThreeBodyConfig) -> list[float]:
-        rho, theta = jacobi_polar(config, frame)
-        rho2 = rho * rho
-        return [rho2, 9.0 / (rho2 * math.cos(3 * theta) ** 2),
-                9.0 / (rho2 * math.sin(3 * theta) ** 2)]
-
-    sample = [ordered_line_config(u, v) for u, v in [(0.7, 1.3), (1.1, 0.4), (0.5, 0.9)]]
-    mat = np.array([design_row(config) for config in sample])
-    rhs = np.array([[eval_potential(part, config) for part in parts] for config in sample])
-    try:
-        coef = np.linalg.solve(mat, rhs)     # column i: the image of parts[i]
-    except np.linalg.LinAlgError as exc:
-        raise FitFailure(f"singular design matrix: {exc}") from exc
-    omega2 = float(coef[0, 0])
-    if omega2 <= 0:
-        raise FitFailure(f"fit produced non-positive omega'^2 = {omega2}")
-    # a coupling at its model's roundoff floor is an exact zero (a residual
-    # angular coupling of size eps gets amplified without bound near its ray)
-    floor = 1e-12 * np.maximum(np.abs(coef).max(axis=0), 1.0)
-    alpha = 0.0 if abs(coef[1, 1]) < floor[1] else float(coef[1, 1])
-    beta = 0.0 if abs(coef[2, 2]) < floor[2] else float(coef[2, 2])
-
-    rng = np.random.default_rng(20240311)
-    worst = 0.0
-    count = 0
-    while count < verify_points:
-        u, v = rng.uniform(0.2, 3.0, size=2)
-        config = ordered_line_config(u, v)
-        if abs(jacobi_polar(config, frame)[1] - math.pi / 3.0) < 1e-3:
-            continue                      # stay off the sin(3 theta) = 0 ray
-        count += 1
-        row, val = design_row(config), eval_potential(wolfes, config)
-        image = row[0] * omega2 + row[1] * alpha + row[2] * beta
-        worst = max(worst, abs(image - val) / max(abs(val), abs(image)))
-    if worst > tol:
-        raise FitFailure(
-            f"pointwise verification failed: max relative deviation {worst:g} > {tol:g}"
-        )
-    return TTWImage(omega=math.sqrt(omega2), alpha=alpha, beta=beta)
+    image_omega = math.sqrt(1.5) * omega
+    if not math.isfinite(image_omega * image_omega):
+        raise BoundViolation(f"Wolfes omega = {omega!r} maps to omega' = sqrt(3/2) omega "
+                             f"= {image_omega!r}, which overflows when squared")
+    return ThreeBodyTTW(omega=image_omega, k=Rational(3, 1), alpha=A, beta=B / 3.0)
 
 
 def map_threebody(
@@ -415,5 +359,5 @@ def map_threebody(
             raise ValueError(
                 "the line-model image is derived in the equal-mass (m=2) frame"
             )
-        spec = wolfes_to_ttw(*line).as_spec()
+        spec = wolfes_to_ttw(*line)
     return reduce_to_2d(spec, d1=d, d2=d, L_x=L1, L_y=L2, box=box)

@@ -1,5 +1,10 @@
 """Integral order, exact potential identities, and degeneracy scans.
 
+The identity checks are the pointwise certificate of the package's two
+closed-form dictionaries: Wolfes/Calogero = TTW(k=3)
+(``reduction.wolfes_to_ttw``) and TTW(k=1) = the caged oscillator
+(:func:`caged_image_of_ttw`).
+
 Superintegrability is probed through the level-degeneracy structure of
 labeled oracle spectra rather than by constructing the higher-order
 integral operators.  For rational k = m/n the extra integral has order
@@ -17,8 +22,8 @@ import numpy as np
 
 from .errors import BridgeMismatch, NotRational, SingularPoint
 from .eigensolve import DegeneracyReport, detect_degeneracies
-from .model import (Calogero, KValue, PotentialSpec, Rational, TTW, Wolfes,
-                    coerce_k, eval_potential, k_float, k_to_json)
+from .model import (CagedOscillator, Calogero, KValue, PotentialSpec, Rational, TTW,
+                    Wolfes, coerce_k, eval_potential, k_float, k_to_json)
 from .oracles import (OracleSpectrum, RadialProblem, pregauge_radial_levels, radial_spectrum,
                       separated_spectrum)
 from .reduction import (build_jacobi, centrifugal_coefficient, equal_mass_frame, jacobi_polar,
@@ -125,7 +130,7 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
     not the point is admitted, so ``seed`` fixes the points.  Points in the
     singular-line exclusion zones are skipped.  Drawing them in-package keeps
     ``scipy.stats`` out of every command.  Reports the maximum relative
-    deviation over the accepted samples.
+    deviation over the accepted samples, or NaN if any sample gives NaN.
     """
     (ulo, uhi), (vlo, vhi) = bridge.sample_box
     worst = 0.0
@@ -149,32 +154,19 @@ def identity_check(spec_a: PotentialSpec, spec_b: PotentialSpec, bridge: Bridge,
             continue
         accepted += 1
         dev = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
-        worst = max(worst, dev)
+        worst = float(np.maximum(worst, dev))    # a NaN deviation sticks, and fails
     return IdentityCheckResult(max_rel_deviation=worst, tol=tol)
 
 
-def fit_caged_image_of_ttw(spec: TTW):
-    """Fit the (A_hat, B_hat) dictionary mapping TTW at k=1 onto the caged
-    oscillator with a = b = 1, then return the fitted caged spec.
-
-    The dictionary is determined pointwise at two generic points and
-    verified by the caller through :func:`identity_check`.
-    """
-    from .errors import FitFailure
-    from .model import CagedOscillator
-
+def caged_image_of_ttw(spec: TTW) -> CagedOscillator:
+    """The caged oscillator that TTW at k = 1 is: with x = rho cos theta and
+    y = rho sin theta, alpha / (rho cos theta)^2 = alpha / x^2, so a = b = 1,
+    A = alpha and B = beta.  The ``ttw1-caged`` check of ``verify`` certifies
+    it pointwise."""
     if k_float(spec.k) != 1.0:
-        raise FitFailure("the caged-oscillator coincidence is a k = 1 statement")
-    pts = [(0.9, 0.7), (1.7, 0.3)]
-    mat, rhs = [], []
-    for rho, theta in pts:
-        x, y = rho * math.cos(theta), rho * math.sin(theta)
-        val = eval_potential(spec, (rho, theta)) - spec.omega**2 * rho**2
-        mat.append([1.0 / x**2, 1.0 / y**2])
-        rhs.append(val)
-    ab = np.linalg.solve(np.array(mat), np.array(rhs))
-    return CagedOscillator(a=1.0, b=1.0, omega=spec.omega,
-                           A=float(ab[0]), B=float(ab[1]))
+        raise ValueError(f"the caged-oscillator coincidence is a k = 1 statement, "
+                         f"got k = {spec.k!r}")
+    return CagedOscillator(a=1.0, b=1.0, omega=spec.omega, A=spec.alpha, B=spec.beta)
 
 
 # ---------------------------------------------------------------------
@@ -251,7 +243,7 @@ def labeled_collisions(spectrum: OracleSpectrum, count: int,
 
 def _check_wolfes_ttw3() -> tuple[float, float]:
     res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0),
-                         wolfes_to_ttw(1.0, 1.0, 2.0).as_spec(),
+                         wolfes_to_ttw(1.0, 1.0, 2.0),
                          ordered_line_to_jacobi_polar_bridge(), samples=1000, tol=1e-12)
     return res.max_rel_deviation, 1e-12
 
@@ -275,7 +267,7 @@ def _check_gram_identity() -> tuple[float, float]:
 
 def _check_ttw1_caged() -> tuple[float, float]:
     ttw = TTW(omega=1.0, k=Rational(1, 1), alpha=0.3, beta=0.7)
-    res = identity_check(ttw, fit_caged_image_of_ttw(ttw), polar_to_cartesian_bridge(),
+    res = identity_check(ttw, caged_image_of_ttw(ttw), polar_to_cartesian_bridge(),
                          samples=500, tol=1e-12)
     return res.max_rel_deviation, 1e-12
 

@@ -21,10 +21,10 @@ from few2d import (
     Wolfes,
     assemble,
     build_jacobi,
+    caged_image_of_ttw,
     centrifugal_coefficient,
     detect_degeneracies,
     eval_potential,
-    fit_caged_image_of_ttw,
     identity_check,
     integral_order,
     jacobi_distances,
@@ -97,7 +97,7 @@ def test_criterion_2_integral_order():
 
 def test_criterion_3_wolfes_equals_ttw3():
     image = wolfes_to_ttw(1.0, 1.0, 2.0)
-    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0), image.as_spec(),
+    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0), image,
                          ordered_line_to_jacobi_polar_bridge(), samples=1000,
                          tol=1e-12)
     image0 = wolfes_to_ttw(1.0, 1.0, 0.0)
@@ -113,10 +113,10 @@ def test_criterion_3_wolfes_equals_ttw3():
             continue
         checked += 1
         va = eval_potential(Calogero(omega=1.0, A=1.0), config)
-        vb = eval_potential(image0.as_spec(), (rho, theta))
+        vb = eval_potential(image0, (rho, theta))
         worst0 = max(worst0, abs(va - vb) / abs(va))
     ok = res.passed and worst0 <= 1e-12
-    _verdict(3, "Wolfes = TTW(k=3) after 3-point fit", ok,
+    _verdict(3, "Wolfes = TTW(k=3) by the closed-form dictionary", ok,
              f"wolfes deviation {res.max_rel_deviation:.3g} over 1000 configs, "
              f"calogero-at-B=0 deviation {worst0:.3g}")
 
@@ -188,7 +188,7 @@ def test_criterion_6_hydrogen_pair():
 
 def test_criterion_7_ttw_k1_caged_coincidence():
     ttw = TTW(omega=1.0, k=Rational(1, 1), alpha=0.3, beta=0.7)
-    caged = fit_caged_image_of_ttw(ttw)
+    caged = caged_image_of_ttw(ttw)
     res = identity_check(ttw, caged, polar_to_cartesian_bridge(), samples=1000,
                          tol=1e-12)
     spec_ttw = separated_spectrum(ttw, 6, 6)

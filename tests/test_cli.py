@@ -603,6 +603,9 @@ _HUGE_INPUTS = {
     "map3-wolfes-omega-1e200": (lambda t: _map3_config(
         t, potential={"family": "wolfes", "omega": 1e200, "A": 1.0, "B": 2.0}),
         2, "omega = 1e+200 overflows when squared"),
+    "map3-wolfes-omega-1.1e154": (lambda t: _map3_config(
+        t, potential={"family": "wolfes", "omega": 1.1e154, "A": 1.0, "B": 2.0}),
+        2, "Wolfes omega = 1.1e+154 maps to omega' = sqrt(3/2) omega = 1.347"),
     "scan-k-1e300": (lambda t: _scan_config(t, k_list=[1, 1e300]), 2,
                      "scan.k_list[1]: k = 1e+300 overflows when squared"),
     "converge-caged-a-1e300": (lambda t: _converge_config(t, system={**_CAGED, "a": 1e300}),

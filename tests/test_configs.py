@@ -1,6 +1,8 @@
 """Every shipped sample config runs to completion through the CLI, and the
 oracle configs certify every fd grid without a cold bisection."""
 
+import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,15 @@ CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.js
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
 def test_shipped_config_exits_0(config, tmp_path):
     assert main([str(config), "--out", str(tmp_path / config.stem)]) == 0
+
+
+def test_wolfes_map3_config_maps_to_the_closed_form_image(tmp_path):
+    config = next(path for path in CONFIGS if path.stem == "wolfes_map3")
+    wolfes = json.loads(config.read_text())["threebody"]["potential"]
+    assert main([str(config), "--out", str(tmp_path / "map3")]) == 0
+    image = json.loads((tmp_path / "map3.json").read_text())["reduced_problem"]["potential"]
+    assert image == {"family": "three_body_ttw", "omega": math.sqrt(1.5) * wolfes["omega"],
+                     "k": {"m": 3, "n": 1}, "alpha": wolfes["A"], "beta": wolfes["B"] / 3}
 
 
 @pytest.mark.parametrize("config", [path for path in CONFIGS

@@ -203,7 +203,6 @@ def test_wolfes_to_ttw_calogero_case():
     image = wolfes_to_ttw(1.0, 1.0, 0.0)
     assert image.beta == pytest.approx(0.0, abs=1e-12)
     frame = equal_mass_frame()
-    spec = image.as_spec()
     rng = np.random.default_rng(8)
     from few2d import eval_potential
 
@@ -216,23 +215,33 @@ def test_wolfes_to_ttw_calogero_case():
             continue
         checked += 1
         va = eval_potential(Calogero(omega=1.0, A=1.0), config)
-        vb = eval_potential(spec, (rho, theta))
+        vb = eval_potential(image, (rho, theta))
         assert abs(va - vb) / abs(va) < 1e-12
 
 
 def test_wolfes_to_ttw_full_match():
-    image = wolfes_to_ttw(1.0, 1.0, 2.0, verify_points=1000, tol=1e-12)
+    image = wolfes_to_ttw(1.0, 1.0, 2.0)
     assert image.alpha == pytest.approx(1.0, rel=1e-10)
     assert image.beta == pytest.approx(2.0 / 3.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("A", [1e3, 1e4, 1e8, 1e12])
 def test_wolfes_to_ttw_resolves_beta_next_to_a_large_pair_coupling(A):
-    # beta ~ B/3 is fitted apart from alpha ~ A, so it keeps its own precision
+    # beta = B/3 keeps its own precision next to any alpha = A
     image = wolfes_to_ttw(1.0, A, 2.0)
     assert image.alpha == pytest.approx(A, rel=1e-12)
     assert image.beta == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert image.omega**2 == pytest.approx(1.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("omega,A,B", [(1.0, 1.0, 2.0), (0.9, 1.2, 2.4), (0.5, 3.0, 1e-8),
+                                       (1.3, 0.8, 0.0), (2.0, -0.2, 0.7), (1.0, 1e12, 2.0)])
+def test_wolfes_to_ttw_is_the_closed_form_dictionary(omega, A, B):
+    image = wolfes_to_ttw(omega, A, B)
+    assert type(image) is ThreeBodyTTW and image.k == Rational(3, 1)
+    assert image.alpha == A
+    assert image.beta == B / 3
+    assert image.omega == math.sqrt(1.5) * omega
 
 
 # --- map_threebody ----------------------------------------------------

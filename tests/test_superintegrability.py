@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,8 +17,8 @@ from few2d import (
     Rational,
     TTW,
     Wolfes,
+    caged_image_of_ttw,
     degeneracy_scan,
-    fit_caged_image_of_ttw,
     identity_check,
     integral_order,
     labeled_collisions,
@@ -65,7 +66,7 @@ def test_integral_order_rejects_irrational():
 
 def test_wolfes_vs_ttw3_image():
     image = wolfes_to_ttw(1.0, 1.0, 2.0)
-    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0), image.as_spec(),
+    res = identity_check(Wolfes(omega=1.0, A=1.0, B=2.0), image,
                          ordered_line_to_jacobi_polar_bridge(), samples=1000,
                          tol=1e-12)
     assert res.passed
@@ -82,7 +83,7 @@ def test_calogero_is_wolfes_b0_identity_bridge():
 
 def test_ttw_k1_caged_dictionary():
     ttw = TTW(omega=1.0, k=Rational(1, 1), alpha=0.3, beta=0.7)
-    caged = fit_caged_image_of_ttw(ttw)
+    caged = caged_image_of_ttw(ttw)
     assert caged.A == pytest.approx(0.3, rel=1e-12)
     assert caged.B == pytest.approx(0.7, rel=1e-12)
     res = identity_check(ttw, caged, polar_to_cartesian_bridge(), samples=1000,
@@ -90,14 +91,54 @@ def test_ttw_k1_caged_dictionary():
     assert res.passed
 
 
+def _wolfes_sweep():
+    rng = np.random.default_rng(18)
+    drawn = zip(rng.uniform(0.2, 3.0, 8), rng.uniform(-0.2, 5.0, 8), rng.uniform(0.0, 5.0, 8))
+    return [tuple(float(p) for p in draw) for draw in drawn] + [
+        (1.0, -0.2, 1.0), (1.0, -0.24, 0.0), (0.7, 1e12, 2.0), (1.3, 0.8, 0.0)]
+
+
+@pytest.mark.parametrize("omega,A,B", _wolfes_sweep())
+def test_wolfes_ttw3_image_passes_the_identity_check(omega, A, B):
+    # B = 0 is Calogero; A < 0 is an attractive pair coupling above -1/4
+    res = identity_check(Wolfes(omega=omega, A=A, B=B), wolfes_to_ttw(omega, A, B),
+                         ordered_line_to_jacobi_polar_bridge(), samples=300, tol=1e-12)
+    assert res.passed, res.max_rel_deviation
+
+
+@pytest.mark.parametrize("omega,alpha,beta", [(1.0, 0.0, 0.0), (0.6, -0.1, 2.5),
+                                              (2.3, 4.0, -0.12), (1.0, 1e8, 0.3)])
+def test_caged_image_of_ttw_passes_the_identity_check(omega, alpha, beta):
+    ttw = TTW(omega=omega, k=1, alpha=alpha, beta=beta)
+    caged = caged_image_of_ttw(ttw)
+    assert caged == CagedOscillator(a=1.0, b=1.0, omega=omega, A=alpha, B=beta)
+    res = identity_check(ttw, caged, polar_to_cartesian_bridge(), samples=300, tol=1e-12)
+    assert res.passed, res.max_rel_deviation
+
+
+def test_caged_image_of_ttw_refuses_k_other_than_1():
+    with pytest.raises(ValueError, match="k = 1 statement"):
+        caged_image_of_ttw(TTW(omega=1.0, k=2, alpha=0.3, beta=0.7))
+
+
+@pytest.mark.parametrize("expression", ["np.nan + x", "np.where(x < 1.0, np.nan, 1.0)"])
+def test_identity_check_fails_on_a_nan_deviation(expression):
+    # a NaN at any sample, the first or a later one, makes the check fail
+    bridge = polar_to_cartesian_bridge()
+    res = identity_check(spec_from_dict({"family": "custom2d", "expression": expression}),
+                         spec_from_dict({"family": "custom2d", "expression": "1 + 0 * x"}),
+                         replace(bridge, to_a=bridge.to_b), samples=100)
+    assert math.isnan(res.max_rel_deviation) and not res.passed
+
+
 def test_identity_check_is_symmetric_under_swap():
     image = wolfes_to_ttw(1.0, 0.5, 1.0)
     bridge = ordered_line_to_jacobi_polar_bridge()
-    fwd = identity_check(Wolfes(omega=1.0, A=0.5, B=1.0), image.as_spec(), bridge,
+    fwd = identity_check(Wolfes(omega=1.0, A=0.5, B=1.0), image, bridge,
                          samples=400, tol=1e-12)
     swapped = Bridge(sample_box=bridge.sample_box, to_a=bridge.to_b,
                      to_b=bridge.to_a, admissible=bridge.admissible)
-    rev = identity_check(image.as_spec(), Wolfes(omega=1.0, A=0.5, B=1.0), swapped,
+    rev = identity_check(image, Wolfes(omega=1.0, A=0.5, B=1.0), swapped,
                          samples=400, tol=1e-12)
     # same symmetric deviation measure, same samples: equal up to roundoff
     assert rev.max_rel_deviation == pytest.approx(fwd.max_rel_deviation, rel=1e-9)
