@@ -132,6 +132,17 @@ def json_number(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def json_object(obj, block: str, keys=()) -> dict:
+    """``obj`` if it is a JSON object that holds each of ``keys``, else a
+    ``ValueError`` naming ``block`` and the first key missing."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{block} must be a JSON object, got {obj!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{block} needs {'an' if key[0] in 'aeiou' else 'a'} {key!r} key")
+    return obj
+
+
 def k_from_json(obj) -> KValue:
     """Inverse of :func:`k_to_json`; a JSON integer is the fraction obj/1."""
     if isinstance(obj, dict):
@@ -357,6 +368,7 @@ class _Family:
 
     @classmethod
     def from_json(cls, obj: dict):
+        json_object(obj, cls.family, [f.name for f in fields(cls) if f.default is MISSING])
         return cls(**{
             f.name: k_from_json(obj[f.name]) if f.name == "k" else json_number(obj[f.name], f.name)
             for f in fields(cls) if f.name in obj or f.default is MISSING
@@ -649,11 +661,14 @@ class Custom2D(_Family):
 
     @classmethod
     def from_json(cls, obj):
+        expression = json_object(obj, cls.family, ["expression"])["expression"]
+        if not isinstance(expression, str):
+            raise ValueError(f"custom2d 'expression' must be a string, got {expression!r}")
         angles = obj.get("depends_on_angles", False)
         if not isinstance(angles, bool):
             raise ValueError(f"depends_on_angles must be true or false, got {angles!r}")
-        return cls(func=compile_expression(obj["expression"]), name="custom",
-                   expression=obj["expression"], depends_on_angles=angles)
+        return cls(func=compile_expression(expression), name="custom",
+                   expression=expression, depends_on_angles=angles)
 
 
 PotentialSpec = Union[
@@ -737,9 +752,7 @@ def compile_expression(expression: str) -> Callable[[np.ndarray, np.ndarray], np
 
 def spec_from_dict(obj: dict) -> PotentialSpec:
     """Inverse of :func:`spec_to_dict`; rejects unknown keys."""
-    if "family" not in obj:
-        raise ValueError("potential block needs a 'family' key")
-    family = obj["family"]
+    family = json_object(obj, "potential block", ["family"])["family"]
     if family not in _BY_NAME:
         raise ValueError(f"unknown potential family {family!r}")
     cls = _BY_NAME[family]

@@ -10,17 +10,19 @@ solved here by two unrelated backends:
     A conservative finite-difference scheme.  The inverse-square term is
     absorbed exactly into a weight: with s(s-1) = c, s = 1/2 + sqrt(1/4+c),
     substituting u = x^s w turns the operator into the regular weighted form
-    -(x^{-2s}) (x^{2s} w')' + V(x) w.  The scheme is assembled in log-space
-    ratios (stable for large s), reduced to a symmetric tridiagonal problem,
-    and Richardson-extrapolated over grids of n, 2n + 1 and 4n + 3 points,
-    on which the step h = L / (n + 1) halves exactly; the extrapolation
-    residual provides the accuracy estimate.  Each grid refines a
-    prediction of its levels by inverse iteration and keeps them only when
-    a Sturm count and their residuals certify them, else it is bisected by
-    LAPACK.  The first grid is predicted by the same scheme on a quarter of
-    its points, loosely bisected; each finer grid by the coarser ones.
-    Coulomb problems with c != 0 use a logarithmically mapped grid instead,
-    equally tridiagonal and always bisected.
+    -(x^{-2s}) (x^{2s} w')' + V(x) w, assembled in log-space ratios (stable
+    for large s) as a symmetric tridiagonal problem.  Each 1D problem is one
+    frozen scheme record: this weighted scheme (weight, potential, interval,
+    natural ends, and an offset added to its levels), or for Coulomb
+    problems with c != 0 a logarithmically mapped grid, equally tridiagonal
+    and always bisected.  One Richardson ladder reads the record's
+    ``levels(m, n, guess)`` on grids of n, 2n + 1 and 4n + 3 points, on which
+    the step h = L / (n + 1) halves exactly; the extrapolation residual
+    provides the accuracy estimate.  Each grid refines a prediction of its
+    levels by inverse iteration and keeps them only when a Sturm count and
+    their residuals certify them, else it is bisected by LAPACK.  The first
+    weighted grid is predicted by the same scheme on a quarter of its
+    points, loosely bisected; each finer grid by the coarser ones.
 
 ``shooting``
     Adaptive integration (LSODA) of the scaled Prufer angle theta of the
@@ -54,7 +56,6 @@ from scipy.linalg.lapack import dgtsv, dstebz
 from .errors import AccuracyNotReached, BoundViolation, NotSeparable
 from .model import KValue, PotentialSpec, barrier_exponents, coerce_k, k_float
 
-_FD_BASE_N = 1500
 _FD_MAX_POINTS = 2_000_000   # finest Richardson grid at most: 16 MB per array
 _SHOOT_RTOL = 1e-12    # LSODA stalls in rare forbidden-region runs at 1e-13
 _ULP = np.finfo(float).eps
@@ -255,35 +256,61 @@ def _weighted_fd_operator(
     return diag, off
 
 
-def _weighted_fd_once(
-    log_weight: Callable[[np.ndarray], np.ndarray],
-    potential: Callable[[np.ndarray], np.ndarray],
-    interval: tuple[float, float],
-    m: int,
-    n: int,
-    natural_left: bool,
-    natural_right: bool,
-    guess: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Lowest m eigenvalues of the weighted scheme on n points; ``guess``
-    predicts them (see ``_tridiag_lowest``).
+@dataclass(frozen=True)
+class _WeightedScheme:
+    """``_weighted_fd_operator``'s scheme with its (left, right) ``natural``
+    ends, its levels raised by ``offset`` (the angular gauge's ground level).
 
-    Without a guess, the same scheme on n // 4 points, bisected to
-    ``_PREDICT_TOL`` * ||T||, predicts them.  That grid is skipped, and the n
-    points are bisected, when it has fewer than m points, when its operator
-    overflows or when LAPACK fails on it.
+    ``levels(m, n, guess)``: the lowest m levels on n points, which ``guess``
+    predicts (see ``_tridiag_lowest``).  Without a guess, the same scheme on
+    n // 4 points, bisected to ``_PREDICT_TOL`` * ||T||, predicts them, unless
+    it has fewer than m points, its operator overflows or LAPACK fails on it.
     """
-    diag, off = _weighted_fd_operator(log_weight, potential, interval, n,
-                                      natural_left, natural_right)
-    if guess is None and n // 4 >= m:
-        try:
-            qdiag, qoff = _weighted_fd_operator(log_weight, potential, interval, n // 4,
-                                                natural_left, natural_right)
-            guess = eigh_tridiagonal(qdiag, qoff, select="i", select_range=(0, m - 1),
-                                     eigvals_only=True, tol=_PREDICT_TOL * _norm(qdiag, qoff))
-        except (AccuracyNotReached, np.linalg.LinAlgError):
-            pass
-    return _tridiag_lowest(diag, off, m, guess=guess)
+
+    log_weight: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray], np.ndarray]
+    interval: tuple[float, float]
+    natural: tuple[bool, bool]
+    offset: float = 0.0
+
+    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
+        diag, off = _weighted_fd_operator(self.log_weight, self.potential, self.interval, n,
+                                          *self.natural)
+        if guess is not None:
+            guess = guess - self.offset
+        elif n // 4 >= m:
+            try:
+                qdiag, qoff = _weighted_fd_operator(self.log_weight, self.potential,
+                                                    self.interval, n // 4, *self.natural)
+                guess = eigh_tridiagonal(qdiag, qoff, select="i", select_range=(0, m - 1),
+                                         eigvals_only=True, tol=_PREDICT_TOL * _norm(qdiag, qoff))
+            except (AccuracyNotReached, np.linalg.LinAlgError):
+                pass
+        return _tridiag_lowest(diag, off, m, guess=guess) + self.offset
+
+
+@dataclass(frozen=True)
+class _LogGridScheme:
+    """The Coulomb problem -u'' + [c/x^2 - Z/x] u on a grid uniform in
+    t = log x on (t_min, t_max): u = e^{t/2} v(t) gives the pencil
+    K v = lambda e^{2t} v, K = -d^2/dt^2 + c + 1/4 - Z e^t, solved as the
+    tridiagonal e^{t_min} e^{-t} K e^{-t} (e^{t_min} centres its squared
+    entries in the double range).  Its entries span many orders, so it is
+    always bisected cold (``guess`` unused), with a tiny absolute tolerance
+    that leaves the relative stopping rule in charge: a residual
+    certificate bounds absolute errors only."""
+
+    c: float
+    z: float
+    t_min: float
+    t_max: float
+
+    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
+        h = (self.t_max - self.t_min) / (n + 1)
+        t = self.t_min + h * np.arange(1, n + 1)
+        w = np.exp(0.5 * self.t_min - t)
+        diag = (2.0 / h**2 + (self.c + 0.25) - self.z * np.exp(t)) * w**2
+        return _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m) / math.exp(self.t_min)
 
 
 def _richardson(e1: np.ndarray, e2: np.ndarray,
@@ -298,11 +325,8 @@ def _richardson(e1: np.ndarray, e2: np.ndarray,
 
 
 def _richardson_base(n: float, label: str) -> int:
-    """``n`` rounded down, as the coarsest grid n0 of a Richardson ladder.
-
-    The ladder may go up to 8 n0 + 7 points; beyond ``_FD_MAX_POINTS`` it is
-    refused here, before any grid is allocated.  ``label`` names the problem.
-    """
+    """``n`` rounded down, as the coarsest grid n0 of a Richardson ladder, which
+    is refused here if its 8 n0 + 7 points exceed ``_FD_MAX_POINTS``."""
     if not 8.0 * n + 7.0 <= _FD_MAX_POINTS:
         raise AccuracyNotReached(math.inf, 0.0, (
             f"fd backend, {label}: its finest Richardson grid would have {8.0 * n + 7.0:.4g} "
@@ -310,47 +334,40 @@ def _richardson_base(n: float, label: str) -> int:
     return int(n)
 
 
-def _fd_levels_certified(
-    solve_n: Callable[[int, Optional[np.ndarray]], np.ndarray],
-    target: float,
-    label: str,
-    n0: int = _FD_BASE_N,
-) -> np.ndarray:
-    """Richardson over grids of n0, 2 n0 + 1 and 4 n0 + 3 points, then over
+def _fd_levels_certified(scheme: _WeightedScheme | _LogGridScheme, m: int, target: float,
+                         label: str, n0: float) -> np.ndarray:
+    """The lowest m levels of the scheme record ``scheme``, Richardson-
+    extrapolated over grids of n0, 2 n0 + 1 and 4 n0 + 3 points, then over
     the last two and 8 n0 + 7 points on a miss.
 
-    ``solve_n(n, guess)`` returns the lowest levels on n points, with step
-    h = L / (n + 1), so each grid halves the step of the one before.  The
-    first grid gets no guess: ``solve_n`` predicts it itself, or bisects it.
-    Each finer grid gets a prediction of its levels: the n0 levels for the
-    second grid, the h^2 step e_2 + (e_2 - e_1) / 4 for the grids after it.
-    ``label`` names the problem in the error raised on a miss, and on a grid
-    whose LAPACK bisection fails.
+    ``scheme.levels(m, n, guess)`` gives the lowest m levels on n points, with
+    step h = L / (n + 1): each grid halves the step of the one before.
+    ``_richardson_base`` rounds n0 down and refuses too large a ladder before
+    any grid is built.  The first grid gets no guess (the scheme predicts or
+    bisects it); the second gets the n0 levels, and each one after it the
+    h^2 step e_2 + (e_2 - e_1) / 4.  ``label`` names the problem in the error
+    raised on a miss or on a failed LAPACK bisection.
     """
-    grids = []
-
-    def solve(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
-        grids.append(n)
+    n0 = _richardson_base(n0, label)
+    grids, e, guess = (n0, 2 * n0 + 1, 4 * n0 + 3, 8 * n0 + 7), [], None
+    for n in grids:
         try:
-            return solve_n(n, guess)
+            e.append(scheme.levels(m, n, guess))
         except np.linalg.LinAlgError as exc:
             raise AccuracyNotReached(math.inf, target, (
                 f"fd backend, {label}: LAPACK failed on the {n}-point grid ({exc})")) from None
-
-    e1 = solve(n0, None)
-    e2 = solve(2 * n0 + 1, e1)
-    e3 = solve(4 * n0 + 3, e2 + (e2 - e1) / 4.0)
-    levels, err = _richardson(e1, e2, e3)
-    if err.max() > target:
-        e4 = solve(8 * n0 + 7, e3 + (e3 - e2) / 4.0)
-        levels, err = _richardson(e2, e3, e4)
+        guess = e[-1] if len(e) == 1 else e[-1] + (e[-1] - e[-2]) / 4.0
+        if len(e) >= 3:
+            levels, err = _richardson(*e[-3:])
+            if not err.max() > target:     # met, or a NaN estimate: no finer grid
+                break
     if err.max() <= target:
         return levels
     worst = int(np.argmax(err))
     raise AccuracyNotReached(achieved=float(err[worst]), target=target, detail=(
         f"requested relative accuracy {target:g}, achieved estimate {err[worst]:g} "
         f"(fd backend, {label}: worst level {worst}, Richardson grids of "
-        f"{', '.join(map(str, grids))} points)"))
+        f"{', '.join(map(str, grids[:len(e)]))} points)"))
 
 
 # =====================================================================
@@ -542,42 +559,27 @@ def _radial_label(p: RadialProblem, cutoff: float) -> str:
             f"cutoff={cutoff:.12g})")
 
 
+def _radial_n0(cutoff: float) -> float:
+    """n0 of a weighted radial ladder: 12 points per unit of cutoff, and 1500 at least."""
+    return max(1500, 12.0 * cutoff)
+
+
 def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
     s = _gauge_exponent(p.c)
     label = _radial_label(p, cutoff)
-    pot = _radial_potential(p)
     if p.kind == "coulomb" and p.c != 0.0:
-        # logarithmically mapped grid: u = e^{t/2} v(t), x = e^t turns the
-        # problem into the pencil K v = lambda e^{2t} v, K = -d^2/dt^2 + c + 1/4
-        # - Z e^t, solved as the symmetric tridiagonal e^{t_min} e^{-t} K e^{-t}
-        # (the factor e^{t_min} centres its squared entries in the double range).
-        # The entries span many orders of magnitude; the bisection's tiny
-        # absolute tolerance leaves its relative stopping rule in charge.
-        z = p.coupling
         # inner wall where the x^s tail shifts the levels by about 1e-2 * target;
         # below t = -200 the bisection's pivot floor, safemin * max off^2, would
         # reach the levels' ulp
         t_min = math.log(1e-2 * p.target) / (2.0 * s - 1.0) if s > 0.5 else -math.inf
         if t_min < -200.0:
             raise AccuracyNotReached(math.inf, p.target, (
-                f"fd backend, radial coulomb problem (coupling={z:.12g}, c={p.c:.12g}): "
+                f"fd backend, radial coulomb problem (coupling={p.coupling:.12g}, c={p.c:.12g}): "
                 f"the log grid needs an inner wall at x = e^{t_min:.4g}, below its "
                 f"floor e^-200, to reach relative accuracy {p.target:g}"))
         t_max = math.log(cutoff)
-
-        # the graded pencil is always bisected cold (``guess`` unused): a
-        # residual certificate bounds absolute errors, which give no relative
-        # accuracy for levels many orders below the matrix norm
-        def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
-            h = (t_max - t_min) / (n + 1)
-            t = t_min + h * np.arange(1, n + 1)
-            w = np.exp(0.5 * t_min - t)
-            diag = (2.0 / h**2 + (p.c + 0.25) - z * np.exp(t)) * w**2
-            lam = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m)
-            return lam / math.exp(t_min)
-
-        n_log = _richardson_base(max(3000, (t_max - t_min) * (40.0 * m + 60.0)), label)
-        return _fd_levels_certified(solve_n, p.target, label, n0=n_log)
+        return _fd_levels_certified(_LogGridScheme(p.c, p.coupling, t_min, t_max), m, p.target, label,
+                                    max(3000, (t_max - t_min) * (40.0 * m + 60.0)))
 
     # with no inverse-square term the plain Dirichlet scheme has the cleaner
     # h^2 expansion (the weighted form loses it when u has odd powers at 0,
@@ -600,22 +602,17 @@ def _radial_fd(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
     def log_weight(x: np.ndarray) -> np.ndarray:
         return 2.0 * s_eff * np.log(x) if s_eff else np.zeros_like(x)
 
-    n_base = max(_FD_BASE_N, 12.0 * cutoff)
+    n_base = _radial_n0(cutoff)
     # the largest weight ratio, (1 + h / (2 x))^(2 s) at the first node, peaks
-    # on the coarsest grid; refuse it, then a ladder too large, before
-    # allocating any grid (x_lo > 0 only under a finite cutoff)
+    # on the coarsest grid; refuse it before allocating any grid (x_lo > 0
+    # only under a finite cutoff)
     if x_lo > 0.0:
         h_base = (cutoff - x_lo) / (int(n_base) + 1)
         if 2.0 * s_eff * math.log1p(h_base / (2.0 * x_lo)) > _LOG_MAX:
             raise _steep_weight(int(n_base), x_lo, cutoff)
-    n_base = _richardson_base(n_base, label)
-
-    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
-        return _weighted_fd_once(log_weight, pot, (x_lo, cutoff), m, n,
-                                 natural_left=s_eff > 0.0 and x_lo == 0.0,
-                                 natural_right=False, guess=guess)
-
-    return _fd_levels_certified(solve_n, p.target, label, n0=n_base)
+    scheme = _WeightedScheme(log_weight, _radial_potential(p), (x_lo, cutoff),
+                             natural=(s_eff > 0.0 and x_lo == 0.0, False))
+    return _fd_levels_certified(scheme, m, p.target, label, n_base)
 
 
 def _radial_shoot(p: RadialProblem, m: int, cutoff: float) -> np.ndarray:
@@ -677,13 +674,9 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
     def log_weight(x: np.ndarray) -> np.ndarray:
         return (d - 1.0) * np.log(x)
 
-    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
-        return _weighted_fd_once(log_weight, pot, (0.0, cutoff), m, n,
-                                 natural_left=d > 1, natural_right=False, guess=guess)
-
     label = f"pre-gauge radial problem (d={d}, L={L}, cutoff={cutoff:.12g})"
-    return _fd_levels_certified(solve_n, target, label,
-                                n0=_richardson_base(max(_FD_BASE_N, 12.0 * cutoff), label))
+    scheme = _WeightedScheme(log_weight, pot, (0.0, cutoff), natural=(d > 1, False))
+    return _fd_levels_certified(scheme, m, target, label, _radial_n0(cutoff))
 
 
 # =====================================================================
@@ -694,23 +687,15 @@ def _angular_label(k: float, a_coeff: float, b_coeff: float) -> str:
     return f"angular barrier problem (k={k:.12g}, A={a_coeff:.12g}, B={b_coeff:.12g})"
 
 
-def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int,
-                target: float) -> np.ndarray:
+def _angular_fd(k: float, a_coeff: float, b_coeff: float, m: int, target: float) -> np.ndarray:
     at, bt = barrier_exponents(k, a_coeff, b_coeff)
-    length = math.pi / (2.0 * k)
-    shift = k**2 * (at + bt) ** 2
 
     def log_weight(th: np.ndarray) -> np.ndarray:
         return 2.0 * bt * np.log(np.sin(k * th)) + 2.0 * at * np.log(np.cos(k * th))
 
-    def solve_n(n: int, guess: Optional[np.ndarray]) -> np.ndarray:
-        mu = _weighted_fd_once(log_weight, lambda th: np.zeros_like(th),
-                               (0.0, length), m, n,
-                               natural_left=True, natural_right=True,
-                               guess=None if guess is None else guess - shift)
-        return mu + shift
-
-    return _fd_levels_certified(solve_n, target, _angular_label(k, a_coeff, b_coeff), n0=1200)
+    scheme = _WeightedScheme(log_weight, np.zeros_like, (0.0, math.pi / (2.0 * k)),
+                             natural=(True, True), offset=k**2 * (at + bt) ** 2)
+    return _fd_levels_certified(scheme, m, target, _angular_label(k, a_coeff, b_coeff), 1200)
 
 
 def _angular_shoot(k: float, a_coeff: float, b_coeff: float, m: int) -> np.ndarray:

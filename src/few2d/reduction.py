@@ -40,6 +40,7 @@ from .model import (
     ThreeBodyConfig,
     ThreeBodyTTW,
     json_number,
+    json_object,
     spec_from_dict,
     spec_to_dict,
 )
@@ -149,17 +150,18 @@ class ReducedProblem2D:
         the reduction accepts, and the stored c_x, c_y must be the
         centrifugal coefficients of their (d, L).
         """
-        allowed = {"potential", "d1", "d2", "L_x", "L_y", "c_x", "c_y", "box"}
-        extra = set(obj) - allowed
+        allowed = ("potential", "d1", "d2", "L_x", "L_y", "c_x", "c_y", "box")
+        extra = set(json_object(obj, "reduced problem")) - set(allowed)
         if extra:
             raise ValueError(f"unknown keys in reduced problem: {sorted(extra)}")
+        json_object(obj, "reduced problem", allowed)
         labels = {}
         for key in ("d1", "d2", "L_x", "L_y"):
             value = json_number(obj[key], key)
             if not value.is_integer():
                 raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
             labels[key] = int(value)
-        box = obj["box"]
+        box = json_object(obj["box"], "reduced problem box", ("x_max", "y_max"))
         problem = reduce_to_2d(spec_from_dict(obj["potential"]),
                                box=Box(json_number(box["x_max"], "box.x_max"),
                                        json_number(box["y_max"], "box.y_max")),
@@ -303,15 +305,9 @@ def jacobi_polar(config: ThreeBodyConfig, frame: JacobiFrame) -> tuple[float, fl
 # 3-body potentials into the quadrant
 # ---------------------------------------------------------------------
 
-_EQUAL_MASS_FRAME = None
-
-
 def equal_mass_frame() -> JacobiFrame:
     """The d=1 frame at m1 = m2 = m3 = 2, for which r1J equals r12."""
-    global _EQUAL_MASS_FRAME
-    if _EQUAL_MASS_FRAME is None:
-        _EQUAL_MASS_FRAME = build_jacobi((2.0, 2.0, 2.0), d=1)
-    return _EQUAL_MASS_FRAME
+    return build_jacobi((2.0, 2.0, 2.0), d=1)
 
 
 def wolfes_to_ttw(omega: float, A: float, B: float) -> ThreeBodyTTW:

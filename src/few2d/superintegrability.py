@@ -89,14 +89,11 @@ def ordered_line_to_jacobi_polar_bridge(box=((0.2, 3.0), (0.2, 3.0))) -> Bridge:
     return Bridge(sample_box=box, to_a=to_a, to_b=to_b, admissible=admissible)
 
 
-def polar_to_cartesian_bridge(box=((0.3, 3.0), (0.05, 1.5)),
-                              rays: Sequence[float] = ()) -> Bridge:
+def polar_to_cartesian_bridge(box=((0.3, 3.0), (0.05, 1.5))) -> Bridge:
     """Samples (rho, theta); chart A is polar, chart B is (x, y)."""
 
     def admissible(rho, theta):
-        if theta < _EXCLUSION or theta > math.pi / 2 - _EXCLUSION:
-            return False
-        return all(abs(theta - r) > _EXCLUSION for r in rays)
+        return _EXCLUSION <= theta <= math.pi / 2 - _EXCLUSION
 
     return Bridge(sample_box=box,
                   to_a=lambda rho, theta: (rho, theta),
@@ -192,8 +189,7 @@ class ScanEntry:
 
 def degeneracy_scan(template: PotentialSpec, k_list: Sequence[KValue],
                     levels_per_k: int = 20, tol: float = 1e-8,
-                    n_r_max: int = 14, j_max: int = 10,
-                    method: str = "fd") -> list[ScanEntry]:
+                    n_r_max: int = 14, j_max: int = 10) -> list[ScanEntry]:
     """Oracle spectra, clustered, for a TTW-like template across k values.
 
     Rational k entries are annotated with the integral order 2(m+n-1);
@@ -205,8 +201,7 @@ def degeneracy_scan(template: PotentialSpec, k_list: Sequence[KValue],
     entries = []
     for k in k_list:
         spec = replace(template, k=k)
-        spectrum = separated_spectrum(spec, n_r_max=n_r_max, j_max=j_max,
-                                      method=method, count=levels_per_k)
+        spectrum = separated_spectrum(spec, n_r_max=n_r_max, j_max=j_max, count=levels_per_k)
         levels = spectrum.energies()
         report = detect_degeneracies(levels, tol_rel=tol)
         order = integral_order(spec.k) if isinstance(spec.k, Rational) else None

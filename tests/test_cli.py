@@ -469,13 +469,33 @@ _PROBES = {
     "reduced-d1-fraction": (lambda t: _inline_reduced_config(t, d1=2.7), "d1"),
     "reduced-L-x-bool": (lambda t: _inline_reduced_config(t, L_x=True), "L_x"),
     "reduced-c-x-mismatch": (lambda t: _inline_reduced_config(t, c_x=-0.25), "c_x"),
+    "ttw-missing-omega": (lambda t: _solve_config(t, system={"family": "ttw", "k": 2}),
+                          "ttw needs an 'omega' key"),
+    "custom2d-missing-expression": (lambda t: _solve_config(t, system={"family": "custom2d"}),
+                                    "custom2d needs an 'expression' key"),
+    "custom2d-expression-number": (lambda t: _solve_config(
+        t, system={"family": "custom2d", "expression": 3}),
+        "custom2d 'expression' must be a string"),
+    "reduced-missing-d1": (lambda t: _inline_reduced_config(t, d1=None),
+                           "reduced problem needs a 'd1' key"),
+    "reduced-box-missing-y-max": (lambda t: _inline_reduced_config(t, box={"x_max": 12.0}),
+                                  "reduced problem box needs a 'y_max' key"),
+    "reduced-box-list": (lambda t: _inline_reduced_config(t, box=[12, 12]),
+                         "reduced problem box must be a JSON object"),
+    "reduced-problem-number": (lambda t: _inline_reduced_config(t, problem=5),
+                               "reduced problem must be a JSON object"),
 }
 
 
-def _inline_reduced_config(tmp_path, **fields):
-    problem = {"potential": {"family": "caged_oscillator"}, "d1": 3, "d2": 3,
-               "L_x": 0, "L_y": 0, "c_x": 0.0, "c_y": 0.0,
-               "box": {"x_max": 12.0, "y_max": 12.0}, **fields}
+def _inline_reduced_config(tmp_path, problem=None, **fields):
+    """A solve config with an inline reduced problem: ``problem`` in place of
+    the whole block if given, else the default block with ``fields`` set (a
+    None field is left out)."""
+    if problem is None:
+        problem = {"potential": {"family": "caged_oscillator"}, "d1": 3, "d2": 3,
+                   "L_x": 0, "L_y": 0, "c_x": 0.0, "c_y": 0.0,
+                   "box": {"x_max": 12.0, "y_max": 12.0}, **fields}
+        problem = {key: value for key, value in problem.items() if value is not None}
     config = _solve_config(tmp_path, reduced_problem=problem)
     del config["system"], config["reduction"]
     return config

@@ -124,7 +124,7 @@ def test_fd_overflow_is_refused_before_any_grid_is_built(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the operator was assembled")
 
-    monkeypatch.setattr(oracles, "_weighted_fd_once", unreachable)
+    monkeypatch.setattr(oracles, "_weighted_fd_operator", unreachable)
     with pytest.raises(AccuracyNotReached, match="fd backend: the .*overflows"):
         radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=1e18), 2)
 
@@ -257,8 +257,9 @@ def test_a_prediction_shifted_by_one_level_falls_back_to_bisection(monkeypatch):
 
     monkeypatch.setattr(oracles, "eigh_tridiagonal", shifted)
     s = 0.5 + math.sqrt(2.25)
-    levels = oracles._weighted_fd_once(lambda x: 2.0 * s * np.log(x), lambda x: x**2,
-                                       (0.0, 12.0), 4, 3000, True, False)
+    scheme = oracles._WeightedScheme(lambda x: 2.0 * s * np.log(x), lambda x: x**2,
+                                     (0.0, 12.0), natural=(True, False))
+    levels = scheme.levels(4, 3000)
     assert sizes == [750, 3000]
     diag, off = _assembled("radial")
     assert np.array_equal(levels, _tight(diag, off, 4))
@@ -270,7 +271,7 @@ def test_a_quarter_grid_whose_operator_overflows_is_skipped(bisections):
     args = (lambda x: 2e6 * np.log(x), np.zeros_like, (1.0, 2.0))
     with pytest.raises(AccuracyNotReached, match="1000-point operator"):
         oracles._weighted_fd_operator(*args, 1000, False, False)
-    levels = oracles._weighted_fd_once(*args, 2, 4000, False, False)
+    levels = oracles._WeightedScheme(*args, natural=(False, False)).levels(2, 4000)
     assert bisections == [(0, 1)]
     diag, off = oracles._weighted_fd_operator(*args, 4000, False, False)
     assert np.array_equal(levels, _tight(diag, off, 2))
@@ -505,17 +506,40 @@ def test_not_separable():
         separated_spectrum(Custom2D(func=lambda x, y: x * y, name="xy"), 2, 2)
 
 
+def _golden_rows(request, name):
+    text = (request.path.parent / "golden" / name).read_text()
+    return [line.split(",") for line in text.splitlines()[1:]]
+
+
 def test_golden_spectrum_file(request):
     # frozen oracle output under version control; regeneration must agree
     # to the certified accuracy
-    golden = request.path.parent / "golden" / "ttw_k2_oracle.csv"
-    rows = [line.split(",") for line in golden.read_text().splitlines()[1:]]
-    expected = {(int(r[0]), int(r[1])): float(r[2]) for r in rows}
+    expected = {(int(r[0]), int(r[1])): float(r[2])
+                for r in _golden_rows(request, "ttw_k2_oracle.csv")}
     spectrum = separated_spectrum(TTW(omega=1.0, k=Rational(2, 1),
                                       alpha=0.1875, beta=0.1875), 6, 4)
     assert len(spectrum.levels) == len(expected)
     for energy, label in spectrum.levels:
         assert energy == pytest.approx(expected[label], rel=1e-8)
+
+
+def test_golden_log_grid_spectrum_file(request):
+    # PW's radial problems are Coulomb with c != 0: the log-grid ladder
+    expected = {(int(r[0]), int(r[1])): float(r[2])
+                for r in _golden_rows(request, "pw_k2_oracle.csv")}
+    spectrum = separated_spectrum(PW(a=1.0, k=Rational(2, 1), mu=0.3, nu=0.4), 1, 1)
+    assert len(spectrum.levels) == len(expected) == 4
+    for energy, label in spectrum.levels:
+        assert energy == pytest.approx(expected[label], rel=1e-8)
+
+
+def test_golden_pregauge_levels_file(request):
+    rows = _golden_rows(request, "pregauge_radial.csv")
+    assert len(rows) == 10
+    for d, L in ((2, 0), (5, 1)):
+        expected = [float(r[3]) for r in rows if (int(r[0]), int(r[1])) == (d, L)]
+        levels = oracles.pregauge_radial_levels(d, L, math.pi, 5)
+        assert levels == pytest.approx(expected, rel=1e-8)
 
 
 # --- the lowest count levels of a label box ------------------------------
