@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import AccuracyNotReached, ConfigError, Few2DError, NotSeparable
 from .discretize import assemble, make_grid
-from .eigensolve import detect_degeneracies, lowest_eigs
+from .eigensolve import _EXTRA_LEVELS, detect_degeneracies, lowest_eigs
 from .model import json_number, k_float, k_from_json, spec_from_dict
 from .oracles import separated_spectrum
 from .reduction import Box, ReducedProblem2D, map_threebody, reduce_to_2d
@@ -284,9 +284,9 @@ def _check_grid(n1: int, n2: int, where: str) -> None:
                           f"{_MAX_GRID_NODES} nodes allowed")
 
 
-def _lowest(op, solver: dict):
-    return lowest_eigs(op, solver["levels"], tol=solver["tol"],
-                       max_iter=solver["max_iter"], seed=solver["seed"])
+def _lowest(op, solver: dict, levels: int | None = None, prior=None):
+    return lowest_eigs(op, levels or solver["levels"], tol=solver["tol"],
+                       max_iter=solver["max_iter"], seed=solver["seed"], prior=prior)
 
 
 def _stopped_short(where: str) -> int:
@@ -424,32 +424,41 @@ def run_converge(cfg: dict, prov: dict) -> int:
     prefix = _output_prefix(cfg)
     oracle_levels = _oracle_levels(problem, cfg["oracle"], solver["levels"])
 
-    runs = []
-    for n in cfg["ladder"]:
+    # every rung but the last solves _EXTRA_LEVELS levels more than it reports,
+    # so that the rung after it can slice from them instead of a coarse estimate
+    m, runs, prior = solver["levels"], [], None
+    for i, n in enumerate(cfg["ladder"]):
         grid = make_grid(problem.box, n, n, spec=problem.potential)
-        runs.append((grid.h_x, _lowest(assemble(problem, grid), solver)))
+        op = assemble(problem, grid)
+        if i + 1 < len(cfg["ladder"]):
+            result = _lowest(op, solver, min(m + _EXTRA_LEVELS, max(m, op.dim)))
+            prior = op, result
+            if not result.converged:   # the verdict is that of the m levels reported
+                result = _lowest(op, solver)
+        else:
+            result = _lowest(op, solver, prior=prior)
+        runs.append((grid.h_x, result.eigenvalues[:m], result.converged))
 
     columns = ["h", "level", "energy"]
     if oracle_levels is not None:
         columns += ["error", "observed_order"]
     rows = []
-    for ridx, (h, result) in enumerate(runs):
-        h_prev, prev = runs[ridx - 1] if ridx else (h, None)
+    for ridx, (h, levels, _) in enumerate(runs):
+        h_prev, prev, _ = runs[ridx - 1] if ridx else (h, (), None)
         # a rung that stopped short has fewer levels than the rung after it
-        known = len(prev.eigenvalues) if prev is not None else 0
-        for lvl, energy in enumerate(result.eigenvalues):
+        for lvl, energy in enumerate(levels):
             row = (float(h), lvl, float(energy))
             if oracle_levels is not None:
                 err, order = abs(energy - oracle_levels[lvl]), float("nan")
-                if lvl < known:
-                    err_prev = abs(prev.eigenvalues[lvl] - oracle_levels[lvl])
+                if lvl < len(prev):
+                    err_prev = abs(prev[lvl] - oracle_levels[lvl])
                     if err > 0 and err_prev > 0:
                         order = math.log(err_prev / err) / math.log(h_prev / h)
                 row += (float(err), float(order))
             rows.append(row)
     _write_csv(prefix.with_suffix(".csv"), _header_lines(prov), columns, rows)
     print(f"wrote {prefix.with_suffix('.csv')} ({len(runs)} grids)")
-    stopped = [f"{n}x{n}" for n, (_, result) in zip(cfg["ladder"], runs) if not result.converged]
+    stopped = [f"{n}x{n}" for n, (_, _, converged) in zip(cfg["ladder"], runs) if not converged]
     if stopped:
         return _stopped_short(f"the {', '.join(stopped)} grid{'s' * (len(stopped) > 1)}")
     return 0

@@ -28,6 +28,13 @@ the pairs found, with the same factorization.  The count comes first because
 with fewer than m levels below tau the solve falls back at once, rather than
 ARPACK hunting the top of the spectrum for the rest.
 
+A convergence ladder hands each solve to the next (nested iteration): a
+``prior``, a converged solve of the same problem on a grid no finer per
+axis, stands in for the coarse estimate when it holds more than m levels.
+Its levels are the estimate, and the Ritz values of the fine operator on
+its prolonged eigenvectors are the guard, by the same bracketing test; a
+prior that fails it is dropped and the coarse estimate is made as above.
+
 Plain matrices and grids too small to coarsen take the Gershgorin path, as
 does a slice that cannot be factored, counts fewer than m levels or far more
 than estimated, or is not completed while budget remains.  That path shifts
@@ -53,7 +60,7 @@ from .errors import DimensionMismatch
 
 _ORDERING = "MMD_AT_PLUS_A"   # symmetric ordering; about half the fill of COLAMD on 5-point grids
 _ATTEMPTS = 4                 # ARPACK runs per stage: the first plus retries for missed copies
-_EXTRA_LEVELS = 3             # coarse levels estimated beyond m, to offer gaps for tau
+_EXTRA_LEVELS = 3             # levels beyond m, estimated or from the prior rung: gaps for tau
 _ESTIMATE_TOL = 1e-3          # residual tolerance of the coarse estimate
 _OVERCOUNT = 2                # a slice counting more than twice the estimate falls back
 _EPS = np.finfo(float).eps
@@ -334,19 +341,32 @@ def _widest_gap(estimate: np.ndarray, m: int) -> int:
     return m + int(np.argmax(np.diff(estimate)[m - 1:]))
 
 
+def _ritz_guard(op, coarse, estimate: np.ndarray, vectors: np.ndarray, m: int):
+    """``(ritz, bracketed)`` for levels ``estimate`` of ``coarse`` with eigenvectors
+    ``vectors``: the Rayleigh-Ritz values of ``op`` on those vectors prolonged
+    to its nodes, and whether the bound of the level below the widest gap at
+    index >= m stays below the estimate above it.
+
+    Prolonged from a grid no finer per axis, independent vectors stay
+    independent, so by Cauchy interlacing ``ritz[i]`` bounds the i-th level
+    of ``op`` from above.
+    """
+    basis = op.prolong(coarse, vectors)
+    ritz = eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
+    j = _widest_gap(estimate, m)
+    return ritz, bool(ritz[j - 1] < estimate[j])
+
+
 def _coarse_estimate(op, m: int, seed: int):
     """``(estimate, ritz)``: the lowest m + 3 levels of ``op`` estimated on a
-    coarsened grid, and the Rayleigh-Ritz values of ``op`` on their prolonged
-    eigenvectors.
+    coarsened grid, and their Ritz values from ``_ritz_guard``.
 
     The grids are ``op.coarsened()``, its ``coarsened()``, and so on; each is
     solved as a plain matrix to a loose tolerance.  The coarsest comes first,
-    and a finer one is tried only while the Ritz bound of the level below the
-    widest gap reaches the estimate above it, so that the gap is not
-    bracketed.  The coarse nodes are fine nodes, so the prolonged vectors
-    stay independent, and by Cauchy interlacing ``ritz[i]`` bounds the i-th
-    level of ``op`` from above.  None when the operator does not coarsen, or
-    the estimate offers no gap above its m-th level.
+    and a finer one is tried only while the estimate does not bracket its
+    widest gap.  The coarse nodes are fine nodes, so the prolonged vectors
+    stay independent.  None when the operator does not coarsen, or the
+    estimate offers no gap above its m-th level.
     """
     grids = []
     coarse = op.coarsened() if hasattr(op, "coarsened") else None
@@ -360,16 +380,30 @@ def _coarse_estimate(op, m: int, seed: int):
         estimate = est.eigenvalues
         if len(estimate) <= m:
             return None
-        basis = op.prolong(coarse, est.eigenvectors)
-        ritz = eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
-        j = _widest_gap(estimate, m)
-        if ritz[j - 1] < estimate[j]:
+        ritz, bracketed = _ritz_guard(op, coarse, estimate, est.eigenvectors, m)
+        if bracketed:
             break
     return estimate, ritz
 
 
+def _prior_estimate(op, m: int, prior):
+    """``(estimate, ritz)`` from ``prior = (prior_op, result)``, a solve of the
+    same problem on another grid: its levels and their Ritz values from
+    ``_ritz_guard``.  None unless that grid is no finer per axis than
+    ``op``'s, and the result converged, holds more than m levels and
+    brackets its widest gap above the m-th.
+    """
+    prior_op, result = prior
+    if not (result.converged and len(result.eigenvalues) > m and hasattr(op, "prolong")
+            and len(prior_op.grid.nodes_x) <= len(op.grid.nodes_x)
+            and len(prior_op.grid.nodes_y) <= len(op.grid.nodes_y)):
+        return None
+    ritz, bracketed = _ritz_guard(op, prior_op, result.eigenvalues, result.eigenvectors, m)
+    return (result.eigenvalues, ritz) if bracketed else None
+
+
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
-                seed: int = 0) -> EigenResult:
+                seed: int = 0, prior=None) -> EigenResult:
     """Lowest m eigenpairs of a symmetric operator, certified by an inertia count.
 
     Parameters
@@ -388,6 +422,14 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         converged so far are returned with ``converged=False``.
     seed : int
         Seed for the start vectors.
+    prior : (SparseOperator, EigenResult), optional
+        A solve of the same problem on a grid no finer per axis than ``op``'s,
+        such as the rung before it in a convergence ladder.  When the result
+        converged, holds more than m levels and its levels bracket their
+        widest gap above the m-th (the Ritz bound of the level below the gap
+        on ``op`` stays under the level above it), they place the slice in
+        place of the coarse estimate, which is then not made.  Otherwise the
+        prior is ignored.  It only moves tau; the count certifies as before.
 
     Returns
     -------
@@ -406,12 +448,14 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         raise ValueError("need m >= 1")
     if m > H.shape[0]:
         raise DimensionMismatch(f"m={m} exceeds operator dimension {H.shape[0]}")
-    return _lowest(H, m, tol, max_iter, seed, op)
+    return _lowest(H, m, tol, max_iter, seed, op, prior)
 
 
-def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None) -> EigenResult:
+def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
+            prior=None) -> EigenResult:
     """``lowest_eigs`` of the matrix H, for 1 <= m <= dim H; the slice about
-    an estimated gap is tried when ``op``, the operator H came from, coarsens."""
+    an estimated gap is tried when ``prior`` brackets one on ``op``, the
+    operator H came from, or when ``op`` coarsens."""
     n = H.shape[0]
     if n <= max(3 * m + 2, 64) or m > n // 2:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
@@ -425,7 +469,9 @@ def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None) -> 
 
     if max_iter is None:
         max_iter = max(20000, 400 * m)
-    estimate = _coarse_estimate(op, m, seed)
+    estimate = None if prior is None else _prior_estimate(op, m, prior)
+    if estimate is None:
+        estimate = _coarse_estimate(op, m, seed)
     run = _Solve(_csc(H), tol, max_iter, seed)
     found = None if estimate is None else run.sliced(m, *estimate)
     vals, vecs, count, certified = found or run.shifted(m)

@@ -525,6 +525,13 @@ class RadialProblem:
             raise ValueError(f"{self.kind} coupling must be positive")
         if not math.isfinite(self.coupling * self.coupling):
             raise BoundViolation(f"{self.kind} coupling {self.coupling!r} overflows when squared")
+        if self.cutoff is not None:
+            _check_cutoff(self.cutoff)
+
+
+def _check_cutoff(cutoff: float) -> None:
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"cutoff must be finite and positive, got {cutoff!r}")
 
 
 def _gauge_exponent(c: float) -> float:
@@ -666,6 +673,7 @@ def pregauge_radial_levels(d: int, L: int, cutoff: float, m: int,
     """
     if d < 1 or L < 0:
         raise ValueError("need d >= 1 and L >= 0")
+    _check_cutoff(cutoff)
     ang = float(L * (L + d - 2))
 
     def pot(x: np.ndarray) -> np.ndarray:

@@ -586,6 +586,15 @@ def test_converge_after_a_rung_that_stopped_short_exits_3(tmp_path, capsys):
     assert all(math.isnan(float(r[4])) for r in first + second[len(first):])
 
 
+def test_converge_with_more_levels_than_an_early_rung_holds_exits_2(tmp_path, capsys):
+    # an early rung solves 3 extra levels where its grid has them, but never
+    # fewer than solver.levels: 65 levels on the 8x8 rung are refused
+    config = _converge_config(tmp_path, ladder=[8, 40], solver={"levels": 65, "tol": 1e-6},
+                              oracle={"n_r_max": 20, "j_max": 20})
+    assert main([_write_config(tmp_path, "conv.json", config)]) == 2
+    assert "m=65 exceeds operator dimension 64" in capsys.readouterr().err
+
+
 # oracle inputs whose fd grid cannot be sized: each is refused before any
 # grid of it is allocated
 _UNSIZABLE_ORACLES = {

@@ -1,6 +1,8 @@
 """Certified lowest eigenpairs and degeneracy clustering."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from few2d import (
     make_grid,
     reduce_to_2d,
 )
-from few2d import eigensolve
+from few2d import cli, eigensolve
 from few2d.eigensolve import _factor_at, _negative_pivots
 
 
@@ -352,6 +354,100 @@ def test_a_dense_solve_reports_no_factor_fill():
     result = lowest_eigs(_dirichlet_laplacian_1d(50), 2)
     assert result.converged and result.factorizations == 0
     assert result.factor_nnz is None and result.to_dict()["factor_nnz"] is None
+
+
+# --- the hand-off from one ladder rung to the next -----------------------
+
+# an anisotropic caged system of the benchmark's converge ladder, 12 levels
+_LADDER_SYSTEM = {"a": 0.906502, "b": 1.632064, "omega": 0.937408, "A": 0.056067,
+                  "B": 0.016841}
+_LADDER_SOLVER = {"levels": 12, "tol": 1e-6, "seed": 727262005}
+
+
+def _ladder_op(n):
+    prob = reduce_to_2d(CagedOscillator(**_LADDER_SYSTEM), 3, 3, box=Box(12.0, 12.0))
+    grid = make_grid(prob.box, n, n, spec=prob.potential)
+    return prob, grid, assemble(prob, grid)
+
+
+def _ladder_reference(n):
+    """The levels of rung n as a solve without a prior gives them."""
+    return lowest_eigs(_ladder_op(n)[2], 12, tol=1e-6, seed=_LADDER_SOLVER["seed"]).eigenvalues
+
+
+def _run_ladder(tmp_path, monkeypatch, ladder):
+    """``converge`` over ``ladder``; per rung, its energies, the levels it asked
+    for and whether it was given a prior, and the dimensions of the matrices
+    factored while solving it."""
+    dims, _ = _recorded_factorizations(monkeypatch)
+    starts, asked = [], []
+
+    def solve(op, m, *args, **kwargs):
+        starts.append(len(dims))
+        asked.append((m, kwargs.get("prior") is not None))
+        return lowest_eigs(op, m, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "lowest_eigs", solve)
+    config = {"command": "converge",
+              "system": dict(_LADDER_SYSTEM, family="caged_oscillator"),
+              "reduction": {"d1": 3, "d2": 3, "box": {"x_max": 12.0, "y_max": 12.0}},
+              "ladder": ladder, "solver": _LADDER_SOLVER,
+              "oracle": {"n_r_max": 6, "j_max": 6}, "output": {"path": str(tmp_path / "conv")}}
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([str(path)]) == 0
+    rows = [line.split(",") for line in (tmp_path / "conv.csv").read_text().splitlines()
+            if line[:1].isdigit()]
+    energies = np.array([float(r[2]) for r in rows]).reshape(len(ladder), 12)
+    bounds = starts + [len(dims)]
+    return energies, asked, [dims[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def test_the_last_rung_is_sliced_from_the_rung_before_it(tmp_path, monkeypatch):
+    # the 40 and 80 rungs solve 15 levels and report 12; the 120 rung places
+    # its slice from the 80 rung's levels, so it factors no 60x60 estimate
+    energies, asked, factored = _run_ladder(tmp_path, monkeypatch, [40, 80, 120])
+    assert asked == [(15, False), (15, False), (12, True)]
+    assert factored[2] == [120 * 120]
+    for n, levels in zip([40, 80, 120], energies):
+        prob, grid, _ = _ladder_op(n)
+        assert np.allclose(levels, _ladder_reference(n), rtol=0, atol=1e-9)
+        assert np.allclose(levels, _kronecker_levels(prob, grid, 12), rtol=0, atol=1e-8)
+
+
+def test_a_decreasing_ladder_solves_each_rung_as_without_a_prior(tmp_path, monkeypatch):
+    # the 40 rung is given the 80 rung as its prior, and ignores it as finer
+    energies, asked, _ = _run_ladder(tmp_path, monkeypatch, [120, 80, 40])
+    assert asked == [(15, False), (15, False), (12, True)]
+    for n, levels in zip([120, 80, 40], energies):
+        assert np.allclose(levels, _ladder_reference(n), rtol=0, atol=1e-9)
+
+
+def _spoiled_prior(kind):
+    n = 160 if kind == "finer" else 80
+    op = _ladder_op(n)[2]
+    prior = lowest_eigs(op, 15, tol=1e-6, seed=_LADDER_SOLVER["seed"])
+    vals, vecs = prior.eigenvalues, prior.eigenvectors
+    if kind == "unbracketed":     # every level lowered by their spread
+        prior = replace(prior, eigenvalues=vals - (vals[-1] - vals[0]))
+    elif kind == "unconverged":
+        prior = replace(prior, converged=False)
+    elif kind == "m-levels":
+        prior = replace(prior, eigenvalues=vals[:12], eigenvectors=vecs[:, :12])
+    return op, prior
+
+
+@pytest.mark.parametrize("kind", ["unbracketed", "unconverged", "m-levels", "finer"])
+def test_a_prior_that_cannot_place_the_slice_leaves_the_coarse_estimate(kind, monkeypatch):
+    op = _ladder_op(120)[2]
+    prior = _spoiled_prior(kind)
+    assert eigensolve._prior_estimate(op, 12, prior) is None
+    plain = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"])
+    dims, _ = _recorded_factorizations(monkeypatch)
+    given = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"], prior=prior)
+    assert 60 * 60 in dims
+    assert np.array_equal(given.eigenvalues, plain.eigenvalues)
+    assert given.factorizations == plain.factorizations
 
 
 # --- degeneracy clustering ---------------------------------------------

@@ -64,6 +64,17 @@ def test_radial_rejects_bad_inputs():
         radial_spectrum(RadialProblem(kind="free"), 2)  # needs explicit cutoff
 
 
+@pytest.mark.parametrize("cutoff", [math.inf, math.nan, -1.0, 0.0],
+                         ids=["inf", "nan", "negative", "zero"])
+def test_a_cutoff_that_is_not_finite_and_positive_is_refused(cutoff):
+    # each used to fail later and elsewhere: an OverflowError sizing the grid,
+    # a "weight is too steep" refusal, or (zero) levels far above the closed form
+    with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+        RadialProblem(kind="oscillator", coupling=100.0, cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff must be finite and positive"):
+        oracles.pregauge_radial_levels(3, 0, cutoff, 2)
+
+
 def test_accuracy_not_reached_reports_estimate():
     # an absurd target cannot be certified; the error carries the estimate
     p = RadialProblem(kind="oscillator", coupling=1.0, target=1e-15)
