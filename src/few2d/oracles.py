@@ -16,13 +16,16 @@ solved here by two unrelated backends:
     natural ends, and an offset added to its levels), or for Coulomb
     problems with c != 0 a logarithmically mapped grid, equally tridiagonal
     and always bisected.  One Richardson ladder reads the record's
-    ``levels(m, n, guess)`` on grids of n, 2n + 1 and 4n + 3 points, on which
-    the step h = L / (n + 1) halves exactly; the extrapolation residual
-    provides the accuracy estimate.  Each grid refines a prediction of its
-    levels by inverse iteration and keeps them only when a Sturm count and
-    their residuals certify them, else it is bisected by LAPACK.  The first
-    weighted grid is predicted by the same scheme on a quarter of its
-    points, loosely bisected; each finer grid by the coarser ones.
+    ``levels(m, n, guess, start)`` on grids of n, 2n + 1 and 4n + 3 points,
+    on which the step h = L / (n + 1) halves exactly; the extrapolation
+    residual provides the accuracy estimate.  Each grid refines a prediction
+    of its levels by inverse iteration and keeps them only when a Sturm
+    count and their residuals certify them, else it is bisected by LAPACK.
+    The first weighted grid is predicted by the same scheme on a quarter of
+    its points, loosely bisected, and iterates from a fixed start vector;
+    each finer grid is predicted by the coarser ones and iterates from the
+    eigenvectors the grid before it certified, its nodes being every other
+    node of the finer grid (nested iteration).
 
 ``shooting``
     Adaptive integration (LSODA) of the scaled Prufer angle theta of the
@@ -71,59 +74,69 @@ _SHIFT_WINDOW = 0.25   # of the predicted gap: how far from its prediction a shi
 # =====================================================================
 
 def _tridiag_lowest(diag: np.ndarray, off: np.ndarray, m: int,
-                    guess: Optional[np.ndarray] = None) -> np.ndarray:
-    """Lowest m eigenvalues of the symmetric tridiagonal matrix (diag, off).
+                    guess: Optional[np.ndarray] = None,
+                    start: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Lowest m eigenvalues of the symmetric tridiagonal matrix (diag, off),
+    with their eigenvectors as columns when they were refined, else None.
 
     With a prediction ``guess`` of all m levels, ``_refined_levels`` refines
-    and certifies them.  Without one, or when the certificate fails, they
-    are bisected by LAPACK ``dstebz`` from the Gershgorin bounds to the
-    smallest absolute tolerance, so that only its relative stopping rule,
-    about ulp * |lambda|, ends the bisection.
+    and certifies them, level j starting from column j of ``start`` when it
+    is given.  Without a guess, or when the certificate fails, they are
+    bisected by LAPACK ``dstebz`` from the Gershgorin bounds to the smallest
+    absolute tolerance, so that only its relative stopping rule, about
+    ulp * |lambda|, ends the bisection.
     """
     if guess is not None:
-        levels = _refined_levels(diag, off, guess)
-        if levels is not None:
-            return levels
+        refined = _refined_levels(diag, off, guess, start)
+        if refined is not None:
+            return refined
     return eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1),
-                            eigvals_only=True, tol=_TINY)
+                            eigvals_only=True, tol=_TINY), None
 
 
 def _norm(diag: np.ndarray, off: np.ndarray) -> float:
     """The infinity norm ||T|| of the symmetric tridiagonal (diag, off)."""
     a = np.abs(off)
-    return float(np.max(np.abs(diag) + np.append(a, 0.0) + np.insert(a, 0, 0.0)))
+    rows = np.abs(diag)
+    rows[:-1] += a
+    rows[1:] += a
+    return float(np.max(rows))
 
 
-def _refined_levels(diag: np.ndarray, off: np.ndarray,
-                    guess: np.ndarray) -> Optional[np.ndarray]:
-    """Levels 0..m-1 refined from a prediction, or None if not certified.
+def _refined_levels(diag: np.ndarray, off: np.ndarray, guess: np.ndarray,
+                    start: Optional[np.ndarray] = None
+                    ) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Levels 0..m-1 refined from a prediction, with their unit eigenvectors
+    as columns, or None if not certified.
 
-    Each predicted level is refined by shifted inverse iteration (LAPACK
-    ``dgtsv``) from a fixed start vector, ending in a Rayleigh quotient
-    lam_j with residual r_j; then T has an eigenvalue in each interval
-    [lam_j - r_j, lam_j + r_j].  The shift starts at the prediction and
-    moves to the Rayleigh quotient after each step that has not converged,
-    but only while the quotient lies within a quarter of the predicted gap
-    of the prediction: a Rayleigh shift converges cubically, but to
-    whichever level it lies nearest.  A level stops iterating once r_j^2 is
-    well below ulp * ||T|| times its predicted gap.  The levels are
-    accepted only if ``_certified`` holds.
+    Each predicted level j is refined by shifted inverse iteration (LAPACK
+    ``dgtsv``) from column j of ``start``, or from a fixed start vector
+    when none is given, ending in a Rayleigh quotient lam_j with residual
+    r_j; then T has an eigenvalue in each interval [lam_j - r_j, lam_j + r_j].
+    The shift starts at the prediction and moves to the Rayleigh quotient
+    after each step that has not converged, but only while the quotient
+    lies within a quarter of the predicted gap of the prediction: a Rayleigh
+    shift converges cubically, but to whichever level it lies nearest.  A
+    level stops iterating once r_j^2 is well below ulp * ||T|| times its
+    predicted gap.  The levels are accepted only if ``_certified`` holds, so
+    a start vector of the wrong level costs steps, never a level.
 
     A single level has no predicted gap, since nothing above it is
     predicted (and its own size is none: the gauged angular ground level is
     0).  ``_refined_level`` refines it with Sturm counts instead.
     """
-    m = len(guess)
+    m, n = len(guess), diag.size
+    if start is None:    # one fixed start vector for every level
+        start = np.broadcast_to(np.random.default_rng(0).standard_normal(n)[:, None], (n, m))
     norm = _norm(diag, off)
     if m == 1:
-        return _refined_level(diag, off, guess[0], norm)
+        return _refined_level(diag, off, guess[0], norm, start[:, 0])
     tol_abs = _ULP * norm
     spacing = np.abs(np.diff(guess))
     gap_guess = np.minimum(np.append(spacing, np.inf), np.insert(spacing, 0, np.inf))
-    start = np.random.default_rng(0).standard_normal(diag.size)
-    lam, res = np.empty(m), np.empty(m)
+    lam, res, vectors = np.empty(m), np.empty(m), np.empty((n, m), order="F")
     for j in range(m):
-        x, shift = start, guess[j]
+        x, shift = start[:, j], guess[j]
         for _ in range(_INVERSE_STEPS):
             step = _inverse_step(diag, off, shift, x)
             if step is None:
@@ -133,12 +146,14 @@ def _refined_levels(diag: np.ndarray, off: np.ndarray,
                 break
             if abs(lam[j] - guess[j]) <= _SHIFT_WINDOW * gap_guess[j]:
                 shift = lam[j]
-    return lam if _certified(diag, off, lam, res, norm) else None
+        vectors[:, j] = x
+    return (lam, vectors) if _certified(diag, off, lam, res, norm) else None
 
 
-def _refined_level(diag: np.ndarray, off: np.ndarray, guess: float,
-                   norm: float) -> Optional[np.ndarray]:
-    """Level 0 refined from a prediction, as ``[lam]``, or None if not certified.
+def _refined_level(diag: np.ndarray, off: np.ndarray, guess: float, norm: float,
+                   x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Level 0 refined from a prediction and the start vector x, as
+    ``([lam], vector as one column)``, or None if not certified.
 
     Inverse iteration stops as soon as ``_certified`` holds, one Sturm count
     per step.  The shift moves to the Rayleigh quotient lam once a second
@@ -146,14 +161,14 @@ def _refined_level(diag: np.ndarray, off: np.ndarray, guess: float,
     then holds level 0 and no other, so level 0 is the one nearest lam.
     """
     slack = 8.0 * _ULP * norm
-    x, shift = np.random.default_rng(0).standard_normal(diag.size), guess
+    shift = guess
     for _ in range(_INVERSE_STEPS):
         step = _inverse_step(diag, off, shift, x)
         if step is None:
             return None
         x, lam, res = step
         if _certified(diag, off, np.array([lam]), np.array([res]), norm):
-            return np.array([lam])
+            return np.array([lam]), x[:, None]
         if _sturm_count(diag, off, lam + res + slack, norm) == 1:
             shift = lam
     return None
@@ -163,15 +178,31 @@ def _inverse_step(diag: np.ndarray, off: np.ndarray, shift: float,
                   x: np.ndarray) -> Optional[tuple[np.ndarray, float, float]]:
     """One step of inverse iteration from x: ``(x', lam, r)``, x' normalized,
     with its Rayleigh quotient lam and residual r, or None if the solve fails."""
-    *_, y, info = dgtsv(off, diag - shift, off, x)
+    # x itself is copied, not overwritten: one start vector may serve every level
+    *_, x, info = dgtsv(off, diag - shift, off, x, overwrite_d=1)
     if info != 0:
         return None
-    x = y / np.linalg.norm(y)
+    x /= math.sqrt(x @ x)
     tx = diag * x
     tx[:-1] += off * x[1:]
     tx[1:] += off * x[:-1]
     lam = x @ tx
-    return x, lam, np.linalg.norm(tx - lam * x)
+    tx -= lam * x
+    return x, lam, math.sqrt(tx @ tx)
+
+
+def _prolonged(vectors: np.ndarray) -> np.ndarray:
+    """The columns of ``vectors`` on n points carried to the grid of 2n + 1
+    points with half the step: the old nodes become the entries 1, 3, ...,
+    and each entry between them takes the mean of its two neighbours, 0
+    beyond the walls."""
+    n, m = vectors.shape
+    fine = np.empty((2 * n + 1, m), order="F")
+    fine[1::2] = vectors
+    fine[2:-1:2] = 0.5 * (vectors[:-1] + vectors[1:])
+    fine[0] = 0.5 * vectors[0]
+    fine[-1] = 0.5 * vectors[-1]
+    return fine
 
 
 def _sturm_count(diag: np.ndarray, off: np.ndarray, top: float, norm: float) -> int:
@@ -261,10 +292,12 @@ class _WeightedScheme:
     """``_weighted_fd_operator``'s scheme with its (left, right) ``natural``
     ends, its levels raised by ``offset`` (the angular gauge's ground level).
 
-    ``levels(m, n, guess)``: the lowest m levels on n points, which ``guess``
-    predicts (see ``_tridiag_lowest``).  Without a guess, the same scheme on
-    n // 4 points, bisected to ``_PREDICT_TOL`` * ||T||, predicts them, unless
-    it has fewer than m points, its operator overflows or LAPACK fails on it.
+    ``levels(m, n, guess, start)``: the lowest m levels on n points, which
+    ``guess`` predicts, and their eigenvectors as columns, or None when they
+    were bisected; ``start`` holds a start vector for each level (see
+    ``_tridiag_lowest``).  Without a guess, the same scheme on n // 4 points,
+    bisected to ``_PREDICT_TOL`` * ||T||, predicts them, unless it has fewer
+    than m points, its operator overflows or LAPACK fails on it.
     """
 
     log_weight: Callable[[np.ndarray], np.ndarray]
@@ -273,7 +306,8 @@ class _WeightedScheme:
     natural: tuple[bool, bool]
     offset: float = 0.0
 
-    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
+    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None,
+               start: Optional[np.ndarray] = None) -> tuple[np.ndarray, Optional[np.ndarray]]:
         diag, off = _weighted_fd_operator(self.log_weight, self.potential, self.interval, n,
                                           *self.natural)
         if guess is not None:
@@ -286,7 +320,8 @@ class _WeightedScheme:
                                          eigvals_only=True, tol=_PREDICT_TOL * _norm(qdiag, qoff))
             except (AccuracyNotReached, np.linalg.LinAlgError):
                 pass
-        return _tridiag_lowest(diag, off, m, guess=guess) + self.offset
+        levels, vectors = _tridiag_lowest(diag, off, m, guess=guess, start=start)
+        return levels + self.offset, vectors
 
 
 @dataclass(frozen=True)
@@ -296,21 +331,24 @@ class _LogGridScheme:
     K v = lambda e^{2t} v, K = -d^2/dt^2 + c + 1/4 - Z e^t, solved as the
     tridiagonal e^{t_min} e^{-t} K e^{-t} (e^{t_min} centres its squared
     entries in the double range).  Its entries span many orders, so it is
-    always bisected cold (``guess`` unused), with a tiny absolute tolerance
-    that leaves the relative stopping rule in charge: a residual
-    certificate bounds absolute errors only."""
+    always bisected cold (``guess`` and ``start`` unused, no vectors
+    returned), with a tiny absolute tolerance that leaves the relative
+    stopping rule in charge: a residual certificate bounds absolute errors
+    only."""
 
     c: float
     z: float
     t_min: float
     t_max: float
 
-    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None) -> np.ndarray:
+    def levels(self, m: int, n: int, guess: Optional[np.ndarray] = None,
+               start: Optional[np.ndarray] = None) -> tuple[np.ndarray, None]:
         h = (self.t_max - self.t_min) / (n + 1)
         t = self.t_min + h * np.arange(1, n + 1)
         w = np.exp(0.5 * self.t_min - t)
         diag = (2.0 / h**2 + (self.c + 0.25) - self.z * np.exp(t)) * w**2
-        return _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m) / math.exp(self.t_min)
+        levels, _ = _tridiag_lowest(diag, -w[:-1] * w[1:] / h**2, m)
+        return levels / math.exp(self.t_min), None
 
 
 def _richardson(e1: np.ndarray, e2: np.ndarray,
@@ -340,22 +378,27 @@ def _fd_levels_certified(scheme: _WeightedScheme | _LogGridScheme, m: int, targe
     extrapolated over grids of n0, 2 n0 + 1 and 4 n0 + 3 points, then over
     the last two and 8 n0 + 7 points on a miss.
 
-    ``scheme.levels(m, n, guess)`` gives the lowest m levels on n points, with
-    step h = L / (n + 1): each grid halves the step of the one before.
-    ``_richardson_base`` rounds n0 down and refuses too large a ladder before
-    any grid is built.  The first grid gets no guess (the scheme predicts or
-    bisects it); the second gets the n0 levels, and each one after it the
-    h^2 step e_2 + (e_2 - e_1) / 4.  ``label`` names the problem in the error
-    raised on a miss or on a failed LAPACK bisection.
+    ``scheme.levels(m, n, guess, start)`` gives the lowest m levels on n
+    points, with step h = L / (n + 1): each grid halves the step of the one
+    before.  ``_richardson_base`` rounds n0 down and refuses too large a
+    ladder before any grid is built.  The first grid gets no guess (the
+    scheme predicts or bisects it); the second gets the n0 levels, and each
+    one after it the h^2 step e_2 + (e_2 - e_1) / 4.  Each grid whose levels
+    were refined hands its eigenvectors, ``_prolonged``, to the next grid as
+    start vectors (nested iteration); a bisected grid hands none.  ``label``
+    names the problem in the error raised on a miss or on a failed LAPACK
+    bisection.
     """
     n0 = _richardson_base(n0, label)
-    grids, e, guess = (n0, 2 * n0 + 1, 4 * n0 + 3, 8 * n0 + 7), [], None
+    grids, e, guess, vectors = (n0, 2 * n0 + 1, 4 * n0 + 3, 8 * n0 + 7), [], None, None
     for n in grids:
+        start = None if vectors is None else _prolonged(vectors)
         try:
-            e.append(scheme.levels(m, n, guess))
+            grid_levels, vectors = scheme.levels(m, n, guess, start)
         except np.linalg.LinAlgError as exc:
             raise AccuracyNotReached(math.inf, target, (
                 f"fd backend, {label}: LAPACK failed on the {n}-point grid ({exc})")) from None
+        e.append(grid_levels)
         guess = e[-1] if len(e) == 1 else e[-1] + (e[-1] - e[-2]) / 4.0
         if len(e) >= 3:
             levels, err = _richardson(*e[-3:])

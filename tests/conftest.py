@@ -18,10 +18,10 @@ def fd_work(monkeypatch):
         work.bisected.append((diag.size, kwargs["tol"]))
         return bisect(diag, off, **kwargs)
 
-    def counted_refinement(diag, off, guess):
-        levels = refine(diag, off, guess)
-        work.refined.append((diag.size, levels is not None))
-        return levels
+    def counted_refinement(diag, off, guess, start=None):
+        refined = refine(diag, off, guess, start)
+        work.refined.append((diag.size, refined is not None))
+        return refined
 
     monkeypatch.setattr(oracles, "eigh_tridiagonal", counted_bisection)
     monkeypatch.setattr(oracles, "_refined_levels", counted_refinement)

@@ -193,10 +193,10 @@ def bisections(monkeypatch):
 @pytest.mark.parametrize("kind", ["radial", "angular"])
 def test_refined_levels_match_bisection_without_bisecting(kind, bisections):
     diag, off = _assembled(kind)
-    cold = oracles._tridiag_lowest(diag, off, 5)
+    cold, _ = oracles._tridiag_lowest(diag, off, 5)
     bisections.clear()
     for rel in (1e-4, 1e-8):
-        warm = oracles._tridiag_lowest(diag, off, 5, guess=cold * (1.0 + rel))
+        warm, _ = oracles._tridiag_lowest(diag, off, 5, guess=cold * (1.0 + rel))
         assert np.max(np.abs(warm - cold)) <= 2.0 * _ulp_norm(diag, off)
     assert bisections == []
 
@@ -206,12 +206,12 @@ def test_refined_levels_match_bisection_without_bisecting(kind, bisections):
 def test_wrong_guess_fails_the_certificate_and_bisects(kind, wrong, bisections):
     diag, off = _assembled(kind)
     m = 4
-    cold = oracles._tridiag_lowest(diag, off, m + 1)
+    cold, _ = oracles._tridiag_lowest(diag, off, m + 1)
     guess = cold[1:] if wrong == "shifted" else np.concatenate([cold[:1], cold[:m - 1]])
     bisections.clear()
-    levels = oracles._tridiag_lowest(diag, off, m, guess=guess)
+    levels, _ = oracles._tridiag_lowest(diag, off, m, guess=guess)
     assert bisections == [(0, m - 1)]
-    assert np.array_equal(levels, oracles._tridiag_lowest(diag, off, m))
+    assert np.array_equal(levels, oracles._tridiag_lowest(diag, off, m)[0])
 
 
 def _tight(diag, off, m):
@@ -222,7 +222,7 @@ def _tight(diag, off, m):
 def test_a_failed_certificate_bisects_to_the_smallest_tolerance(monkeypatch):
     diag, off = _assembled("angular")
     monkeypatch.setattr(oracles, "_refined_levels", lambda *args: None)
-    levels = oracles._tridiag_lowest(diag, off, 4, guess=np.arange(4.0))
+    levels, _ = oracles._tridiag_lowest(diag, off, 4, guess=np.arange(4.0))
     assert np.array_equal(levels, _tight(diag, off, 4))
 
 
@@ -239,9 +239,9 @@ def inverse_solves(monkeypatch):
     sizes = []
     solve = oracles.dgtsv
 
-    def counted(dl, d, du, b):
+    def counted(dl, d, du, b, **kwargs):
         sizes.append(d.size)
-        return solve(dl, d, du, b)
+        return solve(dl, d, du, b, **kwargs)
 
     monkeypatch.setattr(oracles, "dgtsv", counted)
     return sizes
@@ -270,7 +270,7 @@ def test_a_prediction_shifted_by_one_level_falls_back_to_bisection(monkeypatch):
     s = 0.5 + math.sqrt(2.25)
     scheme = oracles._WeightedScheme(lambda x: 2.0 * s * np.log(x), lambda x: x**2,
                                      (0.0, 12.0), natural=(True, False))
-    levels = scheme.levels(4, 3000)
+    levels, _ = scheme.levels(4, 3000)
     assert sizes == [750, 3000]
     diag, off = _assembled("radial")
     assert np.array_equal(levels, _tight(diag, off, 4))
@@ -282,7 +282,7 @@ def test_a_quarter_grid_whose_operator_overflows_is_skipped(bisections):
     args = (lambda x: 2e6 * np.log(x), np.zeros_like, (1.0, 2.0))
     with pytest.raises(AccuracyNotReached, match="1000-point operator"):
         oracles._weighted_fd_operator(*args, 1000, False, False)
-    levels = oracles._WeightedScheme(*args, natural=(False, False)).levels(2, 4000)
+    levels, _ = oracles._WeightedScheme(*args, natural=(False, False)).levels(2, 4000)
     assert bisections == [(0, 1)]
     diag, off = oracles._weighted_fd_operator(*args, 4000, False, False)
     assert np.array_equal(levels, _tight(diag, off, 2))
@@ -295,18 +295,108 @@ def test_a_rayleigh_shift_stays_near_its_prediction(monkeypatch):
     grids = []
     refine = oracles._refined_levels
 
-    def recorded(diag, off, guess):
+    def recorded(diag, off, guess, start=None):
         grids.append((diag, off, guess))
-        return refine(diag, off, guess)
+        return refine(diag, off, guess, start)
 
     monkeypatch.setattr(oracles, "_refined_levels", recorded)
     radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=0.75), 5)
     diag, off, guess = grids[0]
     assert diag.size == 1500 and np.allclose(guess, [4.0, 8.0, 12.0, 16.0, 20.0], rtol=1e-3)
-    levels = refine(diag, off, guess)
+    levels, _ = refine(diag, off, guess)
     assert np.max(np.abs(levels - _tight(diag, off, 5))) <= _ulp_norm(diag, off)
     monkeypatch.setattr(oracles, "_SHIFT_WINDOW", math.inf)
     assert refine(diag, off, guess) is None
+
+
+# --- nested iteration: each grid starts from the eigenvectors before it ---
+
+@pytest.mark.parametrize("solve, grids, first_steps", [
+    (lambda: radial_spectrum(RadialProblem(kind="oscillator", coupling=1.0, c=2.0), 4),
+     (1500, 3001, 6003), 9),
+    (lambda: angular_pt_levels(2.0, 3.0, 5.0, 4), (1200, 2401, 4803), 8),
+], ids=["radial", "angular"])
+def test_finer_grids_take_one_inverse_step_per_level(solve, grids, first_steps, monkeypatch):
+    # the first grid iterates from the fixed start vector; each finer grid
+    # from the prolonged eigenvectors of the grid before it, on which one
+    # step already meets the stopping rule
+    steps, solved = {}, []
+    inverse_step, lowest = oracles._inverse_step, oracles._tridiag_lowest
+
+    def counted(diag, *args):
+        steps[diag.size] = steps.get(diag.size, 0) + 1
+        return inverse_step(diag, *args)
+
+    def recorded(diag, off, count, guess=None, start=None):
+        levels, vectors = lowest(diag, off, count, guess=guess, start=start)
+        solved.append((diag, off, levels, vectors))
+        return levels, vectors
+
+    monkeypatch.setattr(oracles, "_inverse_step", counted)
+    monkeypatch.setattr(oracles, "_tridiag_lowest", recorded)
+    solve()
+    assert [diag.size for diag, *_ in solved] == list(grids)
+    assert steps == {grids[0]: first_steps, grids[1]: 4, grids[2]: 4}
+    for diag, off, levels, vectors in solved:
+        assert vectors is not None and vectors.shape == (diag.size, 4)
+        assert np.max(np.abs(levels - _tight(diag, off, 4))) <= _ulp_norm(diag, off)
+
+
+def _dirichlet(n):
+    """A Dirichlet operator (no natural end) on n points: a box with a linear potential."""
+    return oracles._weighted_fd_operator(np.zeros_like, lambda x: 5.0 * x, (0.0, 3.0), n,
+                                         False, False)
+
+
+def _eigenvectors(diag, off, m):
+    return oracles.eigh_tridiagonal(diag, off, select="i", select_range=(0, m - 1))[1]
+
+
+@pytest.mark.parametrize("kind", ["radial", "angular"])
+@pytest.mark.parametrize("wrong", ["reversed", "other operator"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_start_vectors_of_the_wrong_level_cost_steps_not_levels(kind, wrong, m):
+    diag, off = _assembled(kind)
+    tight = _tight(diag, off, m + 2)
+    if wrong == "reversed":
+        start = _eigenvectors(diag, off, m + 2)[:, ::-1][:, :m]
+    else:
+        start = _eigenvectors(*_dirichlet(diag.size), m)
+    levels, vectors = oracles._tridiag_lowest(diag, off, m, guess=tight[:m] * (1.0 + 1e-8),
+                                              start=np.asfortranarray(start))
+    # certified, or else bisected through the fallback
+    assert np.max(np.abs(levels - tight[:m])) <= _ulp_norm(diag, off)
+    assert vectors is None or vectors.shape == (diag.size, m)
+
+
+def _plain_inverse_step(diag, off, shift, x):
+    """``_inverse_step`` written with fresh arrays and ``np.linalg.norm``."""
+    *_, y, info = oracles.dgtsv(off, diag - shift, off, x)
+    assert info == 0
+    x = y / np.linalg.norm(y)
+    tx = diag * x
+    tx[:-1] += off * x[1:]
+    tx[1:] += off * x[:-1]
+    lam = x @ tx
+    return x, lam, np.linalg.norm(tx - lam * x)
+
+
+@pytest.mark.parametrize("kind", ["radial", "angular", "dirichlet"])
+def test_inverse_step_and_norm_keep_their_bits(kind):
+    diag, off = _dirichlet(2000) if kind == "dirichlet" else _assembled(kind)
+    # _ulp_norm spells ||T|| out with np.append and np.insert; eps scales it exactly
+    assert np.finfo(float).eps * oracles._norm(diag, off) == _ulp_norm(diag, off)
+    start = np.random.default_rng(0).standard_normal(diag.size)
+    kept = start.copy()
+    for shift in _tight(diag, off, 3) * (1.0 + 1e-6):
+        x, plain_x = start, start
+        for _ in range(3):
+            x, lam, res = oracles._inverse_step(diag, off, shift, x)
+            plain_x, plain_lam, plain_res = _plain_inverse_step(diag, off, shift, plain_x)
+            assert np.array_equal(x, plain_x)
+            assert lam == plain_lam and res == plain_res
+    # the start vector, shared by every level on a grid, is left as it was
+    assert np.array_equal(start, kept)
 
 
 def test_log_grid_coulomb_is_only_bisected(monkeypatch):
@@ -412,10 +502,10 @@ def test_every_sweep_grid_is_within_ulp_of_a_tight_bisection(kind, params, m, mo
     grids = []
     solve = oracles._tridiag_lowest
 
-    def recorded(diag, off, count, guess=None):
-        levels = solve(diag, off, count, guess=guess)
+    def recorded(diag, off, count, guess=None, start=None):
+        levels, vectors = solve(diag, off, count, guess=guess, start=start)
         grids.append((diag, off, guess, levels))
-        return levels
+        return levels, vectors
 
     monkeypatch.setattr(oracles, "_tridiag_lowest", recorded)
     try:
