@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import AccuracyNotReached, ConfigError, Few2DError, NotSeparable
 from .discretize import assemble, make_grid
-from .eigensolve import _EXTRA_LEVELS, detect_degeneracies, lowest_eigs
+from .eigensolve import detect_degeneracies, lowest_eigs
 from .model import json_number, k_float, k_from_json, spec_from_dict
 from .oracles import separated_spectrum
 from .reduction import Box, ReducedProblem2D, map_threebody, reduce_to_2d
@@ -277,15 +277,19 @@ def _problem(cfg: dict) -> ReducedProblem2D:
     return problem
 
 
-def _check_grid(n1: int, n2: int, where: str) -> None:
-    """Refuse, before anything is allocated, a grid above ``_MAX_GRID_NODES`` nodes."""
+def _check_grid(n1: int, n2: int, levels: int, where: str) -> None:
+    """Refuse, before anything is allocated, a grid above ``_MAX_GRID_NODES``
+    nodes, or one with fewer nodes than ``solver.levels``."""
     if n1 * n2 > _MAX_GRID_NODES:
         raise ConfigError(f"{where} asks for a {n1:g} x {n2:g} grid, more than the "
                           f"{_MAX_GRID_NODES} nodes allowed")
+    if levels > n1 * n2:
+        raise ConfigError(f"solver.levels asks for {levels:g} levels, more than the "
+                          f"{n1 * n2} nodes of the {n1:g} x {n2:g} grid of {where}")
 
 
-def _lowest(op, solver: dict, levels: int | None = None, prior=None):
-    return lowest_eigs(op, levels or solver["levels"], tol=solver["tol"],
+def _lowest(op, solver: dict, prior=None):
+    return lowest_eigs(op, solver["levels"], tol=solver["tol"],
                        max_iter=solver["max_iter"], seed=solver["seed"], prior=prior)
 
 
@@ -301,14 +305,9 @@ def run_solve(cfg: dict, prov: dict) -> int:
     problem = _problem(cfg)
     disc = cfg["discretization"]
     solver = cfg["solver"]
-    _check_grid(disc["n1"], disc["n2"], "discretization.n1 x n2")
+    _check_grid(disc["n1"], disc["n2"], solver["levels"], "discretization.n1 x n2")
     prefix = _output_prefix(cfg)
 
-    if solver["levels"] > disc["n1"] * disc["n2"]:
-        raise ConfigError(
-            f"solver.levels asks for {solver['levels']:g} levels, more than the grid "
-            f"dimension {disc['n1'] * disc['n2']}"
-        )
     grid = make_grid(problem.box, disc["n1"], disc["n2"], spec=problem.potential)
     op = assemble(problem, grid)
     result = _lowest(op, solver)
@@ -418,26 +417,20 @@ def _oracle_levels(problem: ReducedProblem2D, oracle: dict, levels: int):
 
 def run_converge(cfg: dict, prov: dict) -> int:
     problem = _problem(cfg)
-    for i, n in enumerate(cfg["ladder"]):
-        _check_grid(n, n, f"ladder[{i}]")
     solver = cfg["solver"]
+    for i, n in enumerate(cfg["ladder"]):
+        _check_grid(n, n, solver["levels"], f"ladder[{i}]")
     prefix = _output_prefix(cfg)
     oracle_levels = _oracle_levels(problem, cfg["oracle"], solver["levels"])
 
-    # every rung but the last solves _EXTRA_LEVELS levels more than it reports,
-    # so that the rung after it can slice from them instead of a coarse estimate
-    m, runs, prior = solver["levels"], [], None
-    for i, n in enumerate(cfg["ladder"]):
+    # each rung places its slice from the eigenvectors of the rung before it
+    runs, prior = [], None
+    for n in cfg["ladder"]:
         grid = make_grid(problem.box, n, n, spec=problem.potential)
         op = assemble(problem, grid)
-        if i + 1 < len(cfg["ladder"]):
-            result = _lowest(op, solver, min(m + _EXTRA_LEVELS, max(m, op.dim)))
-            prior = op, result
-            if not result.converged:   # the verdict is that of the m levels reported
-                result = _lowest(op, solver)
-        else:
-            result = _lowest(op, solver, prior=prior)
-        runs.append((grid.h_x, result.eigenvalues[:m], result.converged))
+        result = _lowest(op, solver, prior)
+        prior = op, result
+        runs.append((grid.h_x, result.eigenvalues, result.converged))
 
     columns = ["h", "level", "energy"]
     if oracle_levels is not None:
@@ -452,7 +445,8 @@ def run_converge(cfg: dict, prov: dict) -> int:
                 err, order = abs(energy - oracle_levels[lvl]), float("nan")
                 if lvl < len(prev):
                     err_prev = abs(prev[lvl] - oracle_levels[lvl])
-                    if err > 0 and err_prev > 0:
+                    # a rung repeating the step of the rung before it has no order
+                    if err > 0 and err_prev > 0 and h != h_prev:
                         order = math.log(err_prev / err) / math.log(h_prev / h)
                 row += (float(err), float(order))
             rows.append(row)

@@ -29,11 +29,11 @@ with fewer than m levels below tau the solve falls back at once, rather than
 ARPACK hunting the top of the spectrum for the rest.
 
 A convergence ladder hands each solve to the next (nested iteration): a
-``prior``, a converged solve of the same problem on a grid no finer per
-axis, stands in for the coarse estimate when it holds more than m levels.
-Its levels are the estimate, and the Ritz values of the fine operator on
-its prolonged eigenvectors are the guard, by the same bracketing test; a
-prior that fails it is dropped and the coarse estimate is made as above.
+``prior``, a converged solve of the same problem on a grid no finer and at
+most one halving coarser per axis, stands in for the coarse estimate.  Its
+first m eigenvectors, prolonged, give Rayleigh-Ritz values that bound the
+lowest m levels from above, so tau just above the m-th of them counts at
+least m levels; the prior's own levels are not read.
 
 Plain matrices and grids too small to coarsen take the Gershgorin path, as
 does a slice that cannot be factored, counts fewer than m levels or far more
@@ -60,7 +60,7 @@ from .errors import DimensionMismatch
 
 _ORDERING = "MMD_AT_PLUS_A"   # symmetric ordering; about half the fill of COLAMD on 5-point grids
 _ATTEMPTS = 4                 # ARPACK runs per stage: the first plus retries for missed copies
-_EXTRA_LEVELS = 3             # levels beyond m, estimated or from the prior rung: gaps for tau
+_EXTRA_LEVELS = 3             # levels beyond m in the coarse estimate: gaps for tau
 _ESTIMATE_TOL = 1e-3          # residual tolerance of the coarse estimate
 _OVERCOUNT = 2                # a slice counting more than twice the estimate falls back
 _EPS = np.finfo(float).eps
@@ -278,23 +278,15 @@ class _Solve:
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order], len(vals) == count
 
-    def sliced(self, m: int, estimate: np.ndarray, ritz: np.ndarray):
-        """Levels below tau in the widest estimated gap at index >= m.
+    def sliced(self, m: int, j: int, tau: float):
+        """Levels below tau, placed to count about j >= m of them.
 
-        tau is the gap's midpoint, raised to just above ``ritz[j-1]``, an
-        upper bound of the j-th level, when that stays below ``estimate[j]``:
-        the count then takes in all j levels below the gap even where the
-        estimate lies low.  Returns ``(vals, vecs, count, certified)``, or
-        None to fall back: when H - tau I cannot be counted, the count is
-        below m or above ``_OVERCOUNT`` times j, or, while budget remains, the
-        slice is not completed or misses ``tol`` (the diagonal pivots of an
-        indefinite H - tau I may lose accuracy).
+        Returns ``(vals, vecs, count, certified)``, or None to fall back: when
+        H - tau I cannot be counted, the count is below m or above
+        ``_OVERCOUNT`` times j, or, while budget remains, the slice is not
+        completed or misses ``tol`` (the diagonal pivots of an indefinite
+        H - tau I may lose accuracy).
         """
-        j = _widest_gap(estimate, m)
-        tau = 0.5 * (estimate[j - 1] + estimate[j])
-        bound = ritz[j - 1] + self.slack
-        if tau < bound < estimate[j]:
-            tau = bound
         lu, count = self.count(tau)
         if count is None or not m <= count <= _OVERCOUNT * j:
             return None
@@ -341,25 +333,21 @@ def _widest_gap(estimate: np.ndarray, m: int) -> int:
     return m + int(np.argmax(np.diff(estimate)[m - 1:]))
 
 
-def _ritz_guard(op, coarse, estimate: np.ndarray, vectors: np.ndarray, m: int):
-    """``(ritz, bracketed)`` for levels ``estimate`` of ``coarse`` with eigenvectors
-    ``vectors``: the Rayleigh-Ritz values of ``op`` on those vectors prolonged
-    to its nodes, and whether the bound of the level below the widest gap at
-    index >= m stays below the estimate above it.
+def _ritz_values(op, coarse, vectors: np.ndarray) -> np.ndarray:
+    """Rayleigh-Ritz values of ``op`` on ``vectors``, given on the nodes of
+    ``coarse``, prolonged to its nodes.
 
     Prolonged from a grid no finer per axis, independent vectors stay
-    independent, so by Cauchy interlacing ``ritz[i]`` bounds the i-th level
-    of ``op`` from above.
+    independent, so by Cauchy interlacing the i-th value bounds the i-th
+    level of ``op`` from above.
     """
     basis = op.prolong(coarse, vectors)
-    ritz = eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
-    j = _widest_gap(estimate, m)
-    return ritz, bool(ritz[j - 1] < estimate[j])
+    return eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
 
 
 def _coarse_estimate(op, m: int, seed: int):
     """``(estimate, ritz)``: the lowest m + 3 levels of ``op`` estimated on a
-    coarsened grid, and their Ritz values from ``_ritz_guard``.
+    coarsened grid, and their Ritz values from ``_ritz_values``.
 
     The grids are ``op.coarsened()``, its ``coarsened()``, and so on; each is
     solved as a plain matrix to a loose tolerance.  The coarsest comes first,
@@ -380,26 +368,43 @@ def _coarse_estimate(op, m: int, seed: int):
         estimate = est.eigenvalues
         if len(estimate) <= m:
             return None
-        ritz, bracketed = _ritz_guard(op, coarse, estimate, est.eigenvectors, m)
-        if bracketed:
+        ritz = _ritz_values(op, coarse, est.eigenvectors)
+        j = _widest_gap(estimate, m)
+        if ritz[j - 1] < estimate[j]:
             break
     return estimate, ritz
 
 
-def _prior_estimate(op, m: int, prior):
-    """``(estimate, ritz)`` from ``prior = (prior_op, result)``, a solve of the
-    same problem on another grid: its levels and their Ritz values from
-    ``_ritz_guard``.  None unless that grid is no finer per axis than
-    ``op``'s, and the result converged, holds more than m levels and
-    brackets its widest gap above the m-th.
-    """
-    prior_op, result = prior
-    if not (result.converged and len(result.eigenvalues) > m and hasattr(op, "prolong")
-            and len(prior_op.grid.nodes_x) <= len(op.grid.nodes_x)
-            and len(prior_op.grid.nodes_y) <= len(op.grid.nodes_y)):
+def _estimated_slice(op, m: int, seed: int, slack: float):
+    """``(j, tau)`` for the widest gap at index j >= m of ``_coarse_estimate``,
+    or None without one; tau is the gap's midpoint, raised to just above
+    ``ritz[j-1]``, an upper bound of the j-th level, when that stays below
+    ``estimate[j]``, so that an estimate lying low still counts all j levels."""
+    found = _coarse_estimate(op, m, seed)
+    if found is None:
         return None
-    ritz, bracketed = _ritz_guard(op, prior_op, result.eigenvalues, result.eigenvectors, m)
-    return (result.eigenvalues, ritz) if bracketed else None
+    estimate, ritz = found
+    j = _widest_gap(estimate, m)
+    tau = 0.5 * (estimate[j - 1] + estimate[j])
+    bound = ritz[j - 1] + slack
+    return j, (bound if tau < bound < estimate[j] else tau)
+
+
+def _prior_slice(op, m: int, prior, slack: float):
+    """``(m, tau)`` from ``prior = (prior_op, result)``, a solve of the same
+    problem on another grid: tau lies ``slack`` above the Ritz value of the
+    m-th level of ``op`` on the result's first m eigenvectors.  None without
+    a prior, or unless the result converged with at least m pairs and, per
+    axis, its grid is no finer than ``op``'s and at most one halving coarser.
+    """
+    if prior is None:
+        return None
+    prior_op, result = prior
+    if not (result.converged and len(result.eigenvalues) >= m and hasattr(op, "prolong")
+            and all(n_prior <= n <= 2 * n_prior + 1
+                    for n, n_prior in zip(op.grid.shape, prior_op.grid.shape))):
+        return None
+    return m, _ritz_values(op, prior_op, result.eigenvectors[:, :m])[-1] + slack
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
@@ -423,13 +428,13 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     seed : int
         Seed for the start vectors.
     prior : (SparseOperator, EigenResult), optional
-        A solve of the same problem on a grid no finer per axis than ``op``'s,
-        such as the rung before it in a convergence ladder.  When the result
-        converged, holds more than m levels and its levels bracket their
-        widest gap above the m-th (the Ritz bound of the level below the gap
-        on ``op`` stays under the level above it), they place the slice in
-        place of the coarse estimate, which is then not made.  Otherwise the
-        prior is ignored.  It only moves tau; the count certifies as before.
+        A solve of the same problem on another grid, such as the rung before
+        it in a convergence ladder.  When the result converged with at least
+        m pairs, and on each axis its grid is no finer than ``op``'s and at
+        most one halving coarser, the Ritz value of the m-th level on its
+        first m eigenvectors places the slice in place of the coarse
+        estimate, which is then not made.  Otherwise the prior is ignored.
+        It only moves tau; the count certifies as before.
 
     Returns
     -------
@@ -453,9 +458,9 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
 
 def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
             prior=None) -> EigenResult:
-    """``lowest_eigs`` of the matrix H, for 1 <= m <= dim H; the slice about
-    an estimated gap is tried when ``prior`` brackets one on ``op``, the
-    operator H came from, or when ``op`` coarsens."""
+    """``lowest_eigs`` of the matrix H, for 1 <= m <= dim H; the slice is
+    tried when ``prior`` places one on ``op``, the operator H came from, or
+    when ``op`` coarsens."""
     n = H.shape[0]
     if n <= max(3 * m + 2, 64) or m > n // 2:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
@@ -469,11 +474,9 @@ def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
 
     if max_iter is None:
         max_iter = max(20000, 400 * m)
-    estimate = None if prior is None else _prior_estimate(op, m, prior)
-    if estimate is None:
-        estimate = _coarse_estimate(op, m, seed)
     run = _Solve(_csc(H), tol, max_iter, seed)
-    found = None if estimate is None else run.sliced(m, *estimate)
+    at = _prior_slice(op, m, prior, run.slack) or _estimated_slice(op, m, seed, run.slack)
+    found = None if at is None else run.sliced(m, *at)
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:
         # every level below tau is found, so a clear gap among them counts too

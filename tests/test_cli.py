@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from few2d import cli
 from few2d.cli import SCHEMA, _Block, main
 
 
@@ -87,12 +88,14 @@ def test_unknown_keys_rejected(tmp_path):
     assert main([cfg]) == 2
 
 
-def test_levels_exceeding_grid_dimension_exit_2(tmp_path):
+def test_levels_exceeding_grid_dimension_exit_2(tmp_path, capsys):
     config = _solve_config(tmp_path)
     config["discretization"] = {"n1": 10, "n2": 10}
     config["solver"] = {"levels": 101}
     cfg = _write_config(tmp_path, "solve.json", config)
     assert main([cfg]) == 2
+    err = capsys.readouterr().err
+    assert "solver.levels asks for 101 levels" in err and "discretization.n1 x n2" in err
 
 
 def test_nonconvergence_exits_3_with_partial_results(tmp_path):
@@ -587,12 +590,24 @@ def test_converge_after_a_rung_that_stopped_short_exits_3(tmp_path, capsys):
 
 
 def test_converge_with_more_levels_than_an_early_rung_holds_exits_2(tmp_path, capsys):
-    # an early rung solves 3 extra levels where its grid has them, but never
-    # fewer than solver.levels: 65 levels on the 8x8 rung are refused
+    # 65 levels on the 8x8 rung are refused by the key that asks for them
     config = _converge_config(tmp_path, ladder=[8, 40], solver={"levels": 65, "tol": 1e-6},
                               oracle={"n_r_max": 20, "j_max": 20})
     assert main([_write_config(tmp_path, "conv.json", config)]) == 2
-    assert "m=65 exceeds operator dimension 64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver.levels asks for 65 levels" in err and "8 x 8 grid of ladder[0]" in err
+
+
+def test_converge_checks_every_rung_before_solving_any(tmp_path, capsys, monkeypatch):
+    # the 8x8 rung comes last, and the 40x40 rung before it is never solved
+    solves = []
+    monkeypatch.setattr(cli, "lowest_eigs", lambda *args, **kwargs: solves.append(args))
+    config = _converge_config(tmp_path, ladder=[40, 8], solver={"levels": 65, "tol": 1e-6},
+                              oracle={"n_r_max": 20, "j_max": 20})
+    assert main([_write_config(tmp_path, "conv.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.levels asks for 65 levels" in err and "8 x 8 grid of ladder[1]" in err
+    assert solves == []
 
 
 # oracle inputs whose fd grid cannot be sized: each is refused before any
@@ -644,7 +659,7 @@ _HUGE_INPUTS = {
     "solve-levels-1e300": (lambda t: _solve_config(t, solver=_solver(levels=1e300)), 2,
                            "solver.levels asks for 1e+300 levels"),
     "converge-levels-1e300": (lambda t: _converge_config(t, solver=_solver(levels=1e300)), 2,
-                              "fewer than solver.levels = 1e+300"),
+                              "solver.levels asks for 1e+300 levels, more than the 400 nodes"),
     "solve-n1-1e12": (lambda t: _solve_config(t, discretization={"n1": 10**12, "n2": 20}),
                       2, "discretization.n1 x n2"),
     "solve-n1-1e300": (lambda t: _solve_config(t, discretization={"n1": 1e300, "n2": 20}),

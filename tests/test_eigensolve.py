@@ -404,11 +404,12 @@ def _run_ladder(tmp_path, monkeypatch, ladder):
 
 
 def test_the_last_rung_is_sliced_from_the_rung_before_it(tmp_path, monkeypatch):
-    # the 40 and 80 rungs solve 15 levels and report 12; the 120 rung places
-    # its slice from the 80 rung's levels, so it factors no 60x60 estimate
+    # every rung solves the 12 levels it reports; the 80 and 120 rungs place
+    # their slices from the rung before them, so neither factors a coarse
+    # estimate (40x40 or 60x60), only its own grid
     energies, asked, factored = _run_ladder(tmp_path, monkeypatch, [40, 80, 120])
-    assert asked == [(15, False), (15, False), (12, True)]
-    assert factored[2] == [120 * 120]
+    assert asked == [(12, False), (12, True), (12, True)]
+    assert factored[1] == [80 * 80] and factored[2] == [120 * 120]
     for n, levels in zip([40, 80, 120], energies):
         prob, grid, _ = _ladder_op(n)
         assert np.allclose(levels, _ladder_reference(n), rtol=0, atol=1e-9)
@@ -416,15 +417,29 @@ def test_the_last_rung_is_sliced_from_the_rung_before_it(tmp_path, monkeypatch):
 
 
 def test_a_decreasing_ladder_solves_each_rung_as_without_a_prior(tmp_path, monkeypatch):
-    # the 40 rung is given the 80 rung as its prior, and ignores it as finer
+    # the 80 and 40 rungs are given the rung before them as their prior, and
+    # ignore it as finer
     energies, asked, _ = _run_ladder(tmp_path, monkeypatch, [120, 80, 40])
-    assert asked == [(15, False), (15, False), (12, True)]
+    assert asked == [(12, False), (12, True), (12, True)]
     for n, levels in zip([120, 80, 40], energies):
         assert np.allclose(levels, _ladder_reference(n), rtol=0, atol=1e-9)
 
 
+def test_a_repeated_rung_is_solved_from_its_twin_and_has_no_observed_order(tmp_path,
+                                                                          monkeypatch):
+    # the second 40 rung's prior is on its own grid, so tau lies within
+    # rounding of its 12th level; both steps are equal, so no order is observed
+    energies, asked, _ = _run_ladder(tmp_path, monkeypatch, [40, 40])
+    assert asked == [(12, False), (12, True)]
+    for levels in energies:
+        assert np.allclose(levels, _ladder_reference(40), rtol=0, atol=1e-9)
+    rows = [line.split(",") for line in (tmp_path / "conv.csv").read_text().splitlines()
+            if line[:1].isdigit()]
+    assert all(np.isnan(float(r[4])) for r in rows)
+
+
 def _spoiled_prior(kind):
-    n = 160 if kind == "finer" else 80
+    n = {"finer": 160, "coarser": 40}.get(kind, 80)
     op = _ladder_op(n)[2]
     prior = lowest_eigs(op, 15, tol=1e-6, seed=_LADDER_SOLVER["seed"])
     vals, vecs = prior.eigenvalues, prior.eigenvectors
@@ -434,20 +449,38 @@ def _spoiled_prior(kind):
         prior = replace(prior, converged=False)
     elif kind == "m-levels":
         prior = replace(prior, eigenvalues=vals[:12], eigenvectors=vecs[:, :12])
+    elif kind == "fewer-than-m":
+        prior = replace(prior, eigenvalues=vals[:11], eigenvectors=vecs[:, :11])
     return op, prior
 
 
-@pytest.mark.parametrize("kind", ["unbracketed", "unconverged", "m-levels", "finer"])
+@pytest.mark.parametrize("kind", ["unconverged", "fewer-than-m", "finer", "coarser"])
 def test_a_prior_that_cannot_place_the_slice_leaves_the_coarse_estimate(kind, monkeypatch):
+    # coarser: the 40 grid lies more than one halving below the 120 grid
     op = _ladder_op(120)[2]
     prior = _spoiled_prior(kind)
-    assert eigensolve._prior_estimate(op, 12, prior) is None
+    assert eigensolve._prior_slice(op, 12, prior, 0.0) is None
     plain = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"])
     dims, _ = _recorded_factorizations(monkeypatch)
     given = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"], prior=prior)
     assert 60 * 60 in dims
     assert np.array_equal(given.eigenvalues, plain.eigenvalues)
     assert given.factorizations == plain.factorizations
+
+
+@pytest.mark.parametrize("kind", ["unbracketed", "m-levels"])
+def test_a_prior_places_the_slice_from_its_first_m_eigenvectors(kind, monkeypatch):
+    # the prior's levels are never read, so lowered levels or exactly m
+    # pairs place the slice as well as the prior itself does
+    op = _ladder_op(120)[2]
+    prior = _spoiled_prior(kind)
+    assert eigensolve._prior_slice(op, 12, prior, 0.0) is not None
+    plain = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"])
+    dims, _ = _recorded_factorizations(monkeypatch)
+    given = lowest_eigs(op, 12, tol=1e-6, seed=_LADDER_SOLVER["seed"], prior=prior)
+    assert 60 * 60 not in dims
+    assert given.converged and given.factorizations == 1
+    assert np.allclose(given.eigenvalues, plain.eigenvalues, rtol=0, atol=1e-9)
 
 
 # --- degeneracy clustering ---------------------------------------------
