@@ -11,6 +11,11 @@ as theta = pi/4 for k = 2).  Staggered walls keep the Dirichlet condition
 second-order accurate through an antisymmetric ghost node, which adds
 1/h^2 to the two wall-row diagonals of that axis; plain axes carry the
 textbook (2/h^2, -1/h^2) stencil exactly.
+
+The operator is assembled directly as its five diagonals: each node's x
+neighbours lie n_y rows away and its y neighbours in the rows next to it.
+The CSR arrays are those of the Kronecker sum of the two axis stencils plus
+diag(W), entry for entry.
 """
 
 from __future__ import annotations
@@ -160,14 +165,15 @@ def _interpolation(fine: np.ndarray, coarse: np.ndarray, extent: float) -> np.nd
     return weights[:, 1:-1]
 
 
-def _axis_stencil(n: int, h: float, staggered: bool) -> sp.csr_matrix:
+def _axis_stencil(n: int, h: float, staggered: bool) -> tuple[np.ndarray, float]:
+    """``(main, off)``: the diagonal and the off-diagonal value of -d2/dx2 on
+    n nodes of step h with Dirichlet walls."""
     main = np.full(n, 2.0 / h**2)
     if staggered:
         # antisymmetric ghost across each wall: u_0 = -u_1, u_{n+1} = -u_n
         main[0] += 1.0 / h**2
         main[-1] += 1.0 / h**2
-    off = np.full(n - 1, -1.0 / h**2)
-    return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+    return main, -1.0 / h**2
 
 
 def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
@@ -196,13 +202,21 @@ def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
 
 
 def _operator(grid: Grid, w: np.ndarray) -> SparseOperator:
-    """Stencils of the grid's axes plus diag(W) for node values ``w``."""
+    """Stencils of the grid's axes plus diag(W) for node values ``w``.
+
+    Built as five diagonals: row i * n_y + j has its x neighbours n_y away
+    and its y neighbours next to it, bar those across a wall.  The entries,
+    their order and the canonical CSR layout are those of the Kronecker sum
+    kron(T_x, I) + kron(I, T_y) + diag(W).
+    """
     n1, n2 = grid.shape
-    tx = _axis_stencil(n1, grid.h_x, grid.staggered_x)
-    ty = _axis_stencil(n2, grid.h_y, grid.staggered_y)
-    lap = sp.kron(tx, sp.identity(n2), format="csr") + sp.kron(
-        sp.identity(n1), ty, format="csr"
-    )
-    matrix = (lap + sp.diags(w.ravel())).tocsr()
-    matrix.sum_duplicates()
+    mx, off_x = _axis_stencil(n1, grid.h_x, grid.staggered_x)
+    my, off_y = _axis_stencil(n2, grid.h_y, grid.staggered_y)
+    main = ((mx[:, None] + my[None, :]) + w).ravel()
+    side = np.full((n1, n2), off_y)
+    side[:, -1] = 0.0      # the last node of each y line has no next neighbour; the
+                           # CSR arrays leave zeros out, as the Kronecker sum does
+    side = side.ravel()[:-1]
+    far = np.full(n1 * n2 - n2, off_x)
+    matrix = sp.diags([far, side, main, side, far], [-n2, -1, 0, 1, n2], format="csr")
     return SparseOperator(matrix=matrix, grid=grid, w=w)

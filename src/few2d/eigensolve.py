@@ -22,7 +22,10 @@ below the gap.  Should the bound reach past the next estimate, the gap is
 not bracketed, and the estimate is made again one grid finer, at most on the
 half-resolution grid.  The c negative pivots of H - tau I count the levels
 below tau, and ARPACK seeks the c algebraically smallest values of
-(H - tau I)^-1: exactly the levels below tau.  A value returned above tau
+(H - tau I)^-1: exactly the levels below tau.  It starts from the sum of the
+Ritz vectors of the levels below the gap, which lies close to the subspace
+it seeks (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, 1998), and is
+formed on the coarse grid and interpolated once.  A value returned above tau
 means a copy was missed; it is sought again in the orthogonal complement of
 the pairs found, with the same factorization.  The count comes first because
 with fewer than m levels below tau the solve falls back at once, rather than
@@ -33,7 +36,8 @@ A convergence ladder hands each solve to the next (nested iteration): a
 most one halving coarser per axis, stands in for the coarse estimate.  Its
 first m eigenvectors, prolonged, give Rayleigh-Ritz values that bound the
 lowest m levels from above, so tau just above the m-th of them counts at
-least m levels; the prior's own levels are not read.
+least m levels, and the sum of those m Ritz vectors starts ARPACK; the
+prior's own levels are not read.
 
 Plain matrices and grids too small to coarsen take the Gershgorin path, as
 does a slice that cannot be factored, counts fewer than m levels or far more
@@ -43,8 +47,10 @@ lowest levels are the dominant ones of (H - sigma0 I)^-1, and counts at tau
 in the first clear gap above the m-th level found.  A count above the levels
 found below tau hands that factorization to the same completion as above.
 A set the count does not confirm is reported with ``converged=False``.  The
-start vectors come from a seeded generator, so a fixed seed gives the same
-pairs and counts on a given platform.
+Gershgorin path and every retry for a missed copy start from a seeded
+generator, and the slice's start vector is a function of the estimate or the
+prior alone, so a fixed seed gives the same pairs and counts on a given
+platform.
 """
 
 from __future__ import annotations
@@ -278,8 +284,9 @@ class _Solve:
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order], len(vals) == count
 
-    def sliced(self, m: int, j: int, tau: float):
-        """Levels below tau, placed to count about j >= m of them.
+    def sliced(self, m: int, j: int, tau: float, start: np.ndarray):
+        """Levels below tau, placed to count about j >= m of them; ARPACK
+        starts from ``start``, and its retries from the seeded generator.
 
         Returns ``(vals, vecs, count, certified)``, or None to fall back: when
         H - tau I cannot be counted, the count is below m or above
@@ -290,8 +297,7 @@ class _Solve:
         lu, count = self.count(tau)
         if count is None or not m <= count <= _OVERCOUNT * j:
             return None
-        vals, vecs, certified = self.complete_below(lu, count, tau, *self.empty(),
-                                                    self.start)
+        vals, vecs, certified = self.complete_below(lu, count, tau, *self.empty(), start)
         res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
         if not (certified and np.all(res <= self.tol)) and self.solves < self.max_iter:
             return None
@@ -333,21 +339,26 @@ def _widest_gap(estimate: np.ndarray, m: int) -> int:
     return m + int(np.argmax(np.diff(estimate)[m - 1:]))
 
 
-def _ritz_values(op, coarse, vectors: np.ndarray) -> np.ndarray:
-    """Rayleigh-Ritz values of ``op`` on ``vectors``, given on the nodes of
-    ``coarse``, prolonged to its nodes.
+def _ritz(op, coarse, vectors: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, start)``: Rayleigh-Ritz values of ``op`` on ``vectors``,
+    given on the nodes of ``coarse``, prolonged to its nodes, and the sum of
+    the first j Ritz vectors, a start vector for ARPACK close to the span of
+    the lowest j levels of ``op``.
 
     Prolonged from a grid no finer per axis, independent vectors stay
     independent, so by Cauchy interlacing the i-th value bounds the i-th
-    level of ``op`` from above.
+    level of ``op`` from above.  The sum is formed on the coarse nodes and
+    prolonged once, so the prolonged basis is the only fine block.
     """
     basis = op.prolong(coarse, vectors)
-    return eigh(basis.T @ (op.matrix @ basis), basis.T @ basis, eigvals_only=True)
+    values, y = eigh(basis.T @ (op.matrix @ basis), basis.T @ basis)
+    return values, op.prolong(coarse, vectors @ y[:, :j].sum(axis=1))[:, 0]
 
 
 def _coarse_estimate(op, m: int, seed: int):
-    """``(estimate, ritz)``: the lowest m + 3 levels of ``op`` estimated on a
-    coarsened grid, and their Ritz values from ``_ritz_values``.
+    """``(estimate, ritz, start)``: the lowest m + 3 levels of ``op`` estimated
+    on a coarsened grid, their Ritz values from ``_ritz``, and the sum of the
+    Ritz vectors below the estimate's widest gap above its m-th level.
 
     The grids are ``op.coarsened()``, its ``coarsened()``, and so on; each is
     solved as a plain matrix to a loose tolerance.  The coarsest comes first,
@@ -368,34 +379,36 @@ def _coarse_estimate(op, m: int, seed: int):
         estimate = est.eigenvalues
         if len(estimate) <= m:
             return None
-        ritz = _ritz_values(op, coarse, est.eigenvectors)
         j = _widest_gap(estimate, m)
+        ritz, start = _ritz(op, coarse, est.eigenvectors, j)
         if ritz[j - 1] < estimate[j]:
             break
-    return estimate, ritz
+    return estimate, ritz, start
 
 
 def _estimated_slice(op, m: int, seed: int, slack: float):
-    """``(j, tau)`` for the widest gap at index j >= m of ``_coarse_estimate``,
-    or None without one; tau is the gap's midpoint, raised to just above
-    ``ritz[j-1]``, an upper bound of the j-th level, when that stays below
-    ``estimate[j]``, so that an estimate lying low still counts all j levels."""
+    """``(j, tau, start)`` for the widest gap at index j >= m of
+    ``_coarse_estimate``, or None without one; tau is the gap's midpoint,
+    raised to just above ``ritz[j-1]``, an upper bound of the j-th level, when
+    that stays below ``estimate[j]``, so that an estimate lying low still
+    counts all j levels.  ``start`` is the estimate's start vector."""
     found = _coarse_estimate(op, m, seed)
     if found is None:
         return None
-    estimate, ritz = found
+    estimate, ritz, start = found
     j = _widest_gap(estimate, m)
     tau = 0.5 * (estimate[j - 1] + estimate[j])
     bound = ritz[j - 1] + slack
-    return j, (bound if tau < bound < estimate[j] else tau)
+    return j, (bound if tau < bound < estimate[j] else tau), start
 
 
 def _prior_slice(op, m: int, prior, slack: float):
-    """``(m, tau)`` from ``prior = (prior_op, result)``, a solve of the same
-    problem on another grid: tau lies ``slack`` above the Ritz value of the
-    m-th level of ``op`` on the result's first m eigenvectors.  None without
-    a prior, or unless the result converged with at least m pairs and, per
-    axis, its grid is no finer than ``op``'s and at most one halving coarser.
+    """``(m, tau, start)`` from ``prior = (prior_op, result)``, a solve of the
+    same problem on another grid: tau lies ``slack`` above the Ritz value of
+    the m-th level of ``op`` on the result's first m eigenvectors, and
+    ``start`` is the sum of those m Ritz vectors.  None without a prior, or
+    unless the result converged with at least m pairs and, per axis, its grid
+    is no finer than ``op``'s and at most one halving coarser.
     """
     if prior is None:
         return None
@@ -404,7 +417,8 @@ def _prior_slice(op, m: int, prior, slack: float):
             and all(n_prior <= n <= 2 * n_prior + 1
                     for n, n_prior in zip(op.grid.shape, prior_op.grid.shape))):
         return None
-    return m, _ritz_values(op, prior_op, result.eigenvectors[:, :m])[-1] + slack
+    ritz, start = _ritz(op, prior_op, result.eigenvectors[:, :m], m)
+    return m, ritz[-1] + slack, start
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
@@ -426,15 +440,17 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         shifted H (default max(20000, 400 m)).  On exhaustion the pairs
         converged so far are returned with ``converged=False``.
     seed : int
-        Seed for the start vectors.
+        Seed of the coarse estimate and of the start vectors that do not come
+        from Ritz vectors: those of the Gershgorin path and of every retry.
     prior : (SparseOperator, EigenResult), optional
         A solve of the same problem on another grid, such as the rung before
         it in a convergence ladder.  When the result converged with at least
         m pairs, and on each axis its grid is no finer than ``op``'s and at
         most one halving coarser, the Ritz value of the m-th level on its
         first m eigenvectors places the slice in place of the coarse
-        estimate, which is then not made.  Otherwise the prior is ignored.
-        It only moves tau; the count certifies as before.
+        estimate, which is then not made, and the sum of those m Ritz
+        vectors starts ARPACK.  Otherwise the prior is ignored.  It only
+        moves tau and the start; the count certifies as before.
 
     Returns
     -------

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from few2d import (
     Box,
@@ -196,6 +197,72 @@ def test_coarsened_operator_is_the_half_resolution_grid():
     assert coarse.coarsened() is None                        # 20 x 16 nodes
     assert assemble(prob, make_grid(prob.box, 81, 63)).coarsened() is None
     assert SparseOperator(matrix=fine.matrix, grid=fine.grid).coarsened() is None
+
+
+def _kronecker_sum(grid, w):
+    """The 5-point operator as kron(T_x, I) + kron(I, T_y) + diag(W)."""
+    def stencil(n, h, staggered):
+        main = np.full(n, 2.0 / h**2)
+        if staggered:
+            main[0] += 1.0 / h**2
+            main[-1] += 1.0 / h**2
+        off = np.full(n - 1, -1.0 / h**2)
+        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
+
+    n1, n2 = grid.shape
+    tx = stencil(n1, grid.h_x, grid.staggered_x)
+    ty = stencil(n2, grid.h_y, grid.staggered_y)
+    lap = sp.kron(tx, sp.identity(n2), format="csr") + sp.kron(sp.identity(n1), ty,
+                                                              format="csr")
+    matrix = (lap + sp.diags(w.ravel())).tocsr()
+    matrix.sum_duplicates()
+    return matrix
+
+
+def _assert_same_csr(a, b):
+    assert a.format == "csr" and a.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (33, 57), (49, 48), (98, 98)])
+@pytest.mark.parametrize("layout", [(False, False), (False, True), (True, True)],
+                         ids=["plain", "y-staggered", "both-staggered"])
+def test_five_diagonal_operator_equals_the_kronecker_sum(shape, layout):
+    from few2d.discretize import Grid, _axis_nodes, _operator
+
+    (n1, n2), (sx, sy) = shape, layout
+    nx, hx = _axis_nodes(12.0, n1, sx)
+    ny, hy = _axis_nodes(10.0, n2, sy)
+    grid = Grid(box=Box(12.0, 10.0), nodes_x=nx, nodes_y=ny, h_x=hx, h_y=hy,
+                staggered_x=sx, staggered_y=sy)
+    w = np.random.default_rng(n1 * n2).uniform(-5.0, 50.0, grid.shape)
+    w[3, 4] = -(2.0 / hx**2 + 2.0 / hy**2)     # an exact zero on the diagonal, left out
+    op = _operator(grid, w)
+    _assert_same_csr(op.matrix, _kronecker_sum(grid, w))
+    coarse = op.coarsened()
+    if coarse is not None:
+        _assert_same_csr(coarse.matrix, _kronecker_sum(coarse.grid, coarse.w))
+    # a canonical CSR operator is handed to SuperLU as its own CSC form
+    from few2d.eigensolve import _csc
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(_csc(op.matrix), name), getattr(op.matrix, name))
+
+
+def test_assembled_operators_equal_the_kronecker_sum():
+    # the problem's own W on a TTW k = 2 grid, staggered by make_grid, and on
+    # an anisotropic caged grid and its two coarsenings
+    spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.4)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
+    op = assemble(prob, make_grid(prob.box, 98, 98, spec=spec))
+    assert op.grid.staggered_y
+    _assert_same_csr(op.matrix, _kronecker_sum(op.grid, op.w))
+    caged = reduce_to_2d(CagedOscillator(a=1.0, b=1.7, omega=1.0, A=0.2, B=0.1), 3, 3,
+                         box=Box(12.0, 12.0))
+    op = assemble(caged, make_grid(caged.box, 160, 131))
+    while op is not None:
+        _assert_same_csr(op.matrix, _kronecker_sum(op.grid, op.w))
+        op = op.coarsened()
 
 
 def test_coarsened_staggered_grid_reuses_finite_node_values():

@@ -483,6 +483,43 @@ def test_a_prior_places_the_slice_from_its_first_m_eigenvectors(kind, monkeypatc
     assert np.allclose(given.eigenvalues, plain.eigenvalues, rtol=0, atol=1e-9)
 
 
+# ARPACK solves of the 80 and 120 rungs, each sliced from the rung before it,
+# started from the sum of its Ritz vectors (measured with numpy 2.4.6 and
+# scipy 1.17.1); the same slices from the seeded vector take 64 and 56
+_WARM_SOLVES = {80: 49, 120: 48}
+
+
+def test_each_rung_starts_arpack_from_the_ritz_vectors_of_its_prior(monkeypatch):
+    seed = _LADDER_SOLVER["seed"]
+
+    def ladder():
+        solved, prior = {}, None
+        for n in (40, 80, 120):
+            op = _ladder_op(n)[2]
+            solved[n] = lowest_eigs(op, 12, tol=1e-6, seed=seed, prior=prior)
+            prior = op, solved[n]
+        return solved
+
+    warm, again = ladder(), ladder()
+    for n in (80, 120):
+        prob, grid, _ = _ladder_op(n)
+        assert warm[n].converged and warm[n].factorizations == 1
+        assert warm[n].iterations <= _WARM_SOLVES[n]
+        assert np.array_equal(warm[n].eigenvalues, again[n].eigenvalues)
+        assert warm[n].iterations == again[n].iterations
+        assert np.allclose(warm[n].eigenvalues, _ladder_reference(n), rtol=0, atol=1e-9)
+        assert np.allclose(warm[n].eigenvalues, _kronecker_levels(prob, grid, 12),
+                           rtol=0, atol=1e-8)
+    # the same slices started from the first draw of the seed, as before
+    ritz = eigensolve._ritz
+    monkeypatch.setattr(eigensolve, "_ritz", lambda op, *args: (
+        ritz(op, *args)[0], np.random.default_rng(seed).standard_normal(op.dim)))
+    seeded = ladder()
+    for n in (80, 120):
+        assert seeded[n].factorizations == 1
+        assert warm[n].iterations < seeded[n].iterations
+
+
 # --- degeneracy clustering ---------------------------------------------
 
 def test_detect_degeneracies_constructed_input():
