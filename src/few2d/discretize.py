@@ -15,7 +15,9 @@ textbook (2/h^2, -1/h^2) stencil exactly.
 The operator is assembled directly as its five diagonals: each node's x
 neighbours lie n_y rows away and its y neighbours in the rows next to it.
 The CSR arrays are those of the Kronecker sum of the two axis stencils plus
-diag(W), entry for entry.
+diag(W), entry for entry.  When both axes are equal and W(x, y) = W(y, x),
+the swap x <-> y maps the operator onto itself, and ``exchange`` gives the
+isometries onto its symmetric and antisymmetric sectors.
 """
 
 from __future__ import annotations
@@ -139,6 +141,37 @@ class SparseOperator:
         coarse = Grid(box=g.box, nodes_x=nodes_x, nodes_y=nodes_y,
                       h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
         return _operator(coarse, self.w[1::2, 1::2])
+
+    def exchange(self, tol: float) -> Optional[tuple[sp.csc_matrix, sp.csc_matrix]]:
+        """``(P_s, P_a)``: orthonormal bases of the grid functions that are
+        symmetric and antisymmetric under the swap x <-> y, or None when the
+        swap does not map the operator onto itself.
+
+        P_s has the n(n+1)/2 columns (e_ij + e_ji)/sqrt(2), i < j, and e_ii,
+        P_a the n(n-1)/2 columns (e_ij - e_ji)/sqrt(2), in row-major order of
+        (i, j); [P_s P_a] is orthogonal, so H splits into the diagonal blocks
+        P_s^T H P_s and P_a^T H P_a.  Returned only when both axes have the
+        same nodes, step and stagger, and the node values of W differ from
+        their transpose by at most ``tol``: summing terms in another order
+        can leave an exchange-symmetric W asymmetric by an ulp.
+        """
+        g, w = self.grid, self.w
+        if (w is None or g.staggered_x != g.staggered_y or g.h_x != g.h_y
+                or not np.array_equal(g.nodes_x, g.nodes_y)
+                or np.max(np.abs(w - w.T)) > tol):
+            return None
+        n = len(g.nodes_x)
+
+        def basis(i, j, sign):
+            pair = i != j
+            cols = np.arange(len(i))
+            rows = np.concatenate([i * n + j, (j * n + i)[pair]])
+            vals = np.concatenate([np.where(pair, np.sqrt(0.5), 1.0),
+                                   np.full(np.count_nonzero(pair), sign * np.sqrt(0.5))])
+            return sp.csc_matrix((vals, (rows, np.concatenate([cols, cols[pair]]))),
+                                 shape=(n * n, len(i)))
+
+        return basis(*np.triu_indices(n), 1.0), basis(*np.triu_indices(n, 1), -1.0)
 
     def prolong(self, coarse: "SparseOperator", vectors: np.ndarray) -> np.ndarray:
         """Columns of ``vectors``, given on the nodes of ``coarse`` (from one or

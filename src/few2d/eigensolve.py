@@ -39,6 +39,19 @@ lowest m levels from above, so tau just above the m-th of them counts at
 least m levels, and the sum of those m Ritz vectors starts ARPACK; the
 prior's own levels are not read.
 
+A grid operator that the swap x <-> y maps onto itself (equal axes and an
+exchange-symmetric W; ``SparseOperator.exchange``) is sliced in its two
+exchange sectors (symmetry-adapted bases; Faessler & Stiefel, *Group
+Theoretical Methods and Their Applications*, 1992).  tau and the start
+vector are placed on the whole operator as above; then each diagonal block
+P^T H P, of about half the nodes, is factored and counted at tau.  The
+orthogonal [P_s P_a] makes the blocks' inertias add up to that of
+H - tau I, so the summed count certifies as one count would.  ARPACK
+completes each block from its share P^T of the start vector, both blocks
+drawing on one budget of solves, and the levels come back as P v with
+residuals measured on H.  Without such a symmetry the one block is H
+itself.
+
 Plain matrices and grids too small to coarsen take the Gershgorin path, as
 does a slice that cannot be factored, counts fewer than m levels or far more
 than estimated, or is not completed while budget remains.  That path shifts
@@ -81,9 +94,11 @@ class EigenResult:
     the dense path), or None when no count was made.  It exceeds the number
     of returned levels only when the m-th level's multiplet continues past m.
     ``factorizations`` counts the sparse factorizations of shifted copies of
-    H (0 on the dense path); those of the coarse estimate are not included.
+    H or of its exchange-sector blocks, one per block on a split slice (0 on
+    the dense path); those of the coarse estimate are not included.
     ``factor_nnz`` is the size (SuperLU's nnz of L + U) of the factorization
-    that made the count, or None on the dense path or when no count was made.
+    that made the count, summed over the blocks of a split slice, or None on
+    the dense path or when no count was made.
     """
 
     eigenvalues: np.ndarray
@@ -157,6 +172,10 @@ def _factor_at(H: sp.csc_matrix, tau: float):
     return lu if np.array_equal(lu.perm_r, lu.perm_c) else None
 
 
+def _empty(n: int):
+    return np.zeros(0), np.zeros((n, 0))
+
+
 def _negative_pivots(lu) -> int:
     """Eigenvalues below tau, for ``lu`` from ``_factor_at(H, tau)``.
 
@@ -189,16 +208,14 @@ class _Solve:
         self.start = self.rng.standard_normal(self.n)
         self.solves = self.factorizations = 0
         self.factor_nnz = None
-        self.breakdown = False
+        self.breakdown = self.exhausted = False
 
-    def empty(self):
-        return np.zeros(0), np.zeros((self.n, 0))
-
-    def count(self, tau: float):
-        """``(lu, c)``: a factorization of H - tau I and the c levels below tau
-        it counts, or ``(None, None)``; the size of ``lu`` is kept."""
+    def count(self, A: sp.csc_matrix, tau: float):
+        """``(lu, c)``: a factorization of A - tau I, for A = H or a diagonal
+        block of it, and the c levels of A below tau it counts, or ``(None,
+        None)``; the size of ``lu`` is kept."""
         self.factorizations += 1
-        lu = _factor_at(self.H, tau)
+        lu = _factor_at(A, tau)
         if lu is None:
             return None, None
         self.factor_nnz = lu.nnz
@@ -209,28 +226,33 @@ class _Solve:
         res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
         return 2.0 * float(np.linalg.norm(res)) + self.slack
 
-    def arpack(self, sigma: float, which: str, k: int, found: np.ndarray, v0: np.ndarray,
-               lu=None):
-        """k pairs of H about sigma in the orthogonal complement of ``found``'s columns.
+    def arpack(self, A: sp.csc_matrix, sigma: float, which: str, k: int, found: np.ndarray,
+               v0: np.ndarray, lu=None):
+        """k pairs of A, H or a diagonal block of it, about sigma in the
+        orthogonal complement of ``found``'s columns.
 
         ARPACK in shift-invert mode with solves by ``lu``, a factorization of
-        H - sigma I; without one, H - sigma I is factored here and freed on
+        A - sigma I; without one, A - sigma I is factored here and freed on
         return, so it never coexists with the factorization of a count.  At
-        most the rest of the budget is spent.  Returns ``(vals, vecs,
+        most the rest of the budget, shared by all blocks, is spent, and
+        ``exhausted`` is set once it stops a run.  Returns ``(vals, vecs,
         complete)``; when ``complete`` is False the pairs are those converged
         before the budget ran out (none on a breakdown).
         """
-        n = self.n
+        n = A.shape[0]
         k = min(k, n - 2 - found.shape[1])
         budget = self.max_iter - self.solves
-        # the first pass takes `basis` solves and each restart at most basis - k,
-        # and ARPACK makes at least one restart: keep both inside the budget
-        basis = min(n, max(2 * k + 1, 20), (budget + k) // 2)
+        # the first pass takes `basis` solves and one more, each restart at most
+        # basis - k, and ARPACK makes at least one restart: keep all inside the budget
+        basis = min(n, max(2 * k + 1, 20), (budget + k - 1) // 2)
         self.breakdown = False
-        if k < 1 or basis <= k:
-            return *self.empty(), False
+        if k < 1:
+            return *_empty(n), False
+        if basis <= k:
+            self.exhausted = True
+            return *_empty(n), False
         if lu is None:
-            lu = splu(self.H - sigma * sp.identity(n, format="csc"), permc_spec=_ORDERING,
+            lu = splu(A - sigma * sp.identity(n, format="csc"), permc_spec=_ORDERING,
                       options={"SymmetricMode": True})
             self.factorizations += 1
 
@@ -249,23 +271,25 @@ class _Solve:
         # which bounds ||H x - lambda x|| by ||H - sigma I|| * arpack_tol
         norm = max(self.upper - sigma, sigma - self.lower)
         try:
-            vals, vecs = eigsh(self.H, k, sigma=sigma, which=which, v0=v0, ncv=basis,
+            vals, vecs = eigsh(A, k, sigma=sigma, which=which, v0=v0, ncv=basis,
                                tol=max(self.tol / norm, _EPS),
-                               maxiter=(budget - basis) // (basis - k),
+                               maxiter=(budget - 1 - basis) // (basis - k),
                                OPinv=LinearOperator((n, n), matvec=solve, dtype=float))
         except ArpackNoConvergence as exc:
+            self.exhausted = True
             return exc.eigenvalues, exc.eigenvectors, False
         except ArpackError:
             self.breakdown = True
-            return *self.empty(), False
+            return *_empty(n), False
         return vals, vecs, True
 
-    def complete_below(self, lu, count: int, tau: float, vals: np.ndarray,
+    def complete_below(self, A: sp.csc_matrix, lu, count: int, tau: float, vals: np.ndarray,
                        vecs: np.ndarray, v0: np.ndarray):
-        """Extend levels found below tau to all ``count`` of them.
+        """Extend levels of A (H or a diagonal block) found below tau to all
+        ``count`` of them.
 
         The missing ones are the algebraically smallest values of
-        (H - tau I)^-1 in the complement of those found; a value returned
+        (A - tau I)^-1 in the complement of those found; a value returned
         above tau is dropped and sought again, unless the attempt found no
         level below tau at all, which ends the search.  Returns ``(vals,
         vecs, certified)``, sorted, all below tau.
@@ -273,33 +297,57 @@ class _Solve:
         for _ in range(_ATTEMPTS):
             if len(vals) == count:
                 break
-            new_vals, new_vecs, complete = self.arpack(tau, "SA", count - len(vals), vecs,
-                                                       v0, lu)
+            new_vals, new_vecs, complete = self.arpack(A, tau, "SA", count - len(vals),
+                                                       vecs, v0, lu)
             below = new_vals < tau
             vals = np.concatenate([vals, new_vals[below]])
             vecs = np.hstack([vecs, new_vecs[:, below]])
             if not complete or not below.any():
                 break
-            v0 = self.rng.standard_normal(self.n)
+            v0 = self.rng.standard_normal(A.shape[0])
         order = np.argsort(vals, kind="stable")
         return vals[order], vecs[:, order], len(vals) == count
 
-    def sliced(self, m: int, j: int, tau: float, start: np.ndarray):
-        """Levels below tau, placed to count about j >= m of them; ARPACK
-        starts from ``start``, and its retries from the seeded generator.
+    def sliced(self, m: int, j: int, tau: float, start: np.ndarray, blocks: list):
+        """Levels below tau, placed to count about j >= m of them, block by
+        block: ``blocks`` holds pairs (P, A) of an isometry P and the diagonal
+        block A = P^T H P, or (None, H) alone, from ``_blocks``.
 
-        Returns ``(vals, vecs, count, certified)``, or None to fall back: when
-        H - tau I cannot be counted, the count is below m or above
-        ``_OVERCOUNT`` times j, or, while budget remains, the slice is not
-        completed or misses ``tol`` (the diagonal pivots of an indefinite
-        H - tau I may lose accuracy).
+        Every block is factored and counted at tau; Q = [P ...] is
+        orthogonal, so their counts add up to the levels of H below tau.
+        ARPACK completes each block from P^T ``start``, or from the seeded
+        generator when that is zero, and its retries from the generator; the
+        levels come back as P v.  Returns ``(vals, vecs, count, certified)``,
+        or None to fall back: when some A - tau I cannot be counted, the
+        count is below m or above ``_OVERCOUNT`` times j, or, unless the
+        budget ran out, the slice is not completed or misses ``tol`` on H
+        (the diagonal pivots of an indefinite A - tau I may lose accuracy).
         """
-        lu, count = self.count(tau)
-        if count is None or not m <= count <= _OVERCOUNT * j:
+        counted = []
+        for P, A in blocks:
+            lu, count = self.count(A, tau)
+            if count is None:
+                return None
+            counted.append((P, A, lu, count))
+        count = sum(c for *_, c in counted)
+        if not m <= count <= _OVERCOUNT * j:
             return None
-        vals, vecs, certified = self.complete_below(lu, count, tau, *self.empty(), start)
+        self.factor_nnz = sum(lu.nnz for _, _, lu, _ in counted)
+        parts, certified = [], True
+        for P, A, lu, c in counted:
+            v0 = start if P is None else P.T @ start
+            if not v0.any():
+                v0 = self.rng.standard_normal(A.shape[0])
+            vals, vecs, done = self.complete_below(A, lu, c, tau, *_empty(A.shape[0]), v0)
+            parts.append((vals, vecs if P is None else P @ vecs))
+            certified = certified and done
+        vals, vecs = parts[0]
+        if len(parts) > 1:      # the sectors' levels interleave
+            vals = np.concatenate([vals for vals, _ in parts])
+            order = np.argsort(vals, kind="stable")
+            vals, vecs = vals[order], np.hstack([vecs for _, vecs in parts])[:, order]
         res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
-        if not (certified and np.all(res <= self.tol)) and self.solves < self.max_iter:
+        if not (certified and np.all(res <= self.tol)) and not self.exhausted:
             return None
         return vals, vecs, count, certified
 
@@ -308,10 +356,11 @@ class _Solve:
 
         Returns ``(vals, vecs, count, certified)``.
         """
-        vals, vecs = self.empty()
+        vals, vecs = _empty(self.n)
         v0, want = self.start, m + 2
         for _ in range(_ATTEMPTS):
-            new_vals, new_vecs, complete = self.arpack(self.sigma0, "LM", want, vecs, v0)
+            new_vals, new_vecs, complete = self.arpack(self.H, self.sigma0, "LM", want, vecs,
+                                                       v0)
             vals = np.concatenate([vals, new_vals])
             vecs = np.hstack([vecs, new_vecs])
             order = np.argsort(vals, kind="stable")
@@ -324,11 +373,11 @@ class _Solve:
                 want = len(vals)      # the m-th multiplet runs past what was found
                 continue
             tau = 0.5 * (vals[j - 1] + vals[j])
-            lu, count = self.count(tau)
+            lu, count = self.count(self.H, tau)
             if count is None or count < j:
                 return vals, vecs, count, False
             # count > j: the missed copies are sought about tau
-            vals, vecs, certified = self.complete_below(lu, count, tau, vals[:j],
+            vals, vecs, certified = self.complete_below(self.H, lu, count, tau, vals[:j],
                                                         vecs[:, :j], v0)
             return vals, vecs, count, certified
         return vals, vecs, None, False
@@ -421,6 +470,24 @@ def _prior_slice(op, m: int, prior, slack: float):
     return m, ritz[-1] + slack, start
 
 
+def _blocks(op, H: sp.csc_matrix, slack: float) -> list:
+    """``[(P, P^T H P)]`` for the exchange isometries P of ``op``
+    (``SparseOperator.exchange`` within the count's rounding allowance),
+    each block symmetrized so that it is factored from its own arrays in
+    symmetric mode; ``[(None, H)]`` when ``op`` does not split, so that H
+    is solved as before, without copies through an identity isometry."""
+    split = op.exchange(slack) if hasattr(op, "exchange") else None
+    if split is None:
+        return [(None, H)]
+    blocks = []
+    for P in split:
+        A = P.T @ (H @ P)
+        A = ((A + A.T) * 0.5).tocsr()
+        A.sum_duplicates()
+        blocks.append((P, _csc(A)))
+    return blocks
+
+
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
                 seed: int = 0, prior=None) -> EigenResult:
     """Lowest m eigenpairs of a symmetric operator, certified by an inertia count.
@@ -429,7 +496,8 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     ----------
     op : SparseOperator, scipy sparse matrix or ndarray
         Symmetric operator.  A ``SparseOperator`` whose ``coarsened()``
-        gives an operator is solved by the slice about an estimated gap.
+        gives an operator is solved by the slice about an estimated gap, in
+        its two exchange sectors when ``exchange()`` splits it.
     m : int
         Number of requested pairs (small operators, or m above half the
         dimension, fall back to a dense solve).
@@ -437,7 +505,8 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
         Absolute residual tolerance ||H v - lambda v|| per pair.
     max_iter : int, optional
         Budget of operator applications, i.e. solves with a factored
-        shifted H (default max(20000, 400 m)).  On exhaustion the pairs
+        shifted H or sector block, shared by all blocks (default
+        max(20000, 400 m)).  On exhaustion the pairs
         converged so far are returned with ``converged=False``.
     seed : int
         Seed of the coarse estimate and of the start vectors that do not come
@@ -455,11 +524,12 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     Returns
     -------
     EigenResult
-        The lowest pairs found, at most m, sorted, with recomputed true
-        residuals, the number of ``iterations`` (operator applications) and
-        of ``factorizations`` spent on the operator.  ``converged`` holds
-        only when m pairs meet ``tol`` and the inertia count confirms that
-        no eigenvalue below them was missed.  ``breakdown`` is set when
+        The lowest pairs found, at most m, sorted, with true residuals
+        recomputed on H, the number of ``iterations`` (operator
+        applications) and of ``factorizations`` spent on the operator or its
+        sector blocks.  ``converged`` holds only when m pairs meet ``tol``
+        and the inertia count confirms that no eigenvalue below them was
+        missed.  ``breakdown`` is set when
         ARPACK could not extend its Krylov basis.  Should nothing converge
         within the budget, the Rayleigh quotient of the first start vector
         stands in as the one (unconverged) pair.
@@ -492,7 +562,7 @@ def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
         max_iter = max(20000, 400 * m)
     run = _Solve(_csc(H), tol, max_iter, seed)
     at = _prior_slice(op, m, prior, run.slack) or _estimated_slice(op, m, seed, run.slack)
-    found = None if at is None else run.sliced(m, *at)
+    found = None if at is None else run.sliced(m, *at, _blocks(op, run.H, run.slack))
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:
         # every level below tau is found, so a clear gap among them counts too

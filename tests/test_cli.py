@@ -132,8 +132,9 @@ def test_unmatched_inertia_count_exits_3(tmp_path, monkeypatch):
 
 
 def test_unmatched_inertia_count_on_the_slice_path_exits_3(tmp_path, monkeypatch):
-    # 64x64 coarsens to 32x32: the slice at the estimated gap meets the
-    # miscount first, then the Gershgorin fallback meets it again
+    # 64x64 coarsens to 32x32: the slice at the estimated gap, over the two
+    # exchange sectors of the isotropic grid, meets the miscount first, then
+    # the Gershgorin fallback on the whole grid meets it again
     import few2d.eigensolve as eigensolve
 
     count = eigensolve._negative_pivots
@@ -147,7 +148,8 @@ def test_unmatched_inertia_count_on_the_slice_path_exits_3(tmp_path, monkeypatch
     cfg = _write_config(tmp_path, "solve.json",
                         _solve_config(tmp_path, discretization={"n1": 64, "n2": 64}))
     assert main([cfg]) == 3
-    assert dims[0] == 32 * 32 and dims[1] == 64 * 64   # coarse count, then the slice
+    # coarse count, then the slice's sectors, then the fallback's whole grid
+    assert dims == [32 * 32, 64 * 65 // 2, 64 * 63 // 2, 64 * 64]
     doc = json.loads((tmp_path / "out" / "caged.json").read_text())
     assert doc["result"]["converged"] is False
     assert len(doc["result"]["eigenvalues"]) == 4

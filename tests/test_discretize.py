@@ -276,3 +276,25 @@ def test_coarsened_staggered_grid_reuses_finite_node_values():
     # the plain stencil at twice the step, plus the fine nodes' W values
     assert np.allclose(coarse.matrix.diagonal(), 2.0 / coarse.grid.h_x**2
                        + 2.0 / coarse.grid.h_y**2 + coarse.w.ravel(), rtol=1e-14, atol=0)
+
+
+def test_exchange_isometries_split_a_mirror_symmetric_operator():
+    # this caged oscillator's W misses exchange symmetry by rounding, so the
+    # split is decided within a tolerance, not bitwise
+    spec = CagedOscillator(a=0.903306, b=0.903306, omega=1.062654, A=0.273827, B=0.273827)
+    prob = reduce_to_2d(spec, 3, 3, box=Box(12.0, 12.0))
+    op = assemble(prob, make_grid(prob.box, 20, 20))
+    asym = np.max(np.abs(op.w - op.w.T))
+    assert 0.0 < asym < 1e-12
+    assert op.exchange(0.0) is None
+    assert SparseOperator(matrix=op.matrix, grid=op.grid).exchange(1.0) is None
+    P_s, P_a = (P.toarray() for P in op.exchange(asym))
+    assert P_s.shape == (400, 210) and P_a.shape == (400, 190)
+    Q = np.hstack([P_s, P_a])
+    assert np.allclose(Q.T @ Q, np.eye(400), rtol=0, atol=1e-15)
+    # the swap x <-> y keeps each column of P_s and negates each of P_a
+    swap = np.arange(400).reshape(20, 20).T.ravel()
+    assert np.array_equal(P_s[swap], P_s) and np.array_equal(P_a[swap], -P_a)
+    # so the sectors decouple up to rounding
+    coupling = np.abs(P_s.T @ (op.matrix @ P_a)).max()
+    assert coupling <= 8 * np.finfo(float).eps * abs(op.matrix).max()

@@ -22,6 +22,7 @@ from few2d import (
     lowest_eigs,
     make_grid,
     reduce_to_2d,
+    spec_from_dict,
 )
 from few2d import cli, eigensolve
 from few2d.eigensolve import _factor_at, _negative_pivots
@@ -179,11 +180,12 @@ def _sweep_problem(system, seed):
 
 @pytest.mark.parametrize("case", range(len(_SWEEP)),
                          ids=[f"{s}-{n}" for s, n, _ in _SWEEP])
-def test_sweep_against_kronecker_sum(case):
+def test_sweep_against_kronecker_sum(case, monkeypatch):
     system, n, m = _SWEEP[case]
     prob = _sweep_problem(system, seed=1000 + case)
     grid = make_grid(prob.box, n, n)
     op = assemble(prob, grid)
+    dims, _ = _recorded_factorizations(monkeypatch)
     result = lowest_eigs(op, m, tol=1e-6, seed=case)
     exact = _kronecker_levels(prob, grid, m + 12)
     assert result.converged
@@ -191,8 +193,18 @@ def test_sweep_against_kronecker_sum(case):
     assert (detect_degeneracies(result.eigenvalues).multiplicities()
             == detect_degeneracies(exact[:m]).multiplicities())
     assert result.count_below == m + int(np.flatnonzero(np.diff(exact)[m - 1:] > 1e-8)[0])
-    # one factorization both solves and certifies on the slice path
-    assert (result.factorizations == 1) == (op.coarsened() is not None)
+    # the factorizations of the grid itself (a coarse estimate's grids have at
+    # most (n // 2)^2 nodes): on the slice path one per block both solves and
+    # certifies, the two exchange sectors of a mirror-symmetric grid or else
+    # the whole grid; the Gershgorin path factors the whole grid at least twice
+    fine = [d for d in dims if d > (n // 2) ** 2]
+    assert len(fine) == result.factorizations
+    if op.coarsened() is None:
+        assert len(fine) >= 2 and fine == [n * n] * len(fine)
+    elif system == "caged-aniso":
+        assert fine == [n * n]
+    else:
+        assert fine == [n * (n + 1) // 2, n * (n - 1) // 2]
 
 
 @pytest.mark.parametrize("case", range(len(_SWEEP)),
@@ -233,13 +245,15 @@ def _recorded_factorizations(monkeypatch):
 
 def test_a_160_solve_factors_only_the_coarsest_grid_and_the_operator(monkeypatch):
     # 160x160 coarsens to 80x80 and 40x40; the estimate is made on 40x40 alone,
-    # with no solve, certified or not, on the 80x80 grid in between
+    # with no solve, certified or not, on the 80x80 grid in between; the
+    # operator is factored once per exchange sector, never as the whole grid
     prob = reduce_to_2d(CagedOscillator(), 3, 3, box=Box(12.0, 12.0))
     op = assemble(prob, make_grid(prob.box, 160, 160))
     dims, calls = _recorded_factorizations(monkeypatch)
     result = eigensolve.lowest_eigs(op, 6, tol=1e-7)
-    assert result.converged and result.factorizations == 1
-    assert set(dims) == {40 * 40, 160 * 160} and dims.count(160 * 160) == 1
+    assert result.converged and result.factorizations == 2
+    assert set(dims) == {40 * 40, 160 * 161 // 2, 160 * 159 // 2}
+    assert dims.count(160 * 161 // 2) == dims.count(160 * 159 // 2) == 1
     # the estimate is solved as a plain matrix, not by lowest_eigs on the coarse grid
     assert len(calls) == 1 and calls[0] is op
 
@@ -259,12 +273,12 @@ def test_an_unbracketed_gap_is_estimated_again_one_grid_finer(monkeypatch):
     assert np.allclose(result.eigenvalues, _kronecker_levels(prob, grid, 12), rtol=0, atol=1e-9)
 
 
-def test_hydrogen_pair_160_takes_one_factorization():
+def test_hydrogen_pair_160_takes_one_factorization_per_sector():
     prob = reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
     result = lowest_eigs(assemble(prob, make_grid(prob.box, 160, 160)), 2, tol=1e-6)
     assert result.converged
     assert result.count_below == 3
-    assert result.factorizations == 1
+    assert result.factorizations == 2
 
 
 def test_ttw_k2_staggered_slice_matches_inertia_counts():
@@ -305,9 +319,108 @@ def test_forced_fallback_agrees_with_the_slice(monkeypatch):
     monkeypatch.setattr(SparseOperator, "coarsened", lambda self: None)
     fallback = lowest_eigs(op, 6, tol=1e-8, seed=2)
     assert sliced.converged and fallback.converged
-    assert sliced.factorizations == 1 and fallback.factorizations >= 2
+    # one factorization per exchange sector on the slice path
+    assert sliced.factorizations == 2 and fallback.factorizations >= 2
     assert np.allclose(sliced.eigenvalues, fallback.eigenvalues, rtol=0, atol=1e-9)
     assert sliced.count_below == fallback.count_below
+
+
+# --- the exchange sectors of a mirror-symmetric grid ---------------------
+
+_SPLIT = ["caged-iso", "hydrogen", "quartic"]
+_UNSPLIT = ["caged-aniso", "ttw2-equal-couplings", "rectangular-box", "n1-not-n2"]
+
+
+def _exchange_case(kind):
+    """``(op, m)``: an operator whose exchange split is decided by ``kind``."""
+    if kind == "hydrogen":
+        prob = reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
+        return assemble(prob, make_grid(prob.box, 80, 80)), 2
+    if kind == "quartic":
+        spec = spec_from_dict({"family": "custom2d", "expression": "x**4 + y**4"})
+        prob = reduce_to_2d(spec, 3, 3, box=Box(4.0, 4.0))
+        return assemble(prob, make_grid(prob.box, 80, 80)), 4
+    if kind == "ttw2-equal-couplings":
+        # make_grid staggers y alone off the diagonal ray, so x and y differ
+        spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.3)
+        prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
+        return assemble(prob, make_grid(prob.box, 80, 80, spec=spec)), 4
+    prob = _sweep_problem("caged-aniso" if kind == "caged-aniso" else "caged-iso", seed=11)
+    if kind == "rectangular-box":
+        prob = replace(prob, box=Box(12.0, 10.0))
+    n2 = 96 if kind == "n1-not-n2" else 80
+    return assemble(prob, make_grid(prob.box, 80, n2)), 6
+
+
+@pytest.mark.parametrize("kind", _SPLIT + _UNSPLIT)
+def test_which_grid_operators_split_into_exchange_sectors(kind, monkeypatch):
+    # mirror-symmetric grids are factored as their two sectors, of n(n+1)/2
+    # and n(n-1)/2 nodes, and never whole; the others whole and once
+    op, m = _exchange_case(kind)
+    n1, n2 = op.grid.shape
+    assert (op.exchange(1e-9) is not None) == (kind in _SPLIT)
+    dims, _ = _recorded_factorizations(monkeypatch)
+    result = lowest_eigs(op, m, tol=1e-7, seed=3)
+    assert result.converged
+    fine = [d for d in dims if d > (n1 // 2) * (n2 // 2)]
+    assert result.factorizations == len(fine)
+    assert fine == ([n1 * (n1 + 1) // 2, n1 * (n1 - 1) // 2] if kind in _SPLIT
+                    else [n1 * n2])
+
+
+def test_sector_counts_add_up_to_the_count_of_the_whole_grid():
+    # tau in every gap among the lowest 30 levels of the isotropic 80x80 grid,
+    # those beside the exact doublets that pair a symmetric level with an
+    # antisymmetric one included: Q = [P_s P_a] is orthogonal, so the sector
+    # inertias add up to that of H - tau I
+    prob = _sweep_problem("caged-iso", seed=11)
+    grid = make_grid(prob.box, 80, 80)
+    op = assemble(prob, grid)
+    H = eigensolve._csc(op.matrix)
+    blocks = eigensolve._blocks(op, H, eigensolve._Solve(H, 1e-8, 1, 0).slack)
+    assert [A.shape[0] for _, A in blocks] == [80 * 81 // 2, 80 * 79 // 2]
+    exact = _kronecker_levels(prob, grid, 30)
+    gaps = np.flatnonzero(np.diff(exact) > 1e-8)
+    previous, doublets = [0, 0], 0
+    for g in gaps:
+        tau = 0.5 * (exact[g] + exact[g + 1])
+        counts = [_negative_pivots(_factor_at(A, tau)) for _, A in blocks]
+        assert sum(counts) == _negative_pivots(_factor_at(H, tau)) == g + 1
+        doublets += [c - p for c, p in zip(counts, previous)] == [1, 1]
+        previous = counts
+    assert doublets >= 3
+
+
+@pytest.mark.parametrize("kind", _SPLIT)
+def test_a_solve_with_the_split_forced_off_agrees(kind, monkeypatch):
+    op, m = _exchange_case(kind)
+    split = lowest_eigs(op, m, tol=1e-8, seed=4)
+    monkeypatch.setattr(SparseOperator, "exchange", lambda self, tol: None)
+    whole = lowest_eigs(op, m, tol=1e-8, seed=4)
+    assert split.converged and whole.converged
+    assert split.factorizations == 2 and whole.factorizations == 1
+    assert np.allclose(split.eigenvalues, whole.eigenvalues, rtol=0, atol=1e-9)
+    assert split.count_below == whole.count_below
+    assert (detect_degeneracies(split.eigenvalues).multiplicities()
+            == detect_degeneracies(whole.eigenvalues).multiplicities())
+    # residuals are measured on the whole operator
+    vecs = split.eigenvectors
+    res = np.linalg.norm(op.matrix @ vecs - vecs * split.eigenvalues, axis=0)
+    assert np.allclose(res, split.residuals, rtol=1e-6, atol=1e-14)
+    assert np.all(res <= 1e-8)
+
+
+@pytest.mark.parametrize("b", [1.0, 1.7], ids=["iso", "aniso"])
+@pytest.mark.parametrize("max_iter", [9, 12, 18, 40, 45, 51])
+def test_iterations_stay_within_max_iter_on_split_and_whole_grids(max_iter, b, monkeypatch):
+    # the sectors of the isotropic grid share one budget; ARPACK makes one
+    # solve beyond its first pass, which overran budgets such as these by one
+    prob = reduce_to_2d(CagedOscillator(a=1.0, b=b), 3, 3, box=Box(12.0, 12.0))
+    op = assemble(prob, make_grid(prob.box, 80, 80))
+    dims, _ = _recorded_factorizations(monkeypatch)
+    result = lowest_eigs(op, 6, tol=1e-12, max_iter=max_iter)
+    assert (80 * 81 // 2 in dims) == (b == 1.0)
+    assert result.iterations <= max_iter
 
 
 # --- the factorization behind the count ---------------------------------
@@ -330,23 +443,37 @@ def test_the_count_frees_superlu_copies_of_l_and_u():
 
 
 def test_the_slice_factors_the_operator_arrays_and_reports_their_fill(monkeypatch):
+    # the mirror-symmetric 80x80 grid is sliced as its two exchange sectors
     op = _caged_80()
-    factored = []
+    factored, converted = [], []
+    to_csc = eigensolve._csc
 
     def recorded(H, tau):
         lu = _factor_at(H, tau)
         factored.append((H, lu))
         return lu
 
+    def csc(H):
+        converted.append((H, to_csc(H)))
+        return converted[-1][1]
+
     monkeypatch.setattr(eigensolve, "_factor_at", recorded)
+    monkeypatch.setattr(eigensolve, "_csc", csc)
     result = lowest_eigs(op, 6, tol=1e-7)
-    fine = [(H, lu) for H, lu in factored if H.shape == op.matrix.shape]
-    assert result.converged and len(fine) == result.factorizations == 1
-    (H, lu), = fine
-    # a symmetric CSR operator is taken as its own CSC form, not copied
+    fine = [(H, lu) for H, lu in factored if H.shape[0] > 40 * 40]
+    assert result.converged and len(fine) == result.factorizations == 2
+    assert [H.shape[0] for H, _ in fine] == [80 * 81 // 2, 80 * 79 // 2]
+    # each symmetric CSR block is taken as its own CSC form, not copied
+    for H, _ in fine:
+        (block, _), = [(A, C) for A, C in converted if C is H]
+        assert block.format == "csr" and block.shape == H.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(H, name), getattr(block, name))
+    # and so is the whole operator, on which the blocks are built
+    whole, = [C for A, C in converted if A is op.matrix]
     for name in ("data", "indices", "indptr"):
-        assert np.shares_memory(getattr(H, name), getattr(op.matrix, name))
-    assert result.factor_nnz == lu.nnz > op.matrix.nnz
+        assert np.shares_memory(getattr(whole, name), getattr(op.matrix, name))
+    assert result.factor_nnz == sum(lu.nnz for _, lu in fine) > op.matrix.nnz
     assert result.to_dict()["factor_nnz"] == result.factor_nnz
 
 
