@@ -2,11 +2,12 @@
 
 One JSON config per run (reproducibility over flag sprawl); a small set of
 flags (--levels, --grid, --out) override the loaded config.  Every config is
-read through one declarative table, ``SCHEMA``: per command its top-level
-keys, per block each key's type, bounds and default.  Exit codes are a
-stable contract: 0 success, 2 config or validation error, 3 numerical
-non-convergence (an eigensolve whose partial results are still written, or
-a 1D oracle that misses its accuracy target), 1 a failed verify check.
+read through one table, ``SCHEMA``, of ``schema`` types (the potential and
+reduced-problem blocks of ``model`` and ``reduction`` included): per command
+its top-level keys, per block each key's type, bounds and default.  Exit codes
+are a stable contract: 0 success, 2 config or validation error, 3 numerical
+non-convergence (an eigensolve whose partial results are still written, or a 1D
+oracle that misses its accuracy target), 1 a failed verify check.
 
 Every output file begins with a provenance header (tool version, config
 hash, timestamp); outputs are bit-reproducible for a fixed seed and
@@ -23,107 +24,22 @@ import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import AccuracyNotReached, ConfigError, Few2DError, NotSeparable
 from .discretize import assemble, make_grid
 from .eigensolve import detect_degeneracies, lowest_eigs
-from .model import json_number, k_float, k_from_json, spec_from_dict
+from .model import POTENTIAL, k_float, k_from_json
 from .oracles import separated_spectrum
-from .reduction import Box, ReducedProblem2D, map_threebody, reduce_to_2d
+from .reduction import (ANGULAR, BOX, DIMENSION, REDUCTION, Box, ReducedProblem2D,
+                        map_threebody, reduce_to_2d)
+from .schema import POSITIVE, REQUIRED, Block, Choice, List, Num, Parsed, Tagged
 from .superintegrability import CHECKS, degeneracy_scan
 
 
 # ---------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------
-
-_REQUIRED = object()    # default of a key the config must give
-
-
-class _Num(NamedTuple):
-    """A finite number >= lo, or > lo if ``strict``, and <= hi; with
-    ``integer`` an integer, which an integral JSON float such as 20.0 also is."""
-
-    integer: bool
-    lo: float
-    strict: bool = False
-    hi: float = math.inf
-
-    def parse(self, value, where: str):
-        try:
-            number = json_number(value, where)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.integer and not number.is_integer():
-            raise ConfigError(f"{where} must be an integer, got {value!r}")
-        if number < self.lo or self.strict and number == self.lo:
-            raise ConfigError(f"{where} must be {'>' if self.strict else '>='} "
-                              f"{self.lo:g}, got {value!r}")
-        if number > self.hi:
-            raise ConfigError(f"{where} must be <= {self.hi:g}, got {value!r}")
-        return int(value) if self.integer else number
-
-
-class _Choice(NamedTuple):
-    """One of ``options``; no options admit any non-empty string."""
-
-    options: tuple[str, ...] = ()
-
-    def parse(self, value, where: str) -> str:
-        if not isinstance(value, str) or not value or self.options and value not in self.options:
-            want = f"one of {list(self.options)}" if self.options else "a non-empty string"
-            raise ConfigError(f"{where} must be {want}, got {value!r}")
-        return value
-
-
-class _List(NamedTuple):
-    """A non-empty list of items, of exactly ``length`` items if given."""
-
-    item: object
-    length: int | None = None
-
-    def parse(self, value, where: str) -> list:
-        if not isinstance(value, list) or not value or self.length not in (None, len(value)):
-            want = f"a list of {self.length} items" if self.length else "a non-empty list"
-            raise ConfigError(f"{where} must be {want}, got {value!r}")
-        return [self.item.parse(item, f"{where}[{i}]") for i, item in enumerate(value)]
-
-
-class _Parsed(NamedTuple):
-    """A value one of the library's readers decodes; its errors are config errors."""
-
-    reader: Callable
-
-    def parse(self, value, where: str):
-        try:
-            return self.reader(value)
-        except (ValueError, TypeError, KeyError, OSError, Few2DError) as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-class _Block(NamedTuple):
-    """A JSON object, key -> (type, default); unknown keys are rejected, and
-    null stands for an absent key whose default is null."""
-
-    keys: dict
-
-    def parse(self, value, where: str) -> dict:
-        name = where or "config"
-        if not isinstance(value, dict):
-            raise ConfigError(f"{name} must be a JSON object, got {value!r}")
-        if set(value) - set(self.keys):
-            raise ConfigError(f"unknown keys in {name}: {sorted(set(value) - set(self.keys))}")
-        out = {}
-        for key, (kind, default) in self.keys.items():
-            raw = value.get(key, default)
-            if raw is _REQUIRED:
-                raise ConfigError(f"{name} needs a {key!r} key")
-            out[key] = None if raw is None and default is None else kind.parse(
-                raw, f"{where}.{key}" if where else key)
-        return out
-
 
 def _read_reduced_problem(src) -> ReducedProblem2D:
     """A ``map3`` output file, or the inline object it holds."""
@@ -134,58 +50,50 @@ def _read_reduced_problem(src) -> ReducedProblem2D:
     return ReducedProblem2D.from_dict(src)
 
 
-# Size bounds, each at least 10x the largest value a test, config or benchmark job uses
+# Size bounds, each at least 10x the largest value a test, config or benchmark
+# job uses; those of d and L are in ``reduction``
 _MAX_GRID_NODES = 2_000_000   # nodes of a solve or converge grid; 400 x 400 is the largest
 _MAX_LABEL = 200   # n_r_max and j_max, 12 at most; j_max + 1 stays below the 1200
                    # points of the coarsest angular fd grid
-_MAX_DL = 100      # d and L, 5 and 2 at most
 
-_INT0, _INT1, _POSITIVE = _Num(True, 0), _Num(True, 1), _Num(False, 0.0, strict=True)
-_DIM, _ANG, _LABEL = (_Num(True, 1, hi=_MAX_DL), _Num(True, 0, hi=_MAX_DL),
-                      _Num(True, 0, hi=_MAX_LABEL))
-# spec_from_dict is looked up per call, so wrappers put on the module attribute see it
-_TEXT, _SYSTEM = _Choice(), _Parsed(lambda obj: spec_from_dict(obj))
-_BOX = _Block({"x_max": (_POSITIVE, _REQUIRED), "y_max": (_POSITIVE, _REQUIRED)})
-_REDUCTION = _Block({"d1": (_DIM, 3), "d2": (_DIM, 3), "L_x": (_ANG, 0), "L_y": (_ANG, 0),
-                     "box": (_BOX, None)})
-_DISCRETIZATION = _Block({"n1": (_INT1, 200), "n2": (_INT1, 200)})
-_SOLVER = _Block({"levels": (_INT1, 6), "tol": (_POSITIVE, 1e-6), "max_iter": (_INT1, None),
-                  "seed": (_INT0, 0),
-                  "cluster_tol": (_Num(False, 0.0), 1e-6)})
-_THREEBODY = _Block({"masses": (_List(_POSITIVE, length=3), _REQUIRED),
-                     "d": (_DIM, _REQUIRED), "L1": (_ANG, 0), "L2": (_ANG, 0),
-                     "potential": (_SYSTEM, _REQUIRED), "box": (_BOX, None)})
-_SCAN = _Block({"k_list": (_List(_Parsed(k_from_json)), _REQUIRED),
-                "levels_per_k": (_INT1, 20), "tol": (_POSITIVE, 1e-8),
-                "n_r_max": (_LABEL, 14), "j_max": (_LABEL, 10)})
-_OUTPUT = _Block({"path": (_TEXT, _REQUIRED)})
+_INT0, _INT1, _LABEL, _TEXT = Num(True, 0), Num(True, 1), Num(True, 0, hi=_MAX_LABEL), Choice()
+_DISCRETIZATION = Block({"n1": (_INT1, 200), "n2": (_INT1, 200)})
+_SOLVER = Block({"levels": (_INT1, 6), "tol": (POSITIVE, 1e-6), "max_iter": (_INT1, None),
+                 "seed": (_INT0, 0), "cluster_tol": (Num(False, 0.0), 1e-6)})
+_THREEBODY = Block({"masses": (List(POSITIVE, length=3), REQUIRED),
+                    "d": (DIMENSION, REQUIRED), "L1": (ANGULAR, 0), "L2": (ANGULAR, 0),
+                    "potential": (POTENTIAL, REQUIRED), "box": (BOX, None)})
+_SCAN = Block({"k_list": (List(Parsed(k_from_json)), REQUIRED),
+               "levels_per_k": (_INT1, 20), "tol": (POSITIVE, 1e-8),
+               "n_r_max": (_LABEL, 14), "j_max": (_LABEL, 10)})
+_OUTPUT = Block({"path": (_TEXT, REQUIRED)})
 
 
-def _oracle(labels: int) -> _Block:
+def _oracle(labels: int) -> Block:
     """Keyword arguments of ``separated_spectrum``; both label ranges
     default to ``labels``."""
-    return _Block({"n_r_max": (_LABEL, labels), "j_max": (_LABEL, labels),
-                   "method": (_Choice(("fd", "shooting")), "fd"),
-                   "cutoff": (_POSITIVE, None), "target": (_POSITIVE, 1e-8)})
+    return Block({"n_r_max": (_LABEL, labels), "j_max": (_LABEL, labels),
+                  "method": (Choice(("fd", "shooting")), "fd"),
+                  "cutoff": (POSITIVE, None), "target": (POSITIVE, 1e-8)})
 
 
-def _command(**keys) -> _Block:
-    return _Block({"command": (_TEXT, _REQUIRED), **keys})
+def _command(**keys) -> Block:
+    return Block({"command": (_TEXT, REQUIRED), **keys})
 
 
-_GRID = {"system": (_SYSTEM, None), "reduced_problem": (_Parsed(_read_reduced_problem), None),
-         "reduction": (_REDUCTION, {}), "solver": (_SOLVER, {}),
-         "output": (_OUTPUT, _REQUIRED)}
-SCHEMA: dict[str, _Block] = {
+_GRID = {"system": (POTENTIAL, None), "reduced_problem": (Parsed(_read_reduced_problem), None),
+         "reduction": (REDUCTION, {}), "solver": (_SOLVER, {}),
+         "output": (_OUTPUT, REQUIRED)}
+SCHEMA: dict[str, Block] = {
     "solve": _command(**_GRID, discretization=(_DISCRETIZATION, {})),
-    "converge": _command(**_GRID, ladder=(_List(_INT1), _REQUIRED), oracle=(_oracle(10), {})),
-    "oracle": _command(system=(_SYSTEM, _REQUIRED), oracle=(_oracle(8), {}),
-                       output=(_OUTPUT, _REQUIRED)),
-    "map3": _command(threebody=(_THREEBODY, _REQUIRED), output=(_OUTPUT, _REQUIRED)),
-    "verify": _command(checks=(_List(_Choice(tuple(CHECKS))), _REQUIRED),
+    "converge": _command(**_GRID, ladder=(List(_INT1), REQUIRED), oracle=(_oracle(10), {})),
+    "oracle": _command(system=(POTENTIAL, REQUIRED), oracle=(_oracle(8), {}),
+                       output=(_OUTPUT, REQUIRED)),
+    "map3": _command(threebody=(_THREEBODY, REQUIRED), output=(_OUTPUT, REQUIRED)),
+    "verify": _command(checks=(List(Choice(tuple(CHECKS))), REQUIRED),
                        output=(_OUTPUT, None)),
-    "scan": _command(system=(_SYSTEM, _REQUIRED), scan=(_SCAN, _REQUIRED),
-                     output=(_OUTPUT, _REQUIRED)),
+    "scan": _command(system=(POTENTIAL, REQUIRED), scan=(_SCAN, REQUIRED),
+                     output=(_OUTPUT, REQUIRED)),
 }
 """Per command, the config's top-level keys; per block, key -> (type, default)."""
 
@@ -201,11 +109,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(config, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    command = config.get("command")
-    if not isinstance(command, str) or command not in SCHEMA:
-        raise ConfigError(f"config needs a 'command' among {list(SCHEMA)}, got {command!r}")
+    # the command picks the block, which is read once the flags are applied
+    Tagged("command", dict.fromkeys(SCHEMA, dict)).parse(config, "config")
     return config
 
 

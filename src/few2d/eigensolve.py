@@ -471,19 +471,22 @@ def _prior_slice(op, m: int, prior, slack: float):
 
 
 def _blocks(op, H: sp.csc_matrix, slack: float) -> list:
-    """``[(P, P^T H P)]`` for the exchange isometries P of ``op``
-    (``SparseOperator.exchange`` within the count's rounding allowance),
-    each block symmetrized so that it is factored from its own arrays in
-    symmetric mode; ``[(None, H)]`` when ``op`` does not split, so that H
-    is solved as before, without copies through an identity isometry."""
+    """``[(P, P^T H P)]`` for ``op.exchange`` within the count's rounding
+    allowance, or ``[(None, H)]`` when ``op`` does not split.  The 5-point
+    stencil couples no node (i, j), i < j, to one below the diagonal, so a block
+    is H on P's nodes times 2 s^2 between pair nodes and 2 s between a pair and a
+    diagonal node, s = sqrt(1/2), rounded as P^T H P rounds: canonical CSR."""
     split = op.exchange(slack) if hasattr(op, "exchange") else None
     if split is None:
         return [(None, H)]
+    n, s = op.grid.shape[0], np.sqrt(0.5)
     blocks = []
-    for P in split:
-        A = P.T @ (H @ P)
-        A = ((A + A.T) * 0.5).tocsr()
-        A.sum_duplicates()
+    for P, (i, j) in zip(split, (np.triu_indices(n), np.triu_indices(n, 1))):
+        A = H.T[i * n + j][:, i * n + j]
+        pair_row = (i != j)[np.repeat(np.arange(len(i)), np.diff(A.indptr))]
+        pair_col = (i != j)[A.indices]
+        A.data = np.where(pair_row & pair_col, 2 * (s * (s * A.data)),
+                          np.where(pair_row | pair_col, 2 * (s * A.data), A.data))
         blocks.append((P, _csc(A)))
     return blocks
 

@@ -76,5 +76,5 @@ class AccuracyNotReached(Few2DError):
         )
 
 
-class ConfigError(Few2DError):
-    """Run configuration failed schema validation."""
+class ConfigError(Few2DError, ValueError):
+    """Run configuration failed schema validation; a ``ValueError`` for library callers."""

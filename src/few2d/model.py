@@ -4,16 +4,16 @@ Units are fixed to hbar = 2m = 1 throughout, so every Hamiltonian reads
 -Laplacian + V and all energies are reported in these units.
 
 Each family's class is the one place that decides everything about it: its
-JSON name and fields, its parameter bounds (checked by ``__post_init__``, so
-a spec is valid once built and ``dataclasses.replace`` checks it again; k
-goes through :func:`coerce_k`), one vectorized formula on its natural chart
-(``formula``) and the quadrant view of it (``quadrant``), its singular rays,
-its default truncation box, whether it enters the quadrant reduction directly
-(``radial_refusal``) or through the three-body line route (``line_model``),
-the separated-variable data the oracles build on (``separation``), whether
-the 5-point grid can resolve it (``grid_refusal``), and whether a degeneracy
-scan may vary its k (``k_scan``).  The module-level functions dispatch onto
-the family.
+JSON name and block (``json_block``), its parameter bounds (checked by
+``__post_init__``, so a spec is valid once built and ``dataclasses.replace``
+checks it again; k goes through :func:`coerce_k`), one vectorized formula on
+its natural chart (``formula``) and the quadrant view of it (``quadrant``),
+its singular rays, its default truncation box, whether it enters the quadrant
+reduction directly (``radial_refusal``) or through the three-body line route
+(``line_model``), the separated-variable data the oracles build on
+(``separation``), whether the 5-point grid can resolve it (``grid_refusal``),
+and whether a degeneracy scan may vary its k (``k_scan``).  The module-level
+functions dispatch onto the family.
 
 ================   =========================================
 family             natural chart of ``eval_potential``
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Union, get_args
@@ -49,6 +50,7 @@ from .errors import (
     SingularPoint,
     ZeroK,
 )
+from .schema import REAL, REQUIRED, Block, Bool, Choice, Parsed, Tagged
 
 SINGULAR_TOL = 1e-12
 
@@ -96,16 +98,17 @@ def coerce_k(k) -> KValue:
     if isinstance(k, tuple) and len(k) == 2 and all(_integer(t) for t in k):
         m, n = int(k[0]), int(k[1])
         if m <= 0 or n <= 0:
-            raise ZeroK(f"rational k = m/n needs positive integers m, n; got {m}/{n}")
+            raise ZeroK(f"rational k = m/n needs positive integers m, n; got "
+                        f"{reprlib.repr(m)}/{reprlib.repr(n)}")
         g = math.gcd(m, n)
         k = Rational(m // g, n // g)
     elif not (isinstance(k, float) and math.isfinite(k) and k > 0.0 and k * k > 0.0):
         raise ZeroK(f"k must be a positive rational or a finite positive float "
-                    f"with k^2 > 0, got {k!r}")
+                    f"with k^2 > 0, got {reprlib.repr(k)}")
     try:
         k_float(k) ** 2     # a float power raises where k * k would be inf
     except OverflowError:
-        raise BoundViolation(f"k = {k!r} overflows when squared") from None
+        raise BoundViolation(f"k = {reprlib.repr(k)} overflows when squared") from None
     return k
 
 
@@ -120,34 +123,12 @@ def k_to_json(k: KValue):
     return float(k)
 
 
-def json_number(value, name: str) -> float:
-    """A finite JSON number as a float; bools, strings and non-finite or
-    overflowing values raise ``ValueError``."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:
-            pass
-    raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-def json_object(obj, block: str, keys=()) -> dict:
-    """``obj`` if it is a JSON object that holds each of ``keys``, else a
-    ``ValueError`` naming ``block`` and the first key missing."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{block} must be a JSON object, got {obj!r}")
-    for key in keys:
-        if key not in obj:
-            raise ValueError(f"{block} needs {'an' if key[0] in 'aeiou' else 'a'} {key!r} key")
-    return obj
-
-
 def k_from_json(obj) -> KValue:
     """Inverse of :func:`k_to_json`; a JSON integer is the fraction obj/1."""
     if isinstance(obj, dict):
         if set(obj) != {"m", "n"}:
-            raise ValueError(f"a rational k is {{\"m\": int, \"n\": int}}, got {obj!r}")
+            raise ValueError(f"a rational k is {{\"m\": int, \"n\": int}}, got "
+                             f"{reprlib.repr(obj)}")
         obj = (obj["m"], obj["n"])
     return coerce_k(obj)
 
@@ -279,17 +260,19 @@ def _attractive_ray(spec, couplings: tuple[str, str]) -> str | None:
     return None
 
 
+_MAX_RAYS = 1000   # about k of them; k is 10 at most in any test, config or benchmark job
+
+
 def _angular_rays(kf: float) -> list[tuple[str, float]]:
-    """Singular rays theta = j pi / (2k) of sin/cos(k theta) in the closed quadrant."""
+    """Singular rays theta = j pi / (2k) of sin/cos(k theta) in the closed
+    quadrant; more than ``_MAX_RAYS`` of them raise :class:`BoundViolation`."""
     step = math.pi / (2.0 * kf)
-    rays = []
-    j = 0
-    while True:
-        th = j * step
-        if th > math.pi / 2 + 1e-15:
-            break
-        which = "sin" if j % 2 == 0 else "cos"
-        rays.append((which, th))
+    if math.pi / 2 > _MAX_RAYS * step:
+        raise BoundViolation(f"sin/cos({kf:.9g} theta) has more than {_MAX_RAYS} singular rays "
+                             f"in the quadrant, too many to screen points and grid nodes against")
+    rays, j = [], 0
+    while j * step <= math.pi / 2 + 1e-15:
+        rays.append(("sin" if j % 2 == 0 else "cos", j * step))
         j += 1
     return rays
 
@@ -357,22 +340,22 @@ class _Family:
         return None
 
     @classmethod
-    def json_keys(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
+    def json_block(cls) -> Block:
+        """One JSON field per dataclass field: ``k`` a k value, any other a finite number."""
+        return Block({f.name: (Parsed(k_from_json) if f.name == "k" else REAL,
+                               REQUIRED if f.default is MISSING else f.default)
+                      for f in fields(cls)})
 
     def to_json(self) -> dict:
-        doc = {name: getattr(self, name) for name in self.json_keys()}
+        doc = {name: getattr(self, name) for name in self.json_block().keys}
         if "k" in doc:
             doc["k"] = k_to_json(doc["k"])
         return doc
 
     @classmethod
     def from_json(cls, obj: dict):
-        json_object(obj, cls.family, [f.name for f in fields(cls) if f.default is MISSING])
-        return cls(**{
-            f.name: k_from_json(obj[f.name]) if f.name == "k" else json_number(obj[f.name], f.name)
-            for f in fields(cls) if f.name in obj or f.default is MISSING
-        })
+        """The spec of the family's JSON fields ``obj``, the family key left out."""
+        return cls(**cls.json_block().parse(obj, cls.family))
 
 
 @dataclass(frozen=True)
@@ -651,8 +634,8 @@ class Custom2D(_Family):
         return None
 
     @classmethod
-    def json_keys(cls):
-        return ("expression", "depends_on_angles")
+    def json_block(cls):
+        return Block({"expression": (Choice(), REQUIRED), "depends_on_angles": (Bool(), False)})
 
     def to_json(self):
         if self.expression is None:
@@ -661,22 +644,13 @@ class Custom2D(_Family):
 
     @classmethod
     def from_json(cls, obj):
-        expression = json_object(obj, cls.family, ["expression"])["expression"]
-        if not isinstance(expression, str):
-            raise ValueError(f"custom2d 'expression' must be a string, got {expression!r}")
-        angles = obj.get("depends_on_angles", False)
-        if not isinstance(angles, bool):
-            raise ValueError(f"depends_on_angles must be true or false, got {angles!r}")
-        return cls(func=compile_expression(expression), name="custom",
-                   expression=expression, depends_on_angles=angles)
+        doc = cls.json_block().parse(obj, cls.family)
+        return cls(func=compile_expression(doc["expression"]), name="custom", **doc)
 
 
 PotentialSpec = Union[
     HydrogenPair, CagedOscillator, TTW, ThreeBodyTTW, PW, Calogero, Wolfes, Custom2D
 ]
-
-_BY_NAME = {cls.family: cls for cls in get_args(PotentialSpec)}
-
 
 # ---------------------------------------------------------------------
 # evaluation
@@ -732,7 +706,8 @@ def compile_expression(expression: str) -> Callable[[np.ndarray, np.ndarray], np
     try:
         code = compile(expression, "<custom2d>", "eval")
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression {expression!r}: {exc.msg}") from exc
+        raise ValueError(f"cannot parse expression {reprlib.repr(expression)}: "
+                         f"{exc.msg}") from exc
 
     def func(x, y):
         return eval(code, {"__builtins__": {}}, dict(_CUSTOM_NAMESPACE, x=x, y=y))
@@ -745,18 +720,17 @@ def compile_expression(expression: str) -> Callable[[np.ndarray, np.ndarray], np
         with np.errstate(all="ignore"):
             np.broadcast_to(np.asarray(func(probe, probe[::-1]), dtype=float), probe.shape)
     except Exception as exc:   # any error of the user's expression
-        raise ValueError(f"cannot evaluate expression {expression!r}: "
-                         f"{type(exc).__name__}: {exc}") from exc
+        raise ValueError(f"cannot evaluate expression {reprlib.repr(expression)}: "
+                         f"{type(exc).__name__}: {reprlib.repr(str(exc))}") from exc
     return func
 
 
 def spec_from_dict(obj: dict) -> PotentialSpec:
-    """Inverse of :func:`spec_to_dict`; rejects unknown keys."""
-    family = json_object(obj, "potential block", ["family"])["family"]
-    if family not in _BY_NAME:
-        raise ValueError(f"unknown potential family {family!r}")
-    cls = _BY_NAME[family]
-    extra = set(obj) - {"family", *cls.json_keys()}
-    if extra:
-        raise ValueError(f"unknown keys for family {family!r}: {sorted(extra)}")
-    return cls.from_json(obj)
+    """Inverse of :func:`spec_to_dict`, read through the family's ``json_block``;
+    malformed input raises :class:`ConfigError`, a ``ValueError``."""
+    families = {cls.family: cls.from_json for cls in get_args(PotentialSpec)}
+    return Tagged("family", families).parse(obj, "potential block")
+
+
+# spec_from_dict is looked up per call, so wrappers put on the module attribute see it
+POTENTIAL = Parsed(lambda obj: spec_from_dict(obj))

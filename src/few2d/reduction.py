@@ -16,13 +16,14 @@ The 3-body side: mass-weighted Jacobi rows diagonalize the kinetic energy
 a translation-invariant potential depending on the two Jacobi distances only
 lands in exactly the same quadrant form under (x, y) <-> (r1J, r2J).
 Calogero and Wolfes on the line (d = 1) land there as TTW at k = 3, by the
-closed-form dictionary of :func:`wolfes_to_ttw`.
+closed-form dictionary of :func:`wolfes_to_ttw`.  ``REDUCED_PROBLEM`` reads
+a reduced problem back with the d, L and box entries of ``REDUCTION``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+import reprlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,16 +35,8 @@ from .errors import (
     NonPositiveMass,
     PotentialNotJacobiRadial,
 )
-from .model import (
-    PotentialSpec,
-    Rational,
-    ThreeBodyConfig,
-    ThreeBodyTTW,
-    json_number,
-    json_object,
-    spec_from_dict,
-    spec_to_dict,
-)
+from .model import POTENTIAL, PotentialSpec, Rational, ThreeBodyConfig, ThreeBodyTTW, spec_to_dict
+from .schema import POSITIVE, REAL, REQUIRED, Block, Num
 
 
 # ---------------------------------------------------------------------
@@ -68,14 +61,9 @@ def centrifugal_coefficient(d: int, L: int) -> float:
     except OverflowError:     # an integer too large for a double
         c = math.inf
     if not math.isfinite(c):
-        raise ValueError(f"the centrifugal coefficient of d = {_compact(d)}, "
-                         f"L = {_compact(L)} overflows a double")
+        raise ValueError(f"the centrifugal coefficient of d = {reprlib.repr(d)}, "
+                         f"L = {reprlib.repr(L)} overflows a double")
     return c
-
-
-def _compact(n: int) -> str:
-    """``n`` in ``g`` form, as 1e+300; beyond the double range, as ~2^bits."""
-    return f"{n:g}" if abs(n) <= sys.float_info.max else f"~2^{n.bit_length()}"
 
 
 @dataclass(frozen=True)
@@ -88,6 +76,15 @@ class Box:
     def __post_init__(self):
         if self.x_max <= 0 or self.y_max <= 0:
             raise ValueError("box extents must be positive")
+
+
+# the entries of d, L and the box of every block; d and L stay 10x above the
+# 5 and 2 that any test, config or benchmark job uses
+DIMENSION, ANGULAR = Num(True, 1, hi=100), Num(True, 0, hi=100)
+BOX = Block({"x_max": (POSITIVE, REQUIRED), "y_max": (POSITIVE, REQUIRED)})
+REDUCTION = Block({"d1": (DIMENSION, 3), "d2": (DIMENSION, 3), "L_x": (ANGULAR, 0),
+                   "L_y": (ANGULAR, 0), "box": (BOX, None)})
+"""The ``reduction`` block of a config: keyword arguments of :func:`reduce_to_2d`."""
 
 
 def default_box(spec: PotentialSpec) -> Box:
@@ -144,35 +141,25 @@ class ReducedProblem2D:
 
     @staticmethod
     def from_dict(obj: dict) -> "ReducedProblem2D":
-        """Inverse of :meth:`to_dict`, built through :func:`reduce_to_2d`.
-
-        d and L must be integers (bools refused), the potential must be one
-        the reduction accepts, and the stored c_x, c_y must be the
-        centrifugal coefficients of their (d, L).
-        """
-        allowed = ("potential", "d1", "d2", "L_x", "L_y", "c_x", "c_y", "box")
-        extra = set(json_object(obj, "reduced problem")) - set(allowed)
-        if extra:
-            raise ValueError(f"unknown keys in reduced problem: {sorted(extra)}")
-        json_object(obj, "reduced problem", allowed)
-        labels = {}
-        for key in ("d1", "d2", "L_x", "L_y"):
-            value = json_number(obj[key], key)
-            if not value.is_integer():
-                raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
-            labels[key] = int(value)
-        box = json_object(obj["box"], "reduced problem box", ("x_max", "y_max"))
-        problem = reduce_to_2d(spec_from_dict(obj["potential"]),
-                               box=Box(json_number(box["x_max"], "box.x_max"),
-                                       json_number(box["y_max"], "box.y_max")),
-                               **labels)
+        """Inverse of :meth:`to_dict`, read through ``REDUCED_PROBLEM`` (malformed
+        input raises :class:`ConfigError`, a ``ValueError``) and built through
+        :func:`reduce_to_2d`; the stored c_x, c_y must be the centrifugal
+        coefficients of their (d, L)."""
+        doc = REDUCED_PROBLEM.parse(obj, "reduced_problem")
+        problem = reduce_to_2d(doc["potential"], d1=doc["d1"], d2=doc["d2"], L_x=doc["L_x"],
+                               L_y=doc["L_y"], box=Box(**doc["box"]))
         for key, d, L in (("c_x", "d1", "L_x"), ("c_y", "d2", "L_y")):
-            stored, expected = json_number(obj[key], key), getattr(problem, key)
+            stored, expected = doc[key], getattr(problem, key)
             if not math.isclose(stored, expected, rel_tol=1e-12, abs_tol=1e-12):
                 raise ValueError(f"{key} = {stored!r} disagrees with {expected!r}, the "
-                                 f"centrifugal coefficient of {d} = {labels[d]}, "
-                                 f"{L} = {labels[L]}")
+                                 f"centrifugal coefficient of {d} = {doc[d]}, {L} = {doc[L]}")
         return problem
+
+
+REDUCED_PROBLEM = Block({"potential": (POTENTIAL, REQUIRED),
+                         **{key: (kind, REQUIRED) for key, (kind, _) in REDUCTION.keys.items()},
+                         "c_x": (REAL, REQUIRED), "c_y": (REAL, REQUIRED)})
+"""The JSON block of :meth:`ReducedProblem2D.to_dict`; REDUCTION's entries, all required."""
 
 
 def reduce_to_2d(

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from few2d import cli
-from few2d.cli import SCHEMA, _Block, main
+from few2d.cli import SCHEMA, main
+from few2d.reduction import REDUCED_PROBLEM
+from few2d.schema import Block
 
 
 def _write_config(tmp_path, name, config):
@@ -480,15 +482,24 @@ _PROBES = {
                                     "custom2d needs an 'expression' key"),
     "custom2d-expression-number": (lambda t: _solve_config(
         t, system={"family": "custom2d", "expression": 3}),
-        "custom2d 'expression' must be a string"),
+        "custom2d.expression must be a non-empty string"),
     "reduced-missing-d1": (lambda t: _inline_reduced_config(t, d1=None),
-                           "reduced problem needs a 'd1' key"),
+                           "reduced_problem needs a 'd1' key"),
     "reduced-box-missing-y-max": (lambda t: _inline_reduced_config(t, box={"x_max": 12.0}),
-                                  "reduced problem box needs a 'y_max' key"),
+                                  "reduced_problem.box needs a 'y_max' key"),
     "reduced-box-list": (lambda t: _inline_reduced_config(t, box=[12, 12]),
-                         "reduced problem box must be a JSON object"),
+                         "reduced_problem.box must be a JSON object"),
     "reduced-problem-number": (lambda t: _inline_reduced_config(t, problem=5),
-                               "reduced problem must be a JSON object"),
+                               "reduced_problem must be a JSON object"),
+    # the reduced problem shares the bounds of the reduction block
+    "reduced-L-x-150": (lambda t: _inline_reduced_config(t, L_x=150),
+                        "reduced_problem.L_x must be <= 100"),
+    "reduced-d1-1e6": (lambda t: _inline_reduced_config(t, d1=10**6),
+                       "reduced_problem.d1 must be <= 100"),
+    "reduced-depends-on-angles-1": (lambda t: _inline_reduced_config(
+        t, potential={"family": "custom2d", "expression": "x**2 + y**2",
+                      "depends_on_angles": 1}),
+        "custom2d.depends_on_angles must be true or false"),
 }
 
 
@@ -515,13 +526,16 @@ def test_inline_reduced_problem_solves(tmp_path):
 
 
 @pytest.mark.parametrize("case", sorted(_PROBES))
-def test_probe_exits_2_naming_the_key(tmp_path, capsys, case):
+def test_probe_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, case):
     make, key = _PROBES[case]
+    grids = []
+    monkeypatch.setattr(cli, "make_grid", lambda *args, **kwargs: grids.append(args))
     cfg = _write_config(tmp_path, "bad.json", make(tmp_path))
     assert main([cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert key in err
+    assert grids == []
 
 
 def test_converge_with_centrifugal_term_has_no_error_column(tmp_path):
@@ -681,7 +695,7 @@ _HUGE_INPUTS = {
         t, reduction={"d1": 3, "d2": 3, "L_y": 1e300, "box": _BOX12}), 2, "reduction.L_y"),
     "map3-d-1e300": (lambda t: _map3_config(t, d=1e300), 2, "threebody.d"),
     "reduced-L-x-1e300": (lambda t: _inline_reduced_config(t, L_x=1e300), 2,
-                          "centrifugal coefficient of d = 3, L = 1"),
+                          "reduced_problem.L_x must be <= 100, got 1e+300"),
     "solve-caged-A-1e308": (lambda t: _solve_config(t, system={**_CAGED, "A": 1e308}),
                             2, "W = inf at the grid node (x, y) = (0.196721311475, "),
     "solve-caged-a-1e300": (lambda t: _solve_config(t, system={**_CAGED, "a": 1e300}),
@@ -689,6 +703,18 @@ _HUGE_INPUTS = {
     "solve-box-x-max-1e300": (lambda t: _solve_config(
         t, reduction={"d1": 3, "d2": 3, "box": {"x_max": 1e300, "y_max": 12.0}}),
         2, "W = inf at the grid node (x, y) = ("),
+    # values whose whole repr would flood the error line are quoted shortened
+    "custom2d-expression-1e5-chars": (lambda t: _solve_config(
+        t, system={"family": "custom2d", "expression": "x" * 100_000}),
+        2, "cannot evaluate expression 'xxxxxxxxxxxx...xxxxxxxxxxxxx': NameError"),
+    "oracle-k-1e400": (lambda t: {**_oracle_config(t), "system": {
+        "family": "ttw", "omega": 1.0, "k": 10**400}}, 2, "k = Rational(m=10...00000000, n=1)"),
+    "map3-mass-1e400": (lambda t: _map3_config(t, masses=[10**400, 2, 2]), 2,
+                        "threebody.masses[0] must be a finite number, got 1000"),
+    # 10^12 singular rays: refused before they are listed
+    "solve-ttw-k-1e12": (lambda t: _solve_config(
+        t, system={"family": "ttw", "omega": 1.0, "k": 10**12, "alpha": 0.1, "beta": 0.1}),
+        2, "sin/cos(1e+12 theta) has more than 1000 singular rays"),
 }
 
 
@@ -776,8 +802,9 @@ def test_readme_config_table_matches_the_schema():
             else:
                 documented.add(f"{block}.{token}")
     schema = {f"{name}.{key}" for command in SCHEMA.values()
-              for name, (kind, _) in command.keys.items() if isinstance(kind, _Block)
+              for name, (kind, _) in command.keys.items() if isinstance(kind, Block)
               for key in kind.keys}
+    schema |= {f"reduced_problem.{key}" for key in REDUCED_PROBLEM.keys}
     assert documented == schema
     assert top_level <= {key for command in SCHEMA.values() for key in command.keys}
 

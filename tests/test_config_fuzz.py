@@ -32,6 +32,7 @@ _SHRINK = {
                        "oracle": {"n_r_max": 1, "j_max": 1}},
     "ttw2_oracle": {"oracle": {"n_r_max": 1, "j_max": 1}},
     "ttw_scan": {"scan": {"levels_per_k": 3, "n_r_max": 1, "j_max": 1}},
+    "wolfes_solve": {"discretization": {"n1": 12, "n2": 12}, "solver": {"levels": 2}},
 }
 
 _BY_TYPE = {     # JSON values by type; a "wrong type" draws from the other types

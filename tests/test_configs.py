@@ -27,6 +27,13 @@ def test_wolfes_map3_config_maps_to_the_closed_form_image(tmp_path):
                      "k": {"m": 3, "n": 1}, "alpha": wolfes["A"], "beta": wolfes["B"] / 3}
 
 
+def test_wolfes_solve_config_holds_the_reduced_problem_map3_writes(tmp_path):
+    by_stem = {path.stem: path for path in CONFIGS}
+    assert main([str(by_stem["wolfes_map3"]), "--out", str(tmp_path / "map3")]) == 0
+    image = json.loads((tmp_path / "map3.json").read_text())["reduced_problem"]
+    assert json.loads(by_stem["wolfes_solve"].read_text())["reduced_problem"] == image
+
+
 @pytest.mark.parametrize("config", [path for path in CONFIGS
                                     if path.stem in ("ttw_scan", "ttw2_oracle")],
                          ids=lambda path: path.stem)

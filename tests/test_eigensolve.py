@@ -331,15 +331,16 @@ _SPLIT = ["caged-iso", "hydrogen", "quartic"]
 _UNSPLIT = ["caged-aniso", "ttw2-equal-couplings", "rectangular-box", "n1-not-n2"]
 
 
-def _exchange_case(kind):
-    """``(op, m)``: an operator whose exchange split is decided by ``kind``."""
+def _exchange_case(kind, n=80):
+    """``(op, m)``: an operator of n x n nodes (n x 96 for "n1-not-n2")
+    whose exchange split is decided by ``kind``."""
     if kind == "hydrogen":
         prob = reduce_to_2d(HydrogenPair(), 3, 3, box=Box(60.0, 60.0))
-        return assemble(prob, make_grid(prob.box, 80, 80)), 2
+        return assemble(prob, make_grid(prob.box, n, n)), 2
     if kind == "quartic":
         spec = spec_from_dict({"family": "custom2d", "expression": "x**4 + y**4"})
         prob = reduce_to_2d(spec, 3, 3, box=Box(4.0, 4.0))
-        return assemble(prob, make_grid(prob.box, 80, 80)), 4
+        return assemble(prob, make_grid(prob.box, n, n)), 4
     if kind == "ttw2-equal-couplings":
         # make_grid staggers y alone off the diagonal ray, so x and y differ
         spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.3)
@@ -348,8 +349,25 @@ def _exchange_case(kind):
     prob = _sweep_problem("caged-aniso" if kind == "caged-aniso" else "caged-iso", seed=11)
     if kind == "rectangular-box":
         prob = replace(prob, box=Box(12.0, 10.0))
-    n2 = 96 if kind == "n1-not-n2" else 80
-    return assemble(prob, make_grid(prob.box, 80, n2)), 6
+    n2 = 96 if kind == "n1-not-n2" else n
+    return assemble(prob, make_grid(prob.box, n, n2)), 6
+
+
+@pytest.mark.parametrize("n", [31, 80])
+@pytest.mark.parametrize("kind", _SPLIT)
+def test_sector_blocks_are_the_projections_of_the_operator(kind, n):
+    # taken as submatrices of H, the blocks equal P^T H P to a few ulps, with
+    # the same pattern, as canonical matrices factored from their own arrays
+    op, _ = _exchange_case(kind, n)
+    H = eigensolve._csc(op.matrix)
+    blocks = eigensolve._blocks(op, H, eigensolve._Solve(H, 1e-8, 1, 0).slack)
+    assert [A.shape[0] for _, A in blocks] == [n * (n + 1) // 2, n * (n - 1) // 2]
+    for P, A in blocks:
+        reference = (P.T @ H @ P).tocsc()
+        reference.eliminate_zeros()
+        assert A.has_canonical_format and A.nnz == reference.nnz
+        ulp = np.finfo(float).eps * abs(reference).max()
+        assert abs(A - reference).max() <= 4 * ulp
 
 
 @pytest.mark.parametrize("kind", _SPLIT + _UNSPLIT)
