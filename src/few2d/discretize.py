@@ -17,7 +17,8 @@ neighbours lie n_y rows away and its y neighbours in the rows next to it.
 The CSR arrays are those of the Kronecker sum of the two axis stencils plus
 diag(W), entry for entry.  When both axes are equal and W(x, y) = W(y, x),
 the swap x <-> y maps the operator onto itself, and ``exchange`` gives the
-isometries onto its symmetric and antisymmetric sectors.
+isometries onto its symmetric and antisymmetric sectors with the operator's
+diagonal block in each.
 """
 
 from __future__ import annotations
@@ -73,11 +74,14 @@ def _collides(nodes_x: np.ndarray, nodes_y: np.ndarray,
               rays: list[tuple[str, float]]) -> bool:
     if not rays:
         return False
-    theta = np.arctan2(nodes_y[None, :], nodes_x[:, None])
-    for _, ray in rays:
-        if np.any(np.abs(theta - ray) < _ANGLE_GUARD):
-            return True
-    return False
+    # some ray is within the guard exactly when the nearest is, one of the two
+    # that bracket the node's angle in the sorted list
+    theta = np.arctan2(nodes_y[None, :], nodes_x[:, None]).ravel()
+    angles = np.sort([ray for _, ray in rays])
+    above = np.minimum(np.searchsorted(angles, theta), len(angles) - 1)
+    below = np.maximum(above - 1, 0)
+    nearest = np.minimum(np.abs(theta - angles[below]), np.abs(theta - angles[above]))
+    return bool(np.any(nearest < _ANGLE_GUARD))
 
 
 def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None) -> Grid:
@@ -110,15 +114,12 @@ def make_grid(box: Box, n1: int, n2: int, spec: Optional[PotentialSpec] = None) 
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Symmetric 5-point discretization of a reduced 2D problem, CSR layout.
-
-    ``w`` holds the node values W(x_i, y_j), shape ``grid.shape``, when the
-    operator was assembled from a problem.
-    """
+    """Symmetric 5-point discretization of a reduced 2D problem, CSR layout;
+    ``w`` holds the node values W(x_i, y_j), shape ``grid.shape``."""
 
     matrix: sp.csr_matrix
     grid: Grid
-    w: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    w: np.ndarray = field(repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -129,11 +130,8 @@ class SparseOperator:
 
         Keeps the fine nodes ``[1::2]`` of each axis with their W values and
         the plain stencil at twice the step, so no potential is evaluated
-        again.  None without node values or when a coarse axis would have
-        fewer than 32 nodes.
+        again.  None when a coarse axis would have fewer than 32 nodes.
         """
-        if self.w is None:
-            return None
         g = self.grid
         nodes_x, nodes_y = g.nodes_x[1::2], g.nodes_y[1::2]
         if min(len(nodes_x), len(nodes_y)) < _MIN_COARSE_NODES:
@@ -142,36 +140,45 @@ class SparseOperator:
                       h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
         return _operator(coarse, self.w[1::2, 1::2])
 
-    def exchange(self, tol: float) -> Optional[tuple[sp.csc_matrix, sp.csc_matrix]]:
-        """``(P_s, P_a)``: orthonormal bases of the grid functions that are
-        symmetric and antisymmetric under the swap x <-> y, or None when the
-        swap does not map the operator onto itself.
+    def exchange(self, tol: float) -> Optional[list[tuple[sp.csc_matrix, sp.csr_matrix]]]:
+        """``[(P_s, P_s^T H P_s), (P_a, P_a^T H P_a)]``: orthonormal bases of
+        the grid functions that are symmetric and antisymmetric under the swap
+        x <-> y, each with its diagonal block of the operator H, or None when
+        the swap does not map the operator onto itself.
 
         P_s has the n(n+1)/2 columns (e_ij + e_ji)/sqrt(2), i < j, and e_ii,
         P_a the n(n-1)/2 columns (e_ij - e_ji)/sqrt(2), in row-major order of
-        (i, j); [P_s P_a] is orthogonal, so H splits into the diagonal blocks
-        P_s^T H P_s and P_a^T H P_a.  Returned only when both axes have the
-        same nodes, step and stagger, and the node values of W differ from
-        their transpose by at most ``tol``: summing terms in another order
-        can leave an exchange-symmetric W asymmetric by an ulp.
+        (i, j); [P_s P_a] is orthogonal, so H splits into the two blocks.  The
+        stencil couples no node (i, j), i < j, to one below the diagonal, so a
+        block is H on P's nodes times 2 s^2 between pair nodes and 2 s between
+        a pair and a diagonal node, s = sqrt(1/2), rounded as P^T H P rounds,
+        in canonical CSR.  Returned only when both axes have the same nodes,
+        step and stagger, and the node values of W differ from their transpose
+        by at most ``tol``: summing terms in another order can leave an
+        exchange-symmetric W asymmetric by an ulp.
         """
         g, w = self.grid, self.w
-        if (w is None or g.staggered_x != g.staggered_y or g.h_x != g.h_y
+        if (g.staggered_x != g.staggered_y or g.h_x != g.h_y
                 or not np.array_equal(g.nodes_x, g.nodes_y)
                 or np.max(np.abs(w - w.T)) > tol):
             return None
-        n = len(g.nodes_x)
+        n, s = len(g.nodes_x), np.sqrt(0.5)
 
-        def basis(i, j, sign):
-            pair = i != j
-            cols = np.arange(len(i))
-            rows = np.concatenate([i * n + j, (j * n + i)[pair]])
-            vals = np.concatenate([np.where(pair, np.sqrt(0.5), 1.0),
-                                   np.full(np.count_nonzero(pair), sign * np.sqrt(0.5))])
-            return sp.csc_matrix((vals, (rows, np.concatenate([cols, cols[pair]]))),
-                                 shape=(n * n, len(i)))
+        def sector(i, j, sign):
+            pair, nodes, cols = i != j, i * n + j, np.arange(len(i))
+            P = sp.csc_matrix((np.concatenate([np.where(pair, s, 1.0),
+                                               np.full(np.count_nonzero(pair), sign * s)]),
+                               (np.concatenate([nodes, (j * n + i)[pair]]),
+                                np.concatenate([cols, cols[pair]]))),
+                              shape=(n * n, len(i)))
+            A = self.matrix[nodes][:, nodes]
+            pair_row = pair[np.repeat(cols, np.diff(A.indptr))]
+            pair_col = pair[A.indices]
+            A.data = np.where(pair_row & pair_col, 2 * (s * (s * A.data)),
+                              np.where(pair_row | pair_col, 2 * (s * A.data), A.data))
+            return P, A
 
-        return basis(*np.triu_indices(n), 1.0), basis(*np.triu_indices(n, 1), -1.0)
+        return [sector(*np.triu_indices(n), 1.0), sector(*np.triu_indices(n, 1), -1.0)]
 
     def prolong(self, coarse: "SparseOperator", vectors: np.ndarray) -> np.ndarray:
         """Columns of ``vectors``, given on the nodes of ``coarse`` (from one or

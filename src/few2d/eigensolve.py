@@ -12,24 +12,25 @@ below tau (spectrum slicing, Parlett, *The Symmetric Eigenvalue Problem*).
 On an operator that can be coarsened, one such factorization does both jobs
 (Grimes, Lewis & Simon, SIAM J. Matrix Anal. Appl. 1994).  The lowest m + 3
 levels are first estimated, uncertified, on the coarsest grid that keeps at
-least 32 nodes per axis, solved there as a plain matrix, and tau is put in
-the widest of their gaps above the m-th.  The estimate's eigenvectors,
-interpolated to the fine grid, span a space whose Rayleigh-Ritz values bound
-the fine levels from above (Cauchy interlacing).  When the bound of the
-level below the gap lies between the gap's midpoint and the next estimate,
-tau is raised to it, so that an estimate lying low still counts every level
-below the gap.  Should the bound reach past the next estimate, the gap is
-not bracketed, and the estimate is made again one grid finer, at most on the
-half-resolution grid.  The c negative pivots of H - tau I count the levels
-below tau, and ARPACK seeks the c algebraically smallest values of
-(H - tau I)^-1: exactly the levels below tau.  It starts from the sum of the
-Ritz vectors of the levels below the gap, which lies close to the subspace
-it seeks (Lehoucq, Sorensen & Yang, *ARPACK Users' Guide*, 1998), and is
-formed on the coarse grid and interpolated once.  A value returned above tau
-means a copy was missed; it is sought again in the orthogonal complement of
-the pairs found, with the same factorization.  The count comes first because
-with fewer than m levels below tau the solve falls back at once, rather than
-ARPACK hunting the top of the spectrum for the rest.
+least 32 nodes per axis and more than 3(m + 3) + 2 nodes, solved there on
+the Gershgorin path below, and tau is put in the widest of their gaps above
+the m-th.  The estimate's eigenvectors, interpolated to the fine grid, span
+a space whose Rayleigh-Ritz values bound the fine levels from above (Cauchy
+interlacing).  When the bound of the level below the gap lies between the
+gap's midpoint and the next estimate, tau is raised to it, so that an
+estimate lying low still counts every level below the gap.  Should the bound
+reach past the next estimate, the gap is not bracketed, and the estimate is
+made again one grid finer, at most on the half-resolution grid.  The c
+negative pivots of H - tau I count the levels below tau, and ARPACK seeks
+the c algebraically smallest values of (H - tau I)^-1: exactly the levels
+below tau.  It starts from the sum of the Ritz vectors of the levels below
+the gap, which lies close to the subspace it seeks (Lehoucq, Sorensen &
+Yang, *ARPACK Users' Guide*, 1998), and is formed on the coarse grid and
+interpolated once.  A value returned above tau means a copy was missed; it
+is sought again in the orthogonal complement of the pairs found, with the
+same factorization.  The count comes first because with fewer than m levels
+below tau the solve falls back at once, rather than ARPACK hunting the top
+of the spectrum for the rest.
 
 A convergence ladder hands each solve to the next (nested iteration): a
 ``prior``, a converged solve of the same problem on a grid no finer and at
@@ -40,30 +41,30 @@ least m levels, and the sum of those m Ritz vectors starts ARPACK; the
 prior's own levels are not read.
 
 A grid operator that the swap x <-> y maps onto itself (equal axes and an
-exchange-symmetric W; ``SparseOperator.exchange``) is sliced in its two
-exchange sectors (symmetry-adapted bases; Faessler & Stiefel, *Group
-Theoretical Methods and Their Applications*, 1992).  tau and the start
-vector are placed on the whole operator as above; then each diagonal block
-P^T H P, of about half the nodes, is factored and counted at tau.  The
-orthogonal [P_s P_a] makes the blocks' inertias add up to that of
-H - tau I, so the summed count certifies as one count would.  ARPACK
-completes each block from its share P^T of the start vector, both blocks
-drawing on one budget of solves, and the levels come back as P v with
-residuals measured on H.  Without such a symmetry the one block is H
-itself.
+exchange-symmetric W) is sliced in its two exchange sectors
+(symmetry-adapted bases; Faessler & Stiefel, *Group Theoretical Methods and
+Their Applications*, 1992), which ``SparseOperator.exchange`` gives as
+isometries P with their diagonal blocks P^T H P.  tau and the start vector
+are placed on the whole operator as above; then each block, of about half
+the nodes, is factored and counted at tau.  The orthogonal [P_s P_a] makes
+the blocks' inertias add up to that of H - tau I, so the summed count
+certifies as one count would.  ARPACK completes each block from its share
+P^T of the start vector, both blocks drawing on one budget of solves, and
+the levels come back as P v with residuals measured on H.  Without such a
+symmetry the one block is H itself.
 
-Plain matrices and grids too small to coarsen take the Gershgorin path, as
-does a slice that cannot be factored, counts fewer than m levels or far more
-than estimated, or is not completed while budget remains.  That path shifts
-to sigma0 strictly below a Gershgorin bound of the whole spectrum, where the
-lowest levels are the dominant ones of (H - sigma0 I)^-1, and counts at tau
-in the first clear gap above the m-th level found.  A count above the levels
-found below tau hands that factorization to the same completion as above.
-A set the count does not confirm is reported with ``converged=False``.  The
-Gershgorin path and every retry for a missed copy start from a seeded
-generator, and the slice's start vector is a function of the estimate or the
-prior alone, so a fixed seed gives the same pairs and counts on a given
-platform.
+Plain matrices and grids with no such coarse grid take the Gershgorin path,
+as does a slice that cannot be factored, counts fewer than m levels or far
+more than estimated, or is not completed while budget remains.  That path
+shifts to sigma0 strictly below a Gershgorin bound of the whole spectrum,
+where the lowest levels are the dominant ones of (H - sigma0 I)^-1, and
+counts at tau in the first clear gap above the m-th level found.  A count
+above the levels found below tau hands that factorization to the same
+completion as above.  A set the count does not confirm is reported with
+``converged=False``.  The Gershgorin path and every retry for a missed copy
+start from a seeded generator, and the slice's start vector is a function of
+the estimate or the prior alone, so a fixed seed gives the same pairs and
+counts on a given platform.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ class _Solve:
     def sliced(self, m: int, j: int, tau: float, start: np.ndarray, blocks: list):
         """Levels below tau, placed to count about j >= m of them, block by
         block: ``blocks`` holds pairs (P, A) of an isometry P and the diagonal
-        block A = P^T H P, or (None, H) alone, from ``_blocks``.
+        block A = P^T H P, from ``SparseOperator.exchange``, or (None, H) alone.
 
         Every block is factored and counted at tau; Q = [P ...] is
         orthogonal, so their counts add up to the levels of H below tau.
@@ -405,31 +406,35 @@ def _ritz(op, coarse, vectors: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _coarse_estimate(op, m: int, seed: int):
-    """``(estimate, ritz, start)``: the lowest m + 3 levels of ``op`` estimated
-    on a coarsened grid, their Ritz values from ``_ritz``, and the sum of the
-    Ritz vectors below the estimate's widest gap above its m-th level.
+    """``(estimate, ritz, start)``: the lowest k = m + 3 levels of ``op``
+    estimated on a coarsened grid, their Ritz values from ``_ritz``, and the
+    sum of the Ritz vectors below the estimate's widest gap above its m-th
+    level.
 
-    The grids are ``op.coarsened()``, its ``coarsened()``, and so on; each is
-    solved as a plain matrix to a loose tolerance.  The coarsest comes first,
-    and a finer one is tried only while the estimate does not bracket its
-    widest gap.  The coarse nodes are fine nodes, so the prolonged vectors
-    stay independent.  None when the operator does not coarsen, or the
-    estimate offers no gap above its m-th level.
+    The grids are ``op.coarsened()``, its ``coarsened()``, and so on, while
+    they have more than 3k + 2 nodes; each is solved on the Gershgorin path
+    to a loose tolerance.  The coarsest comes first, and a finer one is
+    tried only while the estimate does not bracket its widest gap.  The
+    coarse nodes are fine nodes, so the prolonged vectors stay independent.
+    None when there is no such grid, or the estimate offers no gap above its
+    m-th level.
     """
+    k = m + _EXTRA_LEVELS
     grids = []
     coarse = op.coarsened() if hasattr(op, "coarsened") else None
-    while coarse is not None and m + _EXTRA_LEVELS <= coarse.dim:
+    while coarse is not None and 3 * k + 2 < coarse.dim:
         grids.append(coarse)
         coarse = coarse.coarsened()
     if not grids:
         return None
     for coarse in reversed(grids):
-        est = _lowest(coarse.matrix, m + _EXTRA_LEVELS, _ESTIMATE_TOL, None, seed)
-        estimate = est.eigenvalues
+        estimate, vectors, *_ = _Solve(_csc(coarse.matrix), _ESTIMATE_TOL,
+                                       max(20000, 400 * k), seed).shifted(k)
+        estimate, vectors = estimate[:k], vectors[:, :k]
         if len(estimate) <= m:
             return None
         j = _widest_gap(estimate, m)
-        ritz, start = _ritz(op, coarse, est.eigenvectors, j)
+        ritz, start = _ritz(op, coarse, vectors, j)
         if ritz[j - 1] < estimate[j]:
             break
     return estimate, ritz, start
@@ -468,27 +473,6 @@ def _prior_slice(op, m: int, prior, slack: float):
         return None
     ritz, start = _ritz(op, prior_op, result.eigenvectors[:, :m], m)
     return m, ritz[-1] + slack, start
-
-
-def _blocks(op, H: sp.csc_matrix, slack: float) -> list:
-    """``[(P, P^T H P)]`` for ``op.exchange`` within the count's rounding
-    allowance, or ``[(None, H)]`` when ``op`` does not split.  The 5-point
-    stencil couples no node (i, j), i < j, to one below the diagonal, so a block
-    is H on P's nodes times 2 s^2 between pair nodes and 2 s between a pair and a
-    diagonal node, s = sqrt(1/2), rounded as P^T H P rounds: canonical CSR."""
-    split = op.exchange(slack) if hasattr(op, "exchange") else None
-    if split is None:
-        return [(None, H)]
-    n, s = op.grid.shape[0], np.sqrt(0.5)
-    blocks = []
-    for P, (i, j) in zip(split, (np.triu_indices(n), np.triu_indices(n, 1))):
-        A = H.T[i * n + j][:, i * n + j]
-        pair_row = (i != j)[np.repeat(np.arange(len(i)), np.diff(A.indptr))]
-        pair_col = (i != j)[A.indices]
-        A.data = np.where(pair_row & pair_col, 2 * (s * (s * A.data)),
-                          np.where(pair_row | pair_col, 2 * (s * A.data), A.data))
-        blocks.append((P, _csc(A)))
-    return blocks
 
 
 def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
@@ -540,17 +524,9 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
     H = _as_matrix(op)
     if m < 1:
         raise ValueError("need m >= 1")
-    if m > H.shape[0]:
-        raise DimensionMismatch(f"m={m} exceeds operator dimension {H.shape[0]}")
-    return _lowest(H, m, tol, max_iter, seed, op, prior)
-
-
-def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
-            prior=None) -> EigenResult:
-    """``lowest_eigs`` of the matrix H, for 1 <= m <= dim H; the slice is
-    tried when ``prior`` places one on ``op``, the operator H came from, or
-    when ``op`` coarsens."""
     n = H.shape[0]
+    if m > n:
+        raise DimensionMismatch(f"m={m} exceeds operator dimension {n}")
     if n <= max(3 * m + 2, 64) or m > n // 2:
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         vals, vecs = np.linalg.eigh(dense)
@@ -565,7 +541,11 @@ def _lowest(H, m: int, tol: float, max_iter: int | None, seed: int, op=None,
         max_iter = max(20000, 400 * m)
     run = _Solve(_csc(H), tol, max_iter, seed)
     at = _prior_slice(op, m, prior, run.slack) or _estimated_slice(op, m, seed, run.slack)
-    found = None if at is None else run.sliced(m, *at, _blocks(op, run.H, run.slack))
+    found = None
+    if at is not None:      # op is a grid operator
+        split = op.exchange(run.slack)
+        blocks = [(None, run.H)] if split is None else [(P, _csc(A)) for P, A in split]
+        found = run.sliced(m, *at, blocks)
     vals, vecs, count, certified = found or run.shifted(m)
     if certified:
         # every level below tau is found, so a clear gap among them counts too

@@ -79,7 +79,8 @@ class List(NamedTuple):
 
 
 class Parsed(NamedTuple):
-    """A value one of the library's readers decodes; its errors are config errors."""
+    """A value one of the library's readers decodes; its errors are config
+    errors under ``where``, which a reader's ConfigError may name already."""
 
     reader: Callable
 
@@ -87,7 +88,11 @@ class Parsed(NamedTuple):
         try:
             return self.reader(value)
         except (ValueError, TypeError, KeyError, OSError, Few2DError) as exc:
-            raise ConfigError(f"invalid {where}: {exc}") from exc
+            if not isinstance(exc, ConfigError):
+                raise ConfigError(f"invalid {where}: {exc}") from exc
+            if where not in str(exc):     # a path inside the value, as ttw.k of system
+                raise ConfigError(f"{where}: {exc}") from exc
+            raise
 
 
 def _json_object(value, name: str) -> dict:

@@ -11,15 +11,16 @@ from few2d import (
     CagedOscillator,
     Custom2D,
     GridTooCoarse,
+    PW,
     Rational,
     SingularNodeUnavoidable,
-    SparseOperator,
     TTW,
     assemble,
     lowest_eigs,
     make_grid,
     reduce_to_2d,
 )
+from few2d.discretize import _ANGLE_GUARD, _axis_nodes, _collides
 
 
 def test_make_grid_arithmetic():
@@ -52,6 +53,44 @@ def test_ttw_k2_square_grid_offsets_diagonal():
     # three layouts: plain, y staggered, both staggered
     with pytest.raises(SingularNodeUnavoidable):
         make_grid(Box(6.0, 6.0), 9, 9, spec=spec)
+
+
+def _collides_by_loop(nodes_x, nodes_y, rays):
+    """The screening as one pass over the nodes per ray, the reference."""
+    theta = np.arctan2(nodes_y[None, :], nodes_x[:, None])
+    return any(np.any(np.abs(theta - ray) < _ANGLE_GUARD) for _, ray in rays)
+
+
+_TTW2 = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.3)
+
+
+@pytest.mark.parametrize("spec", [_TTW2, TTW(omega=1.0, k=Rational(3, 1), alpha=0.3, beta=0.3),
+                                  TTW(omega=1.0, k=Rational(999, 1), alpha=0.3, beta=0.3),
+                                  PW(a=1.0, k=Rational(2, 1), mu=0.2, nu=0.3)],
+                         ids=["ttw-2", "ttw-3", "ttw-999", "pw-2"])
+def test_nearest_ray_screening_decides_as_every_ray(spec):
+    # the nearest ray in the sorted list is within the guard exactly when
+    # some ray is, on grids in every layout and on angles placed just inside
+    # and just outside the guard of each ray
+    rays = spec.rays()
+    decisions = []
+    for n1, n2, box in ((9, 9, Box(6.0, 6.0)), (20, 20, Box(6.0, 6.0)),
+                        (33, 57, Box(6.0, 10.0)), (64, 64, Box(10.0, 10.0))):
+        for sx, sy in ((False, False), (False, True), (True, True)):
+            nx, _ = _axis_nodes(box.x_max, n1, sx)
+            ny, _ = _axis_nodes(box.y_max, n2, sy)
+            decisions.append(_collides(nx, ny, rays))
+            assert decisions[-1] == _collides_by_loop(nx, ny, rays)
+    assert any(decisions) == (spec is _TTW2)     # a node on theta = pi/4
+    inner, x = np.array([ray for _, ray in rays[1:-1]]), np.ones(1)
+    for offset in (-2.0, -0.9, 0.9, 2.0):
+        ny = np.tan(inner + offset * _ANGLE_GUARD)
+        for nodes in [ny] + [ny[i:i + 1] for i in range(0, len(ny), 37)]:
+            assert (_collides(x, nodes, rays) == _collides_by_loop(x, nodes, rays)
+                    == (abs(offset) < 1 and len(nodes) > 0))
+    if spec is _TTW2:
+        with pytest.raises(SingularNodeUnavoidable):
+            make_grid(Box(6.0, 6.0), 9, 9, spec=spec)
 
 
 def test_assemble_tridiagonal_pattern_1d_slice():
@@ -196,7 +235,6 @@ def test_coarsened_operator_is_the_half_resolution_grid():
     assert abs(coarse.matrix - direct.matrix).max() < 1e-9 * abs(direct.matrix).max()
     assert coarse.coarsened() is None                        # 20 x 16 nodes
     assert assemble(prob, make_grid(prob.box, 81, 63)).coarsened() is None
-    assert SparseOperator(matrix=fine.matrix, grid=fine.grid).coarsened() is None
 
 
 def _kronecker_sum(grid, w):
@@ -287,8 +325,7 @@ def test_exchange_isometries_split_a_mirror_symmetric_operator():
     asym = np.max(np.abs(op.w - op.w.T))
     assert 0.0 < asym < 1e-12
     assert op.exchange(0.0) is None
-    assert SparseOperator(matrix=op.matrix, grid=op.grid).exchange(1.0) is None
-    P_s, P_a = (P.toarray() for P in op.exchange(asym))
+    P_s, P_a = (P.toarray() for P, _ in op.exchange(asym))
     assert P_s.shape == (400, 210) and P_a.shape == (400, 190)
     Q = np.hstack([P_s, P_a])
     assert np.allclose(Q.T @ Q, np.eye(400), rtol=0, atol=1e-15)

@@ -119,9 +119,9 @@ def _kronecker_levels(prob, grid, count):
     wx, wy = w[:, 0], w[0, :] - w[0, 0]
     assert np.allclose(w, wx[:, None] + wy[None, :], rtol=1e-13, atol=1e-12)
     ex = eigh_tridiagonal(2.0 / grid.h_x**2 + wx, np.full(len(x) - 1, -1.0 / grid.h_x**2),
-                          select="i", select_range=(0, count - 1))[0]
+                          select="i", select_range=(0, min(count, len(x)) - 1))[0]
     ey = eigh_tridiagonal(2.0 / grid.h_y**2 + wy, np.full(len(y) - 1, -1.0 / grid.h_y**2),
-                          select="i", select_range=(0, count - 1))[0]
+                          select="i", select_range=(0, min(count, len(y)) - 1))[0]
     return np.sort((ex[:, None] + ey[None, :]).ravel())[:count]
 
 
@@ -254,8 +254,25 @@ def test_a_160_solve_factors_only_the_coarsest_grid_and_the_operator(monkeypatch
     assert result.converged and result.factorizations == 2
     assert set(dims) == {40 * 40, 160 * 161 // 2, 160 * 159 // 2}
     assert dims.count(160 * 161 // 2) == dims.count(160 * 159 // 2) == 1
-    # the estimate is solved as a plain matrix, not by lowest_eigs on the coarse grid
+    # the estimate is solved on the Gershgorin path, not by lowest_eigs on the coarse grid
     assert len(calls) == 1 and calls[0] is op
+
+
+def test_a_grid_with_no_coarse_grid_for_its_estimate_takes_the_gershgorin_path(monkeypatch):
+    # 64x64 coarsens to 32x32 = 1024 nodes, and an estimate of k = m + 3 levels
+    # needs more than 3k + 2 of them: up to m = 337 the estimate is made on
+    # the coarse grid, from m = 338 on no estimate is made and the whole grid
+    # is factored below its spectrum and again to count
+    prob = _sweep_problem("caged-aniso", seed=4000)
+    grid = make_grid(prob.box, 64, 64)
+    op = assemble(prob, grid)
+    assert op.coarsened().dim == 1024 and 3 * (338 + 3) + 2 >= 1024 > 3 * (337 + 3) + 2
+    assert eigensolve._coarse_estimate(op, 338, seed=0) is None
+    dims, _ = _recorded_factorizations(monkeypatch)
+    result = lowest_eigs(op, 338, tol=1e-6, seed=0)
+    assert result.converged and result.factorizations == 2 and dims == [64 * 64] * 2
+    exact = _kronecker_levels(prob, grid, 338)
+    assert np.allclose(result.eigenvalues, exact, rtol=0, atol=1e-9)
 
 
 def test_an_unbracketed_gap_is_estimated_again_one_grid_finer(monkeypatch):
@@ -359,15 +376,17 @@ def test_sector_blocks_are_the_projections_of_the_operator(kind, n):
     # taken as submatrices of H, the blocks equal P^T H P to a few ulps, with
     # the same pattern, as canonical matrices factored from their own arrays
     op, _ = _exchange_case(kind, n)
-    H = eigensolve._csc(op.matrix)
-    blocks = eigensolve._blocks(op, H, eigensolve._Solve(H, 1e-8, 1, 0).slack)
+    H = op.matrix
+    blocks = op.exchange(eigensolve._Solve(eigensolve._csc(H), 1e-8, 1, 0).slack)
     assert [A.shape[0] for _, A in blocks] == [n * (n + 1) // 2, n * (n - 1) // 2]
     for P, A in blocks:
-        reference = (P.T @ H @ P).tocsc()
+        reference = (P.T @ H @ P).tocsr()
         reference.eliminate_zeros()
-        assert A.has_canonical_format and A.nnz == reference.nnz
+        assert A.format == "csr" and A.has_canonical_format and A.nnz == reference.nnz
         ulp = np.finfo(float).eps * abs(reference).max()
         assert abs(A - reference).max() <= 4 * ulp
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(eigensolve._csc(A), name), getattr(A, name))
 
 
 @pytest.mark.parametrize("kind", _SPLIT + _UNSPLIT)
@@ -395,7 +414,8 @@ def test_sector_counts_add_up_to_the_count_of_the_whole_grid():
     grid = make_grid(prob.box, 80, 80)
     op = assemble(prob, grid)
     H = eigensolve._csc(op.matrix)
-    blocks = eigensolve._blocks(op, H, eigensolve._Solve(H, 1e-8, 1, 0).slack)
+    blocks = [(P, eigensolve._csc(A))
+              for P, A in op.exchange(eigensolve._Solve(H, 1e-8, 1, 0).slack)]
     assert [A.shape[0] for _, A in blocks] == [80 * 81 // 2, 80 * 79 // 2]
     exact = _kronecker_levels(prob, grid, 30)
     gaps = np.flatnonzero(np.diff(exact) > 1e-8)
