@@ -58,13 +58,17 @@ as does a slice that cannot be factored, counts fewer than m levels or far
 more than estimated, or is not completed while budget remains.  That path
 shifts to sigma0 strictly below a Gershgorin bound of the whole spectrum,
 where the lowest levels are the dominant ones of (H - sigma0 I)^-1, and
-counts at tau in the first clear gap above the m-th level found.  A count
-above the levels found below tau hands that factorization to the same
-completion as above.  A set the count does not confirm is reported with
-``converged=False``.  The Gershgorin path and every retry for a missed copy
-start from a seeded generator, and the slice's start vector is a function of
-the estimate or the prior alone, so a fixed seed gives the same pairs and
-counts on a given platform.
+counts at tau in the first clear gap above the m-th level found.
+H - sigma0 I is strictly diagonally dominant, so threshold pivoting would
+keep the diagonal pivots too (Golub & Van Loan, *Matrix Computations*, 3.4):
+it is factored once, as for a count, for every ARPACK run of the path, and
+dropped before H - tau I is factored.  A count above the levels found below
+tau hands the count's factorization to the same completion as above.  A set
+the count does not confirm is reported with ``converged=False``.  The
+Gershgorin path and every retry for a missed copy start from a seeded
+generator, and the slice's start vector is a function of the estimate or the
+prior alone, so a fixed seed gives the same pairs and counts on a given
+platform.
 """
 
 from __future__ import annotations
@@ -95,8 +99,10 @@ class EigenResult:
     the dense path), or None when no count was made.  It exceeds the number
     of returned levels only when the m-th level's multiplet continues past m.
     ``factorizations`` counts the sparse factorizations of shifted copies of
-    H or of its exchange-sector blocks, one per block on a split slice (0 on
-    the dense path); those of the coarse estimate are not included.
+    H or of its exchange-sector blocks: one per block on a split slice, and
+    on the Gershgorin path one of H - sigma0 I for all its ARPACK runs and
+    one for the count (0 on the dense path); those of the coarse estimate are
+    not included.
     ``factor_nnz`` is the size (SuperLU's nnz of L + U) of the factorization
     that made the count, summed over the blocks of a split slice, or None on
     the dense path or when no count was made.
@@ -173,6 +179,11 @@ def _factor_at(H: sp.csc_matrix, tau: float):
     return lu if np.array_equal(lu.perm_r, lu.perm_c) else None
 
 
+def _budget(m: int) -> int:
+    """The default budget of solves for m levels."""
+    return max(20000, 400 * m)
+
+
 def _empty(n: int):
     return np.zeros(0), np.zeros((n, 0))
 
@@ -227,18 +238,17 @@ class _Solve:
         res = np.linalg.norm(self.H @ vecs - vecs * vals, axis=0)
         return 2.0 * float(np.linalg.norm(res)) + self.slack
 
-    def arpack(self, A: sp.csc_matrix, sigma: float, which: str, k: int, found: np.ndarray,
-               v0: np.ndarray, lu=None):
+    def arpack(self, A: sp.csc_matrix, lu, sigma: float, which: str, k: int,
+               found: np.ndarray, v0: np.ndarray):
         """k pairs of A, H or a diagonal block of it, about sigma in the
         orthogonal complement of ``found``'s columns.
 
-        ARPACK in shift-invert mode with solves by ``lu``, a factorization of
-        A - sigma I; without one, A - sigma I is factored here and freed on
-        return, so it never coexists with the factorization of a count.  At
-        most the rest of the budget, shared by all blocks, is spent, and
-        ``exhausted`` is set once it stops a run.  Returns ``(vals, vecs,
-        complete)``; when ``complete`` is False the pairs are those converged
-        before the budget ran out (none on a breakdown).
+        ARPACK in shift-invert mode with solves by ``lu``, the factorization
+        of A - sigma I from ``_factor_at``.  At most the rest of the budget,
+        shared by all blocks, is spent, and ``exhausted`` is set once it stops
+        a run.  Returns ``(vals, vecs, complete)``; when ``complete`` is False
+        the pairs are those converged before the budget ran out (none on a
+        breakdown).
         """
         n = A.shape[0]
         k = min(k, n - 2 - found.shape[1])
@@ -252,10 +262,6 @@ class _Solve:
         if basis <= k:
             self.exhausted = True
             return *_empty(n), False
-        if lu is None:
-            lu = splu(A - sigma * sp.identity(n, format="csc"), permc_spec=_ORDERING,
-                      options={"SymmetricMode": True})
-            self.factorizations += 1
 
         def solve(x):
             self.solves += 1
@@ -298,8 +304,8 @@ class _Solve:
         for _ in range(_ATTEMPTS):
             if len(vals) == count:
                 break
-            new_vals, new_vecs, complete = self.arpack(A, tau, "SA", count - len(vals),
-                                                       vecs, v0, lu)
+            new_vals, new_vecs, complete = self.arpack(A, lu, tau, "SA", count - len(vals),
+                                                       vecs, v0)
             below = new_vals < tau
             vals = np.concatenate([vals, new_vals[below]])
             vecs = np.hstack([vecs, new_vecs[:, below]])
@@ -355,13 +361,20 @@ class _Solve:
     def shifted(self, m: int):
         """Levels below sigma0's first clear gap above the m-th, certified by a count.
 
-        Returns ``(vals, vecs, count, certified)``.
+        H - sigma0 I is factored once for every ARPACK run, and dropped before
+        H - tau I is factored for the count; a factorization that fails is a
+        breakdown.  Returns ``(vals, vecs, count, certified)``.
         """
         vals, vecs = _empty(self.n)
         v0, want = self.start, m + 2
+        self.factorizations += 1
+        lu = _factor_at(self.H, self.sigma0)
+        if lu is None:
+            self.breakdown = True
+            return vals, vecs, None, False
         for _ in range(_ATTEMPTS):
-            new_vals, new_vecs, complete = self.arpack(self.H, self.sigma0, "LM", want, vecs,
-                                                       v0)
+            new_vals, new_vecs, complete = self.arpack(self.H, lu, self.sigma0, "LM", want,
+                                                       vecs, v0)
             vals = np.concatenate([vals, new_vals])
             vecs = np.hstack([vecs, new_vecs])
             order = np.argsort(vals, kind="stable")
@@ -374,6 +387,7 @@ class _Solve:
                 want = len(vals)      # the m-th multiplet runs past what was found
                 continue
             tau = 0.5 * (vals[j - 1] + vals[j])
+            del lu          # so that it never coexists with the count's factorization
             lu, count = self.count(self.H, tau)
             if count is None or count < j:
                 return vals, vecs, count, False
@@ -382,11 +396,6 @@ class _Solve:
                                                         vecs[:, :j], v0)
             return vals, vecs, count, certified
         return vals, vecs, None, False
-
-
-def _widest_gap(estimate: np.ndarray, m: int) -> int:
-    """Index j >= m of the widest gap estimate[j] - estimate[j-1]."""
-    return m + int(np.argmax(np.diff(estimate)[m - 1:]))
 
 
 def _ritz(op, coarse, vectors: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,19 +414,22 @@ def _ritz(op, coarse, vectors: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarr
     return values, op.prolong(coarse, vectors @ y[:, :j].sum(axis=1))[:, 0]
 
 
-def _coarse_estimate(op, m: int, seed: int):
-    """``(estimate, ritz, start)``: the lowest k = m + 3 levels of ``op``
-    estimated on a coarsened grid, their Ritz values from ``_ritz``, and the
-    sum of the Ritz vectors below the estimate's widest gap above its m-th
-    level.
+def _estimated_slice(op, m: int, seed: int, slack: float):
+    """``(j, tau, start)`` from the lowest k = m + 3 levels of ``op``
+    estimated on a coarsened grid, or None when there is no such grid or the
+    estimate offers no gap above its m-th level.
 
     The grids are ``op.coarsened()``, its ``coarsened()``, and so on, while
     they have more than 3k + 2 nodes; each is solved on the Gershgorin path
-    to a loose tolerance.  The coarsest comes first, and a finer one is
-    tried only while the estimate does not bracket its widest gap.  The
-    coarse nodes are fine nodes, so the prolonged vectors stay independent.
-    None when there is no such grid, or the estimate offers no gap above its
-    m-th level.
+    to a loose tolerance.  j >= m indexes the estimate's widest gap above
+    its m-th level, and ``_ritz`` gives the Ritz values of ``op`` on the
+    estimate's vectors and, as ``start``, the sum of the first j Ritz
+    vectors.  The coarsest grid comes first, and a finer one is tried only
+    while ``ritz[j-1]``, an upper bound of the j-th level, reaches
+    ``estimate[j]``.  tau is the gap's midpoint, raised to just above
+    ``ritz[j-1]`` when that stays below ``estimate[j]``, so that an estimate
+    lying low still counts all j levels.  The coarse nodes are fine nodes,
+    so the prolonged vectors stay independent.
     """
     k = m + _EXTRA_LEVELS
     grids = []
@@ -428,29 +440,15 @@ def _coarse_estimate(op, m: int, seed: int):
     if not grids:
         return None
     for coarse in reversed(grids):
-        estimate, vectors, *_ = _Solve(_csc(coarse.matrix), _ESTIMATE_TOL,
-                                       max(20000, 400 * k), seed).shifted(k)
+        estimate, vectors, *_ = _Solve(_csc(coarse.matrix), _ESTIMATE_TOL, _budget(k),
+                                       seed).shifted(k)
         estimate, vectors = estimate[:k], vectors[:, :k]
         if len(estimate) <= m:
             return None
-        j = _widest_gap(estimate, m)
+        j = m + int(np.argmax(np.diff(estimate)[m - 1:]))
         ritz, start = _ritz(op, coarse, vectors, j)
         if ritz[j - 1] < estimate[j]:
             break
-    return estimate, ritz, start
-
-
-def _estimated_slice(op, m: int, seed: int, slack: float):
-    """``(j, tau, start)`` for the widest gap at index j >= m of
-    ``_coarse_estimate``, or None without one; tau is the gap's midpoint,
-    raised to just above ``ritz[j-1]``, an upper bound of the j-th level, when
-    that stays below ``estimate[j]``, so that an estimate lying low still
-    counts all j levels.  ``start`` is the estimate's start vector."""
-    found = _coarse_estimate(op, m, seed)
-    if found is None:
-        return None
-    estimate, ritz, start = found
-    j = _widest_gap(estimate, m)
     tau = 0.5 * (estimate[j - 1] + estimate[j])
     bound = ritz[j - 1] + slack
     return j, (bound if tau < bound < estimate[j] else tau), start
@@ -537,9 +535,7 @@ def lowest_eigs(op, m: int, tol: float = 1e-8, max_iter: int | None = None,
                            converged=bool(np.all(res <= tol)), breakdown=False,
                            tol=tol, count_below=count, factorizations=0, factor_nnz=None)
 
-    if max_iter is None:
-        max_iter = max(20000, 400 * m)
-    run = _Solve(_csc(H), tol, max_iter, seed)
+    run = _Solve(_csc(H), tol, _budget(m) if max_iter is None else max_iter, seed)
     at = _prior_slice(op, m, prior, run.slack) or _estimated_slice(op, m, seed, run.slack)
     found = None
     if at is not None:      # op is a grid operator

@@ -209,20 +209,26 @@ def test_sweep_against_kronecker_sum(case, monkeypatch):
 
 @pytest.mark.parametrize("case", range(len(_SWEEP)),
                          ids=[f"{s}-{n}" for s, n, _ in _SWEEP])
-def test_ritz_values_bound_the_kronecker_levels(case):
+def test_ritz_values_bound_the_kronecker_levels(case, monkeypatch):
     # the prolonged coarse eigenvectors span a subspace of the fine grid, so
     # by Cauchy interlacing each Ritz value lies above its fine level
     system, n, m = _SWEEP[case]
     prob = _sweep_problem(system, seed=1000 + case)
     grid = make_grid(prob.box, n, n)
     op = assemble(prob, grid)
-    estimate = eigensolve._coarse_estimate(op, m, seed=case)
-    assert (estimate is None) == (op.coarsened() is None)
-    if estimate is None:
-        return
-    ritz = estimate[1]
-    exact = _kronecker_levels(prob, grid, len(ritz))
-    assert np.all(ritz >= exact - 1e-10 * np.maximum(1.0, np.abs(exact)))
+    ritz, values = eigensolve._ritz, []
+
+    def recorded(*args):
+        found = ritz(*args)
+        values.append(found[0])
+        return found
+
+    monkeypatch.setattr(eigensolve, "_ritz", recorded)
+    at = eigensolve._estimated_slice(op, m, seed=case, slack=0.0)
+    assert (at is None) == (op.coarsened() is None) == (not values)
+    for bounds in values:
+        exact = _kronecker_levels(prob, grid, len(bounds))
+        assert np.all(bounds >= exact - 1e-10 * np.maximum(1.0, np.abs(exact)))
 
 
 def _recorded_factorizations(monkeypatch):
@@ -267,7 +273,7 @@ def test_a_grid_with_no_coarse_grid_for_its_estimate_takes_the_gershgorin_path(m
     grid = make_grid(prob.box, 64, 64)
     op = assemble(prob, grid)
     assert op.coarsened().dim == 1024 and 3 * (338 + 3) + 2 >= 1024 > 3 * (337 + 3) + 2
-    assert eigensolve._coarse_estimate(op, 338, seed=0) is None
+    assert eigensolve._estimated_slice(op, 338, seed=0, slack=0.0) is None
     dims, _ = _recorded_factorizations(monkeypatch)
     result = lowest_eigs(op, 338, tol=1e-6, seed=0)
     assert result.converged and result.factorizations == 2 and dims == [64 * 64] * 2
@@ -340,6 +346,35 @@ def test_forced_fallback_agrees_with_the_slice(monkeypatch):
     assert sliced.factorizations == 2 and fallback.factorizations >= 2
     assert np.allclose(sliced.eigenvalues, fallback.eigenvalues, rtol=0, atol=1e-9)
     assert sliced.count_below == fallback.count_below
+
+
+def test_a_multiplet_past_the_first_m_plus_2_levels_factors_h_minus_sigma0_once(monkeypatch):
+    # five copies of the lowest level of T: the first ARPACK run of the
+    # Gershgorin path finds m + 2 = 3 of them and no clear gap above the
+    # first, so the next run seeks more with the same factorization of
+    # H - sigma0 I; every factorization keeps the diagonal pivots
+    T = _dirichlet_laplacian_1d(40)
+    options = []
+
+    def factor(*args, **kwargs):
+        options.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "splu", factor)
+    result = lowest_eigs(sp.kron(sp.identity(5), T), 1)
+    assert result.converged and result.count_below == 5
+    assert result.factorizations == len(options) == 2
+    assert all(kwargs.get("diag_pivot_thresh") == 0.0 for kwargs in options)
+
+
+def test_a_factorization_below_the_spectrum_that_fails_is_a_breakdown(monkeypatch):
+    # the Gershgorin path factors H - sigma0 I before any ARPACK run; without
+    # it no solve is made and the first start vector stands in, unconverged
+    monkeypatch.setattr(eigensolve, "_factor_at", lambda H, tau: None)
+    result = lowest_eigs(_dirichlet_laplacian_1d(100), 2)
+    assert result.breakdown and not result.converged
+    assert result.factorizations == 1 and result.iterations == 0
+    assert result.count_below is None and len(result.eigenvalues) == 1
 
 
 # --- the exchange sectors of a mirror-symmetric grid ---------------------
@@ -466,6 +501,39 @@ def test_iterations_stay_within_max_iter_on_split_and_whole_grids(max_iter, b, m
 def _caged_80():
     prob = reduce_to_2d(CagedOscillator(), 3, 3, box=Box(12.0, 12.0))
     return assemble(prob, make_grid(prob.box, 80, 80))
+
+
+def _operator_below_the_spectrum(case):
+    """A matrix of ``_SWEEP``, by index, or of the named extra case."""
+    if case == "ttw2-staggered":
+        spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.4)
+        prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
+        return assemble(prob, make_grid(prob.box, 98, 98, spec=spec)).matrix
+    if case == "plain":
+        rng = np.random.default_rng(5)
+        A = sp.random(300, 300, density=0.02, random_state=rng)
+        return (A + A.T + sp.diags(rng.uniform(-1.0, 1.0, 300))).tocsr()
+    system, n, _ = _SWEEP[case]
+    prob = _sweep_problem(system, seed=1000 + case)
+    return assemble(prob, make_grid(prob.box, n, n)).matrix
+
+
+@pytest.mark.parametrize("case", [*range(len(_SWEEP)), "ttw2-staggered", "plain"],
+                         ids=[f"{s}-{n}" for s, n, _ in _SWEEP] + ["ttw2-staggered", "plain"])
+def test_diagonal_pivots_below_the_spectrum_are_the_threshold_pivots(case):
+    # H - sigma0 I is strictly diagonally dominant, so SuperLU's default
+    # threshold pivoting keeps every diagonal pivot: the factorization with
+    # diagonal pivots only is the same one
+    H = eigensolve._csc(_operator_below_the_spectrum(case))
+    sigma0 = eigensolve._Solve(H, 1e-8, 1, 0).sigma0
+    lu = _factor_at(H, sigma0)
+    reference = splu(H - sigma0 * sp.identity(H.shape[0], format="csc"),
+                     permc_spec=eigensolve._ORDERING, options={"SymmetricMode": True})
+    assert np.array_equal(lu.perm_r, reference.perm_r)
+    assert np.array_equal(lu.perm_c, reference.perm_c)
+    assert lu.nnz == reference.nnz
+    b = np.random.default_rng(0).standard_normal((H.shape[0], 3))
+    assert np.array_equal(lu.solve(b), reference.solve(b))
 
 
 def test_the_count_frees_superlu_copies_of_l_and_u():
