@@ -10,9 +10,12 @@ non-convergence (an eigensolve whose partial results are still written, or a 1D
 oracle that misses its accuracy target), 1 a failed verify check.
 
 Every output file begins with a provenance header (tool version, config
-hash, timestamp); outputs are bit-reproducible for a fixed seed and
-platform except for the timestamp line.  CSV numbers carry 17 significant
-digits so doubles round-trip exactly.
+hash, timestamp); outputs are bit-reproducible for a fixed seed, platform
+and BLAS thread count except for the timestamp line.  Threaded BLAS inside
+ARPACK can move the last bits: ``configs/caged_converge.json`` at
+OPENBLAS_NUM_THREADS 1 and 2 differs in two cells of its 400 rung by 6e-15
+relative.  CSV numbers carry 17 significant digits so doubles round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -184,13 +187,21 @@ def _problem(cfg: dict) -> ReducedProblem2D:
 
 def _check_grid(n1: int, n2: int, levels: int, where: str) -> None:
     """Refuse, before anything is allocated, a grid above ``_MAX_GRID_NODES``
-    nodes, or one with fewer nodes than ``solver.levels``."""
-    if n1 * n2 > _MAX_GRID_NODES:
+    nodes, one with fewer nodes than ``solver.levels``, or levels whose
+    Krylov basis, n max(2 levels + 1, 20) numbers as ARPACK sizes it, exceeds
+    that of 20 vectors on the largest grid allowed.  The bound also holds the
+    dense solve of many levels on a small grid to about 1.5 times as many."""
+    n = n1 * n2
+    if n > _MAX_GRID_NODES:
         raise ConfigError(f"{where} asks for a {n1:g} x {n2:g} grid, more than the "
                           f"{_MAX_GRID_NODES} nodes allowed")
-    if levels > n1 * n2:
+    if levels > n:
         raise ConfigError(f"solver.levels asks for {levels:g} levels, more than the "
-                          f"{n1 * n2} nodes of the {n1:g} x {n2:g} grid of {where}")
+                          f"{n} nodes of the {n1:g} x {n2:g} grid of {where}")
+    if n * max(2 * levels + 1, 20) > 20 * _MAX_GRID_NODES:
+        raise ConfigError(f"solver.levels asks for {levels:g} levels, whose Krylov basis "
+                          f"on the {n1:g} x {n2:g} grid of {where} would hold more than "
+                          f"{20 * _MAX_GRID_NODES} numbers")
 
 
 def _lowest(op, solver: dict, prior=None):

@@ -7,18 +7,19 @@ Friedrichs (conservative) choice elsewhere.
 
 A grid axis can be staggered by half a step when a node family collides
 with an angular singular line of the potential (rational-slope rays such
-as theta = pi/4 for k = 2).  Staggered walls keep the Dirichlet condition
-second-order accurate through an antisymmetric ghost node, which adds
-1/h^2 to the two wall-row diagonals of that axis; plain axes carry the
-textbook (2/h^2, -1/h^2) stencil exactly.
+as theta = pi/4 for k = 2).  Each axis stencil is the conservative form
+-(c u')' -> D^T C D / h^2 of its n + 1 face conductances c, wall faces
+included (LeVeque, *Finite Difference Methods for ODEs and PDEs*, 2007,
+2.15): every face of a plain axis has c = 1, the textbook (2/h^2, -1/h^2)
+stencil, and the two wall faces of a staggered axis have c = 2, a Dirichlet
+wall half a step from the end node, which stays second-order accurate.
 
 The operator is assembled directly as its five diagonals: each node's x
 neighbours lie n_y rows away and its y neighbours in the rows next to it.
 The CSR arrays are those of the Kronecker sum of the two axis stencils plus
-diag(W), entry for entry.  When both axes are equal and W(x, y) = W(y, x),
-the swap x <-> y maps the operator onto itself, and ``exchange`` gives the
-isometries onto its symmetric and antisymmetric sectors with the operator's
-diagonal block in each.
+diag(W), entry for entry.  When the swap x <-> y maps the operator onto
+itself, ``exchange`` gives the isometries onto its symmetric and
+antisymmetric sectors with the operator's diagonal block in each.
 """
 
 from __future__ import annotations
@@ -129,15 +130,15 @@ class SparseOperator:
         """The operator on every other node per axis, for estimates only.
 
         Keeps the fine nodes ``[1::2]`` of each axis with their W values and
-        the plain stencil at twice the step, so no potential is evaluated
-        again.  None when a coarse axis would have fewer than 32 nodes.
+        the plain stencil, unit faces, at twice the step, so no potential is
+        evaluated again.  None when a coarse axis would have fewer than 32 nodes.
         """
         g = self.grid
         nodes_x, nodes_y = g.nodes_x[1::2], g.nodes_y[1::2]
         if min(len(nodes_x), len(nodes_y)) < _MIN_COARSE_NODES:
             return None
         coarse = Grid(box=g.box, nodes_x=nodes_x, nodes_y=nodes_y,
-                      h_x=2.0 * g.h_x, h_y=2.0 * g.h_y)
+                      h_x=2.0 * g.h_x, h_y=2.0 * g.h_y, staggered_x=False, staggered_y=False)
         return _operator(coarse, self.w[1::2, 1::2])
 
     def exchange(self, tol: float) -> Optional[list[tuple[sp.csc_matrix, sp.csr_matrix]]]:
@@ -152,17 +153,19 @@ class SparseOperator:
         stencil couples no node (i, j), i < j, to one below the diagonal, so a
         block is H on P's nodes times 2 s^2 between pair nodes and 2 s between
         a pair and a diagonal node, s = sqrt(1/2), rounded as P^T H P rounds,
-        in canonical CSR.  Returned only when both axes have the same nodes,
-        step and stagger, and the node values of W differ from their transpose
-        by at most ``tol``: summing terms in another order can leave an
-        exchange-symmetric W asymmetric by an ulp.
+        in canonical CSR.  Returned exactly when the grid is n x n and, within
+        ``tol`` (rounding can break an exact symmetry by an ulp), H's main
+        diagonal as an n x n array equals its transpose and its y band (row
+        i * n + j to the next) its x band (row j * n + i to n rows further).
         """
-        g, w = self.grid, self.w
-        if (g.staggered_x != g.staggered_y or g.h_x != g.h_y
-                or not np.array_equal(g.nodes_x, g.nodes_y)
-                or np.max(np.abs(w - w.T)) > tol):
+        H, n, s = self.matrix, len(self.grid.nodes_x), np.sqrt(0.5)
+        if self.grid.shape != (n, n):
             return None
-        n, s = len(g.nodes_x), np.sqrt(0.5)
+        main = H.diagonal().reshape(n, n)
+        far = np.append(H.diagonal(n), np.zeros(n)).reshape(n, n)   # x band over a zero row
+        if not max(np.max(np.abs(main - main.T)),
+                   np.max(np.abs(H.diagonal(1) - far.T.ravel()[:-1]))) <= tol:
+            return None
 
         def sector(i, j, sign):
             pair, nodes, cols = i != j, i * n + j, np.arange(len(i))
@@ -171,7 +174,7 @@ class SparseOperator:
                                (np.concatenate([nodes, (j * n + i)[pair]]),
                                 np.concatenate([cols, cols[pair]]))),
                               shape=(n * n, len(i)))
-            A = self.matrix[nodes][:, nodes]
+            A = H[nodes][:, nodes]
             pair_row = pair[np.repeat(cols, np.diff(A.indptr))]
             pair_col = pair[A.indices]
             A.data = np.where(pair_row & pair_col, 2 * (s * (s * A.data)),
@@ -205,22 +208,21 @@ def _interpolation(fine: np.ndarray, coarse: np.ndarray, extent: float) -> np.nd
     return weights[:, 1:-1]
 
 
-def _axis_stencil(n: int, h: float, staggered: bool) -> tuple[np.ndarray, float]:
-    """``(main, off)``: the diagonal and the off-diagonal value of -d2/dx2 on
-    n nodes of step h with Dirichlet walls."""
-    main = np.full(n, 2.0 / h**2)
-    if staggered:
-        # antisymmetric ghost across each wall: u_0 = -u_1, u_{n+1} = -u_n
-        main[0] += 1.0 / h**2
-        main[-1] += 1.0 / h**2
-    return main, -1.0 / h**2
+def _axis_stencil(n: int, h: float, staggered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``(main, off)``: the diagonal and the off-diagonal of -(c u')' on n nodes
+    of step h from the n + 1 face conductances c, wall faces included: 1, and 2
+    on the walls of a staggered axis, half a step from its end nodes."""
+    flux = np.ones(n + 1)
+    flux[[0, -1]] += staggered
+    flux /= h**2
+    return flux[:-1] + flux[1:], -flux[1:-1]
 
 
 def assemble(problem: ReducedProblem2D, grid: Grid) -> SparseOperator:
     """Assemble H = -d2/dx2 - d2/dy2 + W on the grid.
 
-    Diagonal entries are 2/h_x^2 + 2/h_y^2 + W(x_i, y_j) (plus the wall
-    correction on staggered axes); off-diagonals are -1/h^2 towards each
+    Diagonal entries are 2/h_x^2 + 2/h_y^2 + W(x_i, y_j) (with 3/h^2 in the
+    wall rows of a staggered axis); off-diagonals are -1/h^2 towards each
     stencil neighbor.  Row index is i * n_y + j.  A node where W is not
     finite, or exceeds ``_W_MAX`` in magnitude, is refused by name.
     """
@@ -253,10 +255,8 @@ def _operator(grid: Grid, w: np.ndarray) -> SparseOperator:
     mx, off_x = _axis_stencil(n1, grid.h_x, grid.staggered_x)
     my, off_y = _axis_stencil(n2, grid.h_y, grid.staggered_y)
     main = ((mx[:, None] + my[None, :]) + w).ravel()
-    side = np.full((n1, n2), off_y)
-    side[:, -1] = 0.0      # the last node of each y line has no next neighbour; the
-                           # CSR arrays leave zeros out, as the Kronecker sum does
-    side = side.ravel()[:-1]
-    far = np.full(n1 * n2 - n2, off_x)
+    # the last node of each y line has no next neighbour: a zero, left out of the CSR
+    side = np.tile(np.append(off_y, 0.0), n1)[:-1]
+    far = np.repeat(off_x, n2)
     matrix = sp.diags([far, side, main, side, far], [-n2, -1, 0, 1, n2], format="csr")
     return SparseOperator(matrix=matrix, grid=grid, w=w)

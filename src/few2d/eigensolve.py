@@ -40,8 +40,8 @@ lowest m levels from above, so tau just above the m-th of them counts at
 least m levels, and the sum of those m Ritz vectors starts ARPACK; the
 prior's own levels are not read.
 
-A grid operator that the swap x <-> y maps onto itself (equal axes and an
-exchange-symmetric W) is sliced in its two exchange sectors
+A grid operator that the swap x <-> y maps onto itself (its diagonal and
+bands, read off H, swap-symmetric) is sliced in its two exchange sectors
 (symmetry-adapted bases; Faessler & Stiefel, *Group Theoretical Methods and
 Their Applications*, 1992), which ``SparseOperator.exchange`` gives as
 isometries P with their diagonal blocks P^T H P.  tau and the start vector

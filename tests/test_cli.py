@@ -637,6 +637,40 @@ def test_converge_checks_every_rung_before_solving_any(tmp_path, capsys, monkeyp
     assert solves == []
 
 
+def _no_grid(*args, **kwargs):
+    raise AssertionError("a grid was made for levels that should have been refused")
+
+
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_levels_whose_krylov_basis_cannot_fit_exit_2_before_any_grid(tmp_path, capsys,
+                                                                     monkeypatch, command):
+    # 7201 levels on 120 x 120 nodes would ask ARPACK for 14403 vectors of 14400
+    # numbers, 1.7 GB, and the dense fallback for as much; the 60 x 60 rung
+    # before that one fits, and no rung is solved
+    monkeypatch.setattr(cli, "make_grid", _no_grid)
+    if command == "solve":
+        config = _solve_config(tmp_path, discretization={"n1": 120, "n2": 120},
+                               solver={"levels": 7201})
+        where = "120 x 120 grid of discretization.n1 x n2"
+    else:
+        config = _converge_config(tmp_path, ladder=[60, 120], solver={"levels": 2000})
+        where = "120 x 120 grid of ladder[1]"
+    assert main([_write_config(tmp_path, "levels.json", config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver.levels asks for") and where in err
+    assert "Krylov basis" in err and "Traceback" not in err
+
+
+def test_every_grid_allowed_runs_at_up_to_9_levels():
+    # 2 * 9 + 1 vectors are fewer than ARPACK's 20, so the basis bound only
+    # ever refuses what more levels ask for
+    n = math.isqrt(cli._MAX_GRID_NODES)
+    cli._check_grid(n, n, 9, "grid")
+    cli._check_grid(1, cli._MAX_GRID_NODES, 9, "grid")
+    with pytest.raises(cli.ConfigError, match="Krylov basis"):
+        cli._check_grid(n, n, 10, "grid")
+
+
 # oracle inputs whose fd grid cannot be sized: each is refused before any
 # grid of it is allocated
 _UNSIZABLE_ORACLES = {

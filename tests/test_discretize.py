@@ -288,19 +288,18 @@ def test_five_diagonal_operator_equals_the_kronecker_sum(shape, layout):
 
 
 def test_assembled_operators_equal_the_kronecker_sum():
-    # the problem's own W on a TTW k = 2 grid, staggered by make_grid, and on
-    # an anisotropic caged grid and its two coarsenings
+    # the problem's own W on a TTW k = 2 grid, staggered by make_grid, and its
+    # plain coarsening, and on an anisotropic caged grid and its two coarsenings
     spec = TTW(omega=1.0, k=Rational(2, 1), alpha=0.3, beta=0.4)
     prob = reduce_to_2d(spec, 3, 3, box=Box(10.0, 10.0))
-    op = assemble(prob, make_grid(prob.box, 98, 98, spec=spec))
-    assert op.grid.staggered_y
-    _assert_same_csr(op.matrix, _kronecker_sum(op.grid, op.w))
+    ttw = assemble(prob, make_grid(prob.box, 98, 98, spec=spec))
+    assert ttw.grid.staggered_y
     caged = reduce_to_2d(CagedOscillator(a=1.0, b=1.7, omega=1.0, A=0.2, B=0.1), 3, 3,
                          box=Box(12.0, 12.0))
-    op = assemble(caged, make_grid(caged.box, 160, 131))
-    while op is not None:
-        _assert_same_csr(op.matrix, _kronecker_sum(op.grid, op.w))
-        op = op.coarsened()
+    for op in (ttw, assemble(caged, make_grid(caged.box, 160, 131))):
+        while op is not None:
+            _assert_same_csr(op.matrix, _kronecker_sum(op.grid, op.w))
+            op = op.coarsened()
 
 
 def test_coarsened_staggered_grid_reuses_finite_node_values():
@@ -317,20 +316,22 @@ def test_coarsened_staggered_grid_reuses_finite_node_values():
 
 
 def test_exchange_isometries_split_a_mirror_symmetric_operator():
-    # this caged oscillator's W misses exchange symmetry by rounding, so the
-    # split is decided within a tolerance, not bitwise
+    # this caged oscillator's W misses exchange symmetry by rounding, and on
+    # 21 x 21 nodes so does the diagonal of H, off which the split is read:
+    # it is decided within a tolerance, not bitwise
     spec = CagedOscillator(a=0.903306, b=0.903306, omega=1.062654, A=0.273827, B=0.273827)
     prob = reduce_to_2d(spec, 3, 3, box=Box(12.0, 12.0))
-    op = assemble(prob, make_grid(prob.box, 20, 20))
-    asym = np.max(np.abs(op.w - op.w.T))
+    op = assemble(prob, make_grid(prob.box, 21, 21))
+    main = op.matrix.diagonal().reshape(21, 21)
+    asym = np.max(np.abs(main - main.T))
     assert 0.0 < asym < 1e-12
     assert op.exchange(0.0) is None
     P_s, P_a = (P.toarray() for P, _ in op.exchange(asym))
-    assert P_s.shape == (400, 210) and P_a.shape == (400, 190)
+    assert P_s.shape == (441, 231) and P_a.shape == (441, 210)
     Q = np.hstack([P_s, P_a])
-    assert np.allclose(Q.T @ Q, np.eye(400), rtol=0, atol=1e-15)
+    assert np.allclose(Q.T @ Q, np.eye(441), rtol=0, atol=1e-15)
     # the swap x <-> y keeps each column of P_s and negates each of P_a
-    swap = np.arange(400).reshape(20, 20).T.ravel()
+    swap = np.arange(441).reshape(21, 21).T.ravel()
     assert np.array_equal(P_s[swap], P_s) and np.array_equal(P_a[swap], -P_a)
     # so the sectors decouple up to rounding
     coupling = np.abs(P_s.T @ (op.matrix @ P_a)).max()

@@ -440,6 +440,34 @@ def test_which_grid_operators_split_into_exchange_sectors(kind, monkeypatch):
                     else [n1 * n2])
 
 
+def test_the_exchange_split_is_read_off_the_operator():
+    # the split follows H and not W: one symmetric pair of x-band entries
+    # moved by 100 tol refuses it, and a W moved under the same H keeps it
+    tol = 1e-9
+    op, _ = _exchange_case("caged-iso")
+    n = op.grid.shape[0]
+    assert op.exchange(tol) is not None
+    H = op.matrix.copy()
+    k = 5 * n + 7
+    H[k, k + n] += 100 * tol
+    H[k + n, k] += 100 * tol
+    assert SparseOperator(matrix=H, grid=op.grid, w=op.w).exchange(tol) is None
+    w = op.w.copy()
+    w[3, 11] += 100 * tol
+    assert SparseOperator(matrix=op.matrix, grid=op.grid, w=w).exchange(tol) is not None
+
+
+@pytest.mark.parametrize("kind", _SPLIT + _UNSPLIT)
+def test_the_exchange_split_is_made_exactly_when_the_swap_keeps_the_operator(kind):
+    op, _ = _exchange_case(kind)
+    n1, n2 = op.grid.shape
+    H = op.matrix
+    swap = np.arange(n1 * n2).reshape(n1, n2).T.ravel()
+    moved = abs(H - H[swap][:, swap]).max()
+    for tol in (eigensolve._Solve(eigensolve._csc(H), 1e-8, 1, 0).slack, 1e-9):
+        assert (op.exchange(tol) is not None) == (moved <= tol)
+
+
 def test_sector_counts_add_up_to_the_count_of_the_whole_grid():
     # tau in every gap among the lowest 30 levels of the isotropic 80x80 grid,
     # those beside the exact doublets that pair a symmetric level with an
